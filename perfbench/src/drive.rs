@@ -2,6 +2,7 @@
 //! answer checks every phase shares.
 
 use crate::inputs::{drifted_costs, tenant_id, Expect, Key, Workload};
+use crate::spec::Spec;
 use crate::stats::Samples;
 use hsa_engine::net::wire::{self, FrameDecoder, FrameEncoder, NetReply};
 use hsa_engine::net::{Client, NetConfig, NetServer};
@@ -17,6 +18,9 @@ use std::time::{Duration, Instant};
 /// Tenant namespaces opened at every set-up: one per pipelined connection,
 /// so all set-ups of a workload do the same work.
 pub const NAMESPACES: usize = 2;
+
+/// Requests in flight per connection in the pipelined phase.
+pub const WINDOW: usize = 16;
 
 /// Requests the reference rate sends per climb at least, so its p90 has
 /// ten samples beyond it even in the shorter timed part of a traced run.
@@ -267,7 +271,6 @@ pub fn pipelined(
     tally: &mut Tally,
 ) -> PipelinedOut {
     let cursor = AtomicUsize::new(0);
-    let window = w.spec.window.max(1);
     let start = Instant::now();
     let run = |ns: usize| -> (u64, Instant, Record, Tally) {
         let mut tally = Tally::default();
@@ -284,7 +287,7 @@ pub fn pipelined(
         let mut inflight: std::collections::VecDeque<(u64, usize, usize)> = Default::default();
         let mut last = Instant::now();
         loop {
-            while inflight.len() < window && Instant::now() < budget.until {
+            while inflight.len() < WINDOW && Instant::now() < budget.until {
                 let (pos, cap) = if w.stateful {
                     (local, budget.requests / conns)
                 } else {
@@ -446,6 +449,7 @@ fn step(
     rec: &mut Record,
     tally: &mut Tally,
 ) -> Step {
+    // `Ladder::new` sizes its rungs with the same count.
     let n = ((rate * secs).round() as usize).max(1);
     let gap = Duration::from_secs_f64(1.0 / rate);
     let plan: Vec<(usize, usize)> = (0..n)
@@ -546,7 +550,8 @@ fn step(
 
 /// Resident set size of this process, KiB (0 where `/proc` is missing).
 /// Sampled at the end of every segment, while its server is at its
-/// largest, so the maximum of the samples is the run's peak.
+/// largest and before the answer checks run, so the maximum of the samples
+/// is the run's peak.
 pub fn rss_kib() -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
@@ -559,6 +564,36 @@ pub fn rss_kib() -> f64 {
                 .ok()
         })
         .unwrap_or(0.0)
+}
+
+/// Returns the allocator's free heap pages to the OS (glibc's
+/// `malloc_trim`). Done before the resident-set base is read, so memory the
+/// input generation freed neither counts in the base nor hides the
+/// servers' growth when they reuse it.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+pub fn trim_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+    }
+    // SAFETY: `malloc_trim` takes no pointers; it only releases free pages.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+pub fn trim_heap() {}
+
+/// How long one climb of `climb_secs` runs `rate`: the reference rate gets
+/// three shares of the climb (its latencies are reported, the others only
+/// decide the capacity), and at least [`MIN_REFERENCE_SAMPLES`] requests.
+fn step_secs(spec: &Spec, climb_secs: f64, rate: f64) -> f64 {
+    let share = climb_secs / (spec.ladder_rps.len() + 2) as f64;
+    if rate == spec.reference_rps {
+        (3.0 * share).max(MIN_REFERENCE_SAMPLES / rate)
+    } else {
+        share
+    }
 }
 
 /// One round of the open phase: the ladder's steps that ran.
@@ -587,9 +622,6 @@ pub fn open(
     tally: &mut Tally,
 ) -> Result<OpenOut, String> {
     let spec = &w.spec;
-    // The reference rate gets three shares of the phase: its latencies are
-    // reported, the others only decide the capacity.
-    let share = secs / (spec.ladder_rps.len() + 2) as f64;
     let mut out = OpenOut {
         steps: Vec::new(),
         rss_peak_kib: 0.0,
@@ -607,11 +639,6 @@ pub fn open(
         drop(client);
         setups.push(setup_s);
         let mut conn = raw_connect(live.addr())?;
-        let secs = if reference {
-            (3.0 * share).max(MIN_REFERENCE_SAMPLES / rate)
-        } else {
-            share
-        };
         let (mut cursor, mut corr) = (0usize, 1u64);
         let mut rec = Record::default();
         let s = step(
@@ -619,7 +646,7 @@ pub fn open(
             &live,
             &mut conn,
             rate,
-            secs,
+            step_secs(spec, secs, rate),
             &mut cursor,
             &mut corr,
             &mut rec,
@@ -627,9 +654,9 @@ pub fn open(
         );
         rec.consumed = cursor;
         drop(conn);
+        out.rss_peak_kib = out.rss_peak_kib.max(rss_kib());
         oracle.verify(w, &live, &[(0, &rec)], tally);
         saturated |= s.backlogged();
-        out.rss_peak_kib = out.rss_peak_kib.max(rss_kib());
         let net = live.net.net_stats();
         let svc = live.net.service().stats();
         out.saturation_parks += net.saturation_parks;
@@ -668,6 +695,26 @@ pub struct Ladder {
 }
 
 impl Ladder {
+    /// A ladder with room for the latencies of `climbs` climbs of
+    /// `climb_secs` each already resident (see
+    /// [`Samples::with_resident_capacity`]).
+    pub fn new(spec: &Spec, climb_secs: f64, climbs: usize) -> Ladder {
+        let rungs = spec
+            .ladder_rps
+            .iter()
+            .map(|&rate| {
+                let per_climb =
+                    ((rate * step_secs(spec, climb_secs, rate)).round() as usize).max(1);
+                let rung = Rung {
+                    lat_us: Samples::with_resident_capacity(climbs * per_climb),
+                    ..Rung::default()
+                };
+                (rate as u64, rung)
+            })
+            .collect();
+        Ladder { rungs, rounds: 0 }
+    }
+
     /// Adds one round's steps.
     pub fn add(&mut self, steps: Vec<Step>) {
         self.rounds += 1;
@@ -735,11 +782,14 @@ pub struct DeltaOracle {
     reference: Option<Service>,
     /// Order positions replayed so far.
     upto: usize,
-    /// Payload hash of the expected answer, by order position.
-    want: BTreeMap<usize, u64>,
+    /// Payload hash of the expected answer, by order position (meaningful
+    /// for delta positions below `upto`). Allocated and written in full up
+    /// front, so the oracle does not grow the resident set during the run.
+    want: Vec<u64>,
 }
 
 impl DeltaOracle {
+    /// Build it before the resident-set base is read.
     pub fn new(w: &Workload) -> DeltaOracle {
         let reference = (!w.tenants.is_empty()).then(|| {
             let svc = Service::new(
@@ -758,10 +808,11 @@ impl DeltaOracle {
             }
             svc
         });
+        let positions = if reference.is_some() { w.seq.len() } else { 0 };
         DeltaOracle {
             reference,
             upto: 0,
-            want: BTreeMap::new(),
+            want: vec![u64::MAX; positions],
         }
     }
 
@@ -781,10 +832,7 @@ impl DeltaOracle {
             };
             let req = Request::delta_arc(tenant_id(0, t), Arc::clone(delta), *lambda);
             match reference.submit(req).wait() {
-                Ok(reply) => {
-                    self.want
-                        .insert(pos, payload_hash(wire::reply_json(&reply).as_bytes()));
-                }
+                Ok(reply) => self.want[pos] = payload_hash(wire::reply_json(&reply).as_bytes()),
                 Err(e) => tally.fail(format!("reference delta at {pos}: {e}")),
             }
         }
@@ -806,10 +854,10 @@ impl DeltaOracle {
         }
         let upto = recs.iter().map(|(_, r)| r.consumed).max().unwrap_or(0);
         self.extend_to(w, upto, tally);
-        let want = &self.want;
+        let want = &self.want[..self.upto.min(self.want.len())];
         for &(ns, rec) in recs {
             for &(pos, hash) in &rec.deltas {
-                if want.get(&pos) != Some(&hash) {
+                if want.get(pos) != Some(&hash) {
                     tally.fail(format!(
                         "namespace {ns}: delta answer at position {pos} differs from the in-process replay"
                     ));

@@ -36,6 +36,13 @@ use std::time::{Duration, Instant};
 const ROUNDS: usize = 15;
 const LADDERS: usize = 5;
 
+/// Shares of the measured seconds given to the closed, pipelined and open
+/// phases (with `--trace 1` the traced pass first takes its own share of
+/// `--seconds`).
+const CLOSED_SHARE: f64 = 0.3;
+const PIPELINED_SHARE: f64 = 0.2;
+const OPEN_SHARE: f64 = 0.5;
+
 /// Set-ups per run beyond the phase set-ups (closed, pipelined, one per
 /// open-loop rate); `setup_s` is the median of all of them.
 const EXTRA_SETUPS: usize = 2;
@@ -151,20 +158,15 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
         w.seq.len(),
         t_gen.elapsed().as_secs_f64()
     );
-    let rss_base = drive::rss_kib();
-    let mut rss_peak = rss_base;
-
     let measured = if args.trace {
         args.seconds * (1.0 - globals.traced_share)
     } else {
         args.seconds
     };
     let sp = &w.spec;
-    let total = sp.closed_share + sp.pipelined_share + sp.open_share;
     // Each phase's time is split over the rounds, so every metric pools
     // samples from the whole run and from several fresh servers.
-    let secs =
-        |share: f64, parts: usize| Duration::from_secs_f64(measured * share / total / parts as f64);
+    let secs = |share: f64, parts: usize| Duration::from_secs_f64(measured * share / parts as f64);
     // A segment's fixed request count takes its share of the run on the
     // machine the rates were measured on; the deadline stops it on a
     // machine three times slower.
@@ -175,27 +177,35 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
     let conns = nproc.min(drive::NAMESPACES);
     let mut tally = Tally::default();
     let mut setups = Samples::new();
-    let mut oracle = drive::DeltaOracle::new(&w);
-    let mut rtt = Samples::new();
-    let mut by_kind: BTreeMap<u8, Samples> = BTreeMap::new();
     let (mut completed, mut elapsed_s) = (0u64, 0.0);
     let mut round_rps = Samples::new();
     let mut round_p50s: Vec<f64> = Vec::new();
+    // Per request kind, the closed rounds' p50s.
+    let mut by_kind: BTreeMap<u8, Samples> = BTreeMap::new();
     let (mut frames_out, mut writes, mut parks, mut bp_waits) = (0u64, 0u64, 0u64, 0u64);
     let mut engine_counts = (0u64, 0u64, 0usize);
-    let (mut ol_p50s, mut ol_tails) = (Samples::new(), Samples::new());
-    let mut lag = Samples::new();
-    let mut ladder = drive::Ladder::default();
+    let (mut ol_p50s, mut ol_tails, mut lag_p50s) =
+        (Samples::new(), Samples::new(), Samples::new());
     let mut queue_p99 = Samples::new();
+    // What grows through the run is built before the resident-set base is
+    // read, so `rss_peak_mb` counts the servers and not the generator: the
+    // delta oracle, and room for every pooled latency, already resident.
+    let mut oracle = drive::DeltaOracle::new(&w);
+    let mut rtt =
+        Samples::with_resident_capacity(ROUNDS * budget(CLOSED_SHARE, sp.closed_rps).requests);
+    let mut ladder = drive::Ladder::new(sp, secs(OPEN_SHARE, LADDERS).as_secs_f64(), LADDERS);
+    drive::trim_heap();
+    let rss_base = drive::rss_kib();
+    let mut rss_peak = rss_base;
     println!("# open: one connection, sender + receiver, latency timed from due time; fresh server per rate");
     for round in 0..ROUNDS {
         // Closed: one connection, one request in flight.
         let (live, mut client, s) = drive::setup(&w, &mut tally)?;
         setups.push(s);
-        let work = budget(sp.closed_share, sp.closed_rps);
+        let work = budget(CLOSED_SHARE, sp.closed_rps);
         let closed = drive::closed(&w, &live, &mut client, work, &mut tally);
-        oracle.verify(&w, &live, &[(0, &closed.rec)], &mut tally);
         rss_peak = rss_peak.max(drive::rss_kib());
+        oracle.verify(&w, &live, &[(0, &closed.rec)], &mut tally);
         let mut round_rtt = closed.rtt_us;
         let p50 = round_rtt
             .p50()
@@ -203,8 +213,10 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
             .value;
         round_p50s.push(p50);
         rtt.append(round_rtt);
-        for (k, v) in closed.by_kind {
-            by_kind.entry(k).or_default().append(v);
+        for (k, mut v) in closed.by_kind {
+            if let Some(m) = v.median() {
+                by_kind.entry(k).or_default().push(m);
+            }
         }
         drop(client);
         drop(live);
@@ -213,8 +225,9 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
         let (live, client, s) = drive::setup(&w, &mut tally)?;
         drop(client);
         setups.push(s);
-        let work = budget(sp.pipelined_share, sp.pipelined_rps);
+        let work = budget(PIPELINED_SHARE, sp.pipelined_rps);
         let pipe = drive::pipelined(&w, &live, conns, work, &mut tally);
+        rss_peak = rss_peak.max(drive::rss_kib());
         let recs: Vec<(usize, &Record)> = pipe.recs.iter().enumerate().collect();
         oracle.verify(&w, &live, &recs, &mut tally);
         completed += pipe.completed;
@@ -225,7 +238,6 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
         writes += net.writes;
         parks += net.saturation_parks;
         bp_waits += live.net.service().stats().backpressure_waits;
-        rss_peak = rss_peak.max(drive::rss_kib());
         let engine = live.net.service().engine();
         let e = engine.stats();
         engine_counts = (e.cache_hits, e.cache_misses, engine.len());
@@ -237,7 +249,7 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
         }
         let mut open = drive::open(
             &w,
-            secs(sp.open_share, LADDERS).as_secs_f64(),
+            secs(OPEN_SHARE, LADDERS).as_secs_f64(),
             &mut oracle,
             &mut setups,
             &mut tally,
@@ -258,7 +270,7 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
                     .ok_or("too few reference-rate samples for a p90")?;
                 ol_p50s.push(p50.value);
                 ol_tails.push(p90.value);
-                lag.append(std::mem::take(&mut s.lag_us));
+                lag_p50s.push(s.lag_us.median().unwrap_or(0.0));
             }
         }
         ladder.add(open.steps);
@@ -283,7 +295,7 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
     let ol_p50 = ol_p50s.median();
     let ol_tail = ol_tails.median();
     let ref_gap_us = 1e6 / sp.reference_rps;
-    let ref_lag = lag.median().unwrap_or(0.0);
+    let ref_lag = lag_p50s.median().unwrap_or(0.0);
     println!(
         "  capacity {capacity:.1} req/s (limit {} us on the p90); at the reference {} req/s, medians over climbs: p50 {:.2} us, p90 {:.2} us; generator lag p50 {ref_lag:.2} us",
         sp.latency_limit_us,
@@ -310,7 +322,7 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
     for (kind, s) in &mut by_kind {
         if let Some(p) = s.median() {
             println!(
-                "  {:<15} p50 {p:.2} us (n={})",
+                "  {:<15} p50 {p:.2} us (median of {} round p50s)",
                 trace::kind_name(*kind),
                 s.len()
             );
@@ -318,7 +330,7 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
     }
     println!(
         "# pipelined: {conns} connections x window {}: {completed} completed in {elapsed_s:.3} s; median round {throughput:.1} req/s; frames/write {:.2}",
-        sp.window,
+        drive::WINDOW,
         frames_out as f64 / writes.max(1) as f64
     );
     let rss_peak_mb = (rss_peak - rss_base) / 1024.0;
@@ -348,7 +360,7 @@ fn run(args: &Args, spec: spec::Spec, nproc: usize) -> Result<ExitCode, String> 
         let t = trace::traced(
             &w,
             args.seed,
-            budget(sp.closed_share, sp.closed_rps).requests,
+            budget(CLOSED_SHARE, sp.closed_rps).requests,
             args.seconds * globals.traced_share,
             &untraced,
             rtt_p50.unwrap_or(f64::NAN),

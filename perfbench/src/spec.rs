@@ -11,14 +11,6 @@ const MAP: &str = include_str!("../interaction.json");
 pub struct Spec {
     /// Workload name, as passed to `--workload`.
     pub name: String,
-    /// Shares of the measured seconds given to the closed, pipelined and
-    /// open phases (with `--trace 1` the traced pass first takes its own
-    /// share of `--seconds`).
-    pub closed_share: f64,
-    pub pipelined_share: f64,
-    pub open_share: f64,
-    /// Requests in flight per connection in the pipelined phase.
-    pub window: usize,
     /// Closed and pipelined request rates of the machine the benchmark was
     /// tuned on: they size each segment's fixed request count from its
     /// share of `--seconds`.
@@ -106,10 +98,6 @@ pub fn spec(name: &str) -> Option<Spec> {
     );
     Some(Spec {
         name: name.to_string(),
-        closed_share: num(load, "closed_share"),
-        pipelined_share: num(load, "pipelined_share"),
-        open_share: num(load, "open_share"),
-        window: num(load, "window") as usize,
         closed_rps: num(load, "closed_rps"),
         pipelined_rps: num(load, "pipelined_rps"),
         ladder_rps,

@@ -63,6 +63,15 @@ impl Samples {
         Samples::default()
     }
 
+    /// An empty sample with room for `n` samples already resident: the
+    /// storage is written once, so filling it later leaves the process's
+    /// resident set, and so `rss_peak_mb`, unchanged.
+    pub fn with_resident_capacity(n: usize) -> Samples {
+        let mut v = vec![f64::NAN; n];
+        v.clear();
+        Samples { v, sorted: false }
+    }
+
     /// Adds one sample.
     pub fn push(&mut self, x: f64) {
         self.v.push(x);

@@ -112,21 +112,10 @@ struct Replay {
     sessions: Vec<Session>,
     enc: FrameEncoder,
     buf: Vec<u8>,
-    memo: HashMap<(u8, u64, u32, u32), Vec<u8>>,
     scratch: EvalScratch,
     outcomes: Vec<hsa_engine::AnytimeOutcome>,
     /// Portfolio arms still running after the probe's races drained.
     pending_arms: usize,
-}
-
-fn memo_key(request: &Request) -> Option<(u8, u64, u32, u32)> {
-    match request {
-        Request::SolveById { id, lambda } => {
-            Some((wire::kind::SOLUTION, id.raw(), lambda.num(), lambda.den()))
-        }
-        Request::FrontierById { id } => Some((wire::kind::FRONTIER_REPLY, id.raw(), 0, 0)),
-        _ => None,
-    }
 }
 
 impl Replay {
@@ -152,45 +141,28 @@ impl Replay {
             sessions,
             enc: FrameEncoder::new(),
             buf: Vec::new(),
-            memo: HashMap::new(),
             scratch: EvalScratch::new(),
             outcomes: Vec::new(),
             pending_arms: 0,
         }
     }
 
-    /// The handler's calls, as spans under `parent`; probes of layers the
-    /// handler path does not time separately go under `probe`.
+    /// The handler's calls, as spans under `parent`.
     fn handle(
         &mut self,
         tr: &mut Tracer,
         req: u32,
         parent: u32,
-        probe: u32,
         request: &Request,
     ) -> Option<Reply> {
         let engine = Arc::clone(&self.engine);
-        let prepare = |tr: &mut Tracer, tree: &CruTree, costs: &CostModel| -> Option<InstanceId> {
+        let prepare = |tr: &mut Tracer, tree: &CruTree, costs: &CostModel| {
             let misses = engine.stats().cache_misses;
             let span = tr.begin("engine.prepare_miss", req, parent);
             let id = engine.prepare(tree, costs).ok();
             tr.end(span);
             if engine.stats().cache_misses == misses {
                 tr.spans[span as usize].name = "engine.prepare_hit";
-            } else {
-                // The miss's two halves, and a hit on the now-known
-                // instance, timed separately as probes.
-                let (t, c) = (tree.clone(), costs.clone());
-                if let Ok(prep) =
-                    tr.time("assign.prepare", req, probe, || Prepared::new_owned(t, c))
-                {
-                    let _ = tr.time("assign.frontier_dp", req, probe, || {
-                        FrontierSet::prepare(&prep, &engine.config().expanded)
-                    });
-                }
-                let _ = tr.time("engine.prepare_hit", req, probe, || {
-                    engine.prepare(tree, costs)
-                });
             }
             id
         };
@@ -203,7 +175,7 @@ impl Replay {
             })
         };
         match request {
-            Request::SolveById { id, lambda } => self.solve(tr, req, parent, probe, *id, *lambda),
+            Request::SolveById { id, lambda } => self.solve(tr, req, parent, *id, *lambda),
             Request::Solve {
                 tree,
                 costs,
@@ -211,7 +183,7 @@ impl Replay {
             } => {
                 hash(tr, tree, costs);
                 let id = prepare(tr, tree, costs)?;
-                self.solve(tr, req, parent, probe, id, *lambda)
+                self.solve(tr, req, parent, id, *lambda)
             }
             Request::FrontierById { id } => self.frontier(tr, req, parent, *id),
             Request::Frontier { tree, costs } => {
@@ -242,7 +214,6 @@ impl Replay {
         tr: &mut Tracer,
         req: u32,
         parent: u32,
-        probe: u32,
         id: InstanceId,
         lambda: hsa_graph::Lambda,
     ) -> Option<Reply> {
@@ -253,11 +224,41 @@ impl Replay {
                 solve_with_frontiers(&cached.prepared, &cached.frontiers, lambda)
             })
             .ok()?;
-        let scratch = &mut self.scratch;
-        tr.time("assign.evaluate", req, probe, || {
-            std::hint::black_box(evaluate_cut_in(&cached.prepared, &solution.cut, scratch).is_ok())
-        });
         Some(Reply::Solution { id, solution })
+    }
+
+    /// Times, after the handler, what its path does not split out: the
+    /// evaluation of a solved cut, and for a prepare miss the miss's two
+    /// halves and a hit on the now-known instance. Probe spans carry the
+    /// request id but no parent, so no round-trip layer contains them.
+    fn probe(&mut self, tr: &mut Tracer, req: u32, request: &Request, reply: &Reply, missed: bool) {
+        let engine = &self.engine;
+        if let Reply::Solution { id, solution } = reply {
+            if let Some(cached) = engine.instance(*id) {
+                let scratch = &mut self.scratch;
+                tr.time("assign.evaluate", req, NONE, || {
+                    std::hint::black_box(
+                        evaluate_cut_in(&cached.prepared, &solution.cut, scratch).is_ok(),
+                    )
+                });
+            }
+        }
+        let (Request::Solve { tree, costs, .. } | Request::Frontier { tree, costs }) = request
+        else {
+            return;
+        };
+        if !missed {
+            return;
+        }
+        let (t, c) = ((**tree).clone(), (**costs).clone());
+        if let Ok(prep) = tr.time("assign.prepare", req, NONE, || Prepared::new_owned(t, c)) {
+            let _ = tr.time("assign.frontier_dp", req, NONE, || {
+                FrontierSet::prepare(&prep, &engine.config().expanded)
+            });
+        }
+        let _ = tr.time("engine.prepare_hit", req, NONE, || {
+            engine.prepare(tree, costs)
+        });
     }
 
     fn frontier(
@@ -279,8 +280,8 @@ impl Replay {
 
     /// Replays one request: request encode, request decode, the service
     /// hop (`submit → wait` on the replay service), the handler's calls,
-    /// reply encode (through the reactor's encode memo, as the server
-    /// does) and reply decode. Returns the canonical reply JSON.
+    /// then the probes, reply encode and reply decode. Returns the
+    /// canonical reply JSON.
     fn replay(
         &mut self,
         tr: &mut Tracer,
@@ -315,31 +316,22 @@ impl Replay {
         let submit_wait = tr.begin("service.submit_wait", req, root);
         let via_service = service.submit(for_service).wait();
         tr.end(submit_wait);
+        let misses = self.engine.stats().cache_misses;
         let handler = tr.begin("handler", req, root);
-        let probe = tr.begin("probe", req, NONE);
-        let reply = self.handle(tr, req, handler, probe, &request);
+        let reply = self.handle(tr, req, handler, &request);
         tr.end(handler);
-        tr.end(probe);
         let reply = reply.ok_or("the in-process handler replay failed")?;
+        let missed = self.engine.stats().cache_misses != misses;
+        self.probe(tr, req, &request, &reply, missed);
         if via_service.is_err() {
             return Err("the replay service failed the request".to_string());
         }
-        let memo = memo_key(&request);
-        let (encoder, buf, table) = (&mut self.enc, &mut self.buf, &mut self.memo);
+        let (encoder, buf) = (&mut self.enc, &mut self.buf);
         buf.clear();
         let reply_encode = tr.begin("wire.reply_encode", req, root);
-        let kind = match memo.and_then(|k| table.get(&k).map(|p| (k.0, p))) {
-            Some((kind, payload)) => {
-                wire::put_raw_frame(buf, kind, tenant, 0, payload);
-                kind
-            }
-            None => encoder.put_reply(buf, 0, tenant, &reply).0,
-        };
+        let (kind, range) = encoder.put_reply(buf, 0, tenant, &reply);
         tr.end(reply_encode);
-        let payload = buf[4 + wire::HEADER_LEN..].to_vec();
-        if let Some(k) = memo {
-            table.entry(k).or_insert_with(|| payload.clone());
-        }
+        let payload = buf[range].to_vec();
         let frame = wire::Frame {
             version: wire::PROTOCOL_VERSION,
             kind,
@@ -650,19 +642,20 @@ fn summarise(
     let mut in_process_all = Samples::new();
     let mut table: BTreeMap<u8, BTreeMap<&str, Samples>> = BTreeMap::new();
     // Self time per request per handler layer (a request may call a layer
-    // more than once; its calls are summed).
+    // more than once; its calls are summed). Probe spans have no parent and
+    // are not part of the round trip.
     let mut per_req: HashMap<(u32, &str), u64> = HashMap::new();
     for (s, &t) in tr.spans.iter().zip(&selft) {
-        if s.req != NONE && RTT_LAYERS.contains(&s.name) {
+        if s.req != NONE && s.parent != NONE && RTT_LAYERS.contains(&s.name) {
             *per_req.entry((s.req, s.name)).or_default() += t;
         }
     }
     for (req, r) in done.iter().enumerate() {
-        let h = tr.dur(r.submit_wait) as f64 - tr.dur(r.handler) as f64;
-        hop.push(h);
         if !r.timed {
             continue;
         }
+        let h = tr.dur(r.submit_wait) as f64 - tr.dur(r.handler) as f64;
+        hop.push(h);
         let in_process = (tr.dur(r.req_decode)
             + tr.dur(r.submit_wait)
             + tr.dur(r.reply_encode)
