@@ -22,10 +22,10 @@ use crate::{
 use hsa_graph::envelope::{lower_envelope, EnvelopeSegment, LambdaEnvelope, LambdaQ};
 use hsa_graph::{Cost, Lambda, ScaledSsb};
 use hsa_tree::{Cut, TreeEdge};
-use serde::{value, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// The piecewise-linear lower envelope of optimal cuts over λ ∈ [0, 1].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LambdaFrontier {
     envelope: LambdaEnvelope<Cut>,
     /// Work counters of the frontier construction (composites = |E′|,
@@ -77,27 +77,6 @@ impl LambdaFrontier {
     ) -> Result<Solution, AssignError> {
         EvalScratch::with_thread_local(|es| {
             Solution::from_cut_in(prep, self.cut_at(lambda).clone(), lambda, self.stats, es)
-        })
-    }
-}
-
-impl Serialize for LambdaFrontier {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("envelope".to_string(), self.envelope.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for LambdaFrontier {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| DeError::custom(format!("expected LambdaFrontier map, got {v:?}")))?;
-        Ok(LambdaFrontier {
-            envelope: LambdaEnvelope::from_value(value::field(m, "envelope")?)?,
-            stats: SolveStats::from_value(value::field(m, "stats")?)?,
         })
     }
 }

@@ -57,11 +57,10 @@ impl EnvFingerprint {
 ///
 /// Latency-instrumented metrics additionally carry per-op `p50_ns` /
 /// `p99_ns` tail percentiles. The fields are optional and *omitted from
-/// the JSON when absent* (serde is hand-written below for exactly that
-/// reason), so schema v1 artefacts written before percentiles existed
-/// still load — and the gate can tell "never measured" from "stopped
-/// measuring".
-#[derive(Clone, Debug, PartialEq)]
+/// the JSON when absent* (absent and `null` both read back as `None`), so
+/// schema v1 artefacts written before percentiles existed still load — and
+/// the gate can tell "never measured" from "stopped measuring".
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Metric {
     /// Metric name, unique within its report (e.g. `"expanded_n40"`).
     pub name: String,
@@ -74,8 +73,10 @@ pub struct Metric {
     /// Derived: operations per second.
     pub per_sec: f64,
     /// Optional per-op median latency, nanoseconds.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub p50_ns: Option<f64>,
     /// Optional per-op 99th-percentile latency, nanoseconds.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub p99_ns: Option<f64>,
 }
 
@@ -101,52 +102,6 @@ impl Metric {
         self.p50_ns = Some(p50_ns.max(1) as f64);
         self.p99_ns = Some(p99_ns.max(1) as f64);
         self
-    }
-}
-
-// Hand-written (not derived): the vendored derive would emit `p50_ns`/
-// `p99_ns` as JSON `null` and *require* the keys on load, breaking every
-// pre-percentile artefact. Here absent and `null` both read back as
-// `None`, and `None` writes no key at all.
-impl Serialize for Metric {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("name".to_string(), self.name.to_value()),
-            ("ops".to_string(), self.ops.to_value()),
-            ("total_ns".to_string(), self.total_ns.to_value()),
-            ("ns_per_op".to_string(), self.ns_per_op.to_value()),
-            ("per_sec".to_string(), self.per_sec.to_value()),
-        ];
-        if let Some(p) = self.p50_ns {
-            entries.push(("p50_ns".to_string(), p.to_value()));
-        }
-        if let Some(p) = self.p99_ns {
-            entries.push(("p99_ns".to_string(), p.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for Metric {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::DeError::custom("expected a map for Metric"))?;
-        let optional = |name: &str| -> Result<Option<f64>, serde::DeError> {
-            match entries.iter().find(|(k, _)| k == name) {
-                None => Ok(None),
-                Some((_, value)) => Option::<f64>::from_value(value),
-            }
-        };
-        Ok(Metric {
-            name: String::from_value(serde::value::field(entries, "name")?)?,
-            ops: u64::from_value(serde::value::field(entries, "ops")?)?,
-            total_ns: u64::from_value(serde::value::field(entries, "total_ns")?)?,
-            ns_per_op: f64::from_value(serde::value::field(entries, "ns_per_op")?)?,
-            per_sec: f64::from_value(serde::value::field(entries, "per_sec")?)?,
-            p50_ns: optional("p50_ns")?,
-            p99_ns: optional("p99_ns")?,
-        })
     }
 }
 
@@ -427,6 +382,37 @@ mod tests {
         // And a serialised plain metric parses back without the keys.
         let re = serde_json::to_string(&m).unwrap();
         assert!(!re.contains("p50_ns") && !re.contains("null"));
+    }
+
+    /// Every committed baseline re-prints to its own bytes, both as a typed
+    /// report and as an untyped `serde::Value`: the pretty printer's format
+    /// is pinned by the files the gate compares against.
+    #[test]
+    fn committed_baselines_reprint_byte_identically() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let report: BenchReport = serde_json::from_str(&text).unwrap();
+            assert!(
+                report.to_json() == text,
+                "{} re-prints differently",
+                path.display()
+            );
+            let value: serde::Value = serde_json::from_str(&text).unwrap();
+            let again = serde_json::to_string_pretty(&value).unwrap() + "\n";
+            assert!(
+                again == text,
+                "{} re-prints differently as a Value",
+                path.display()
+            );
+            seen += 1;
+        }
+        assert!(seen >= 9, "found {seen} baselines");
     }
 
     #[test]

@@ -45,33 +45,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// in-process submitter (no waker) might free.
 const PARKED_RETRY_MS: i32 = 2;
 
-/// Entry cap of the per-shard encode memo (cleared wholesale when full —
-/// hot Zipf traffic refills the few live keys immediately).
-const MEMO_CAP: usize = 8192;
-
-/// Key of a memoisable reply payload: `(reply kind, instance id, λ)`.
-///
-/// Only **id-addressed pure reads** qualify — [`Request::SolveById`] and
-/// [`Request::FrontierById`]. Their successful answers are deterministic
-/// functions of the key: an [`crate::InstanceId`] is a structural content
-/// hash that is never re-bound (the engine cache does not evict, and
-/// tenant deltas mutate per-session copies, never the cached instance),
-/// and the solve/frontier for a fixed instance and λ is byte-stable —
-/// the same invariant the service's verify mode asserts. Anytime answers
-/// are budget-dependent and error answers carry no payload to reuse;
-/// neither is ever memoised.
-type MemoKey = (u8, u64, u32, u32);
-
-fn memo_key(request: &Request) -> Option<MemoKey> {
-    match request {
-        Request::SolveById { id, lambda } => {
-            Some((wire::kind::SOLUTION, id.raw(), lambda.num(), lambda.den()))
-        }
-        Request::FrontierById { id } => Some((wire::kind::FRONTIER_REPLY, id.raw(), 0, 0)),
-        _ => None,
-    }
-}
-
 /// One answered ticket, routed back to the connection's owning shard.
 pub(super) struct Completion {
     token: u64,
@@ -178,7 +151,7 @@ struct Conn {
     out: Vec<u8>,
     out_pos: usize,
     /// Submitted-but-not-yet-encoded answers, in submission order.
-    pending: VecDeque<(u64, u64, u64, Option<MemoKey>)>, // (seq, corr, tenant, memo)
+    pending: VecDeque<(u64, u64, u64)>, // (seq, corr, tenant)
     /// Out-of-order completions waiting for their turn.
     ready: BTreeMap<u64, Result<Reply, ServiceError>>,
     next_seq: u64,
@@ -244,10 +217,6 @@ pub(super) struct Reactor {
     outstanding: usize,
     shutdown: bool,
     enc: FrameEncoder,
-    /// Encoded payloads of deterministic id-addressed answers, replayed
-    /// verbatim instead of re-printing the same JSON per request (the
-    /// dominant per-frame cost on hot Zipf traffic). See [`MemoKey`].
-    memo: HashMap<MemoKey, Vec<u8>>,
 }
 
 impl Reactor {
@@ -266,7 +235,6 @@ impl Reactor {
             outstanding: 0,
             shutdown: false,
             enc: FrameEncoder::new(),
-            memo: HashMap::new(),
         };
         reactor.event_loop();
     }
@@ -437,29 +405,15 @@ impl Reactor {
         conn.ready.insert(completion.seq, completion.result);
         // Emit in submission order: the contract recv-side clients (and
         // the threaded waiter before this) rely on.
-        while let Some(&(seq, corr, tenant, memo)) = conn.pending.front() {
+        while let Some(&(seq, corr, tenant)) = conn.pending.front() {
             let Some(result) = conn.ready.remove(&seq) else {
                 break;
             };
             conn.pending.pop_front();
             match result {
-                Ok(reply) => match memo {
-                    Some(key) => {
-                        if let Some(payload) = self.memo.get(&key) {
-                            wire::put_raw_frame(&mut conn.out, key.0, tenant, corr, payload);
-                        } else {
-                            let (_, range) =
-                                self.enc.put_reply(&mut conn.out, corr, tenant, &reply);
-                            if self.memo.len() >= MEMO_CAP {
-                                self.memo.clear();
-                            }
-                            self.memo.insert(key, conn.out[range].to_vec());
-                        }
-                    }
-                    None => {
-                        self.enc.put_reply(&mut conn.out, corr, tenant, &reply);
-                    }
-                },
+                Ok(reply) => {
+                    self.enc.put_reply(&mut conn.out, corr, tenant, &reply);
+                }
                 Err(e) => self
                     .enc
                     .put_error(&mut conn.out, corr, tenant, &WireError::from(&e)),
@@ -618,9 +572,8 @@ impl Reactor {
     /// Submits an admitted request, or parks it (quota slot kept, read
     /// interest dropped) when the global gate is full.
     fn submit(&mut self, token: u64, conn: &mut Conn, corr: u64, tenant: u64, request: Request) {
-        let memo = memo_key(&request);
         match self.inner.service.try_submit(request.clone()) {
-            Ok(ticket) => self.track(token, conn, corr, tenant, memo, ticket),
+            Ok(ticket) => self.track(token, conn, corr, tenant, ticket),
             Err(_) => {
                 conn.parked = Some((corr, tenant, request));
                 self.inner
@@ -642,18 +595,10 @@ impl Reactor {
         }
     }
 
-    fn track(
-        &mut self,
-        token: u64,
-        conn: &mut Conn,
-        corr: u64,
-        tenant: u64,
-        memo: Option<MemoKey>,
-        ticket: Ticket,
-    ) {
+    fn track(&mut self, token: u64, conn: &mut Conn, corr: u64, tenant: u64, ticket: Ticket) {
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        conn.pending.push_back((seq, corr, tenant, memo));
+        conn.pending.push_back((seq, corr, tenant));
         self.outstanding += 1;
         let shard = Arc::clone(&self.shard);
         let inner = Arc::clone(&self.inner);

@@ -26,12 +26,13 @@
 //! ([`WireError`]), never a panic or a silent drop.
 
 use crate::service::{Reply, Request, ServiceError, TenantId};
-use crate::session::SessionStats;
-use crate::{EngineError, InstanceId};
+use crate::session::{ApplyOutcome, SessionStats};
+use crate::{AnytimeAnswer, EngineError, InstanceId};
 use bytes::{BufMut, Bytes, BytesMut};
+use hsa_assign::{LambdaFrontier, Solution};
 use hsa_graph::Lambda;
 use hsa_tree::{CostModel, CruTree, Delta};
-use serde::{value, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Serializer};
 use std::fmt;
 use std::io::{self, Read};
 use std::sync::Arc;
@@ -131,16 +132,6 @@ pub struct Frame {
 }
 
 impl Frame {
-    fn new(kind: u8, tenant: u64, corr: u64, payload: Vec<u8>) -> Frame {
-        Frame {
-            version: PROTOCOL_VERSION,
-            kind,
-            tenant,
-            corr,
-            payload,
-        }
-    }
-
     /// Appends this frame (length prefix + header + payload) to `out`.
     pub fn put(&self, out: &mut BytesMut) {
         out.put_u32((HEADER_LEN + self.payload.len()) as u32);
@@ -428,143 +419,128 @@ pub enum NetReply {
     Error(WireError),
 }
 
-fn obj_value(entries: Vec<(&str, Value)>) -> Value {
-    Value::Map(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// Declares payload bodies. Each is a struct whose derived `Deserialize`
+/// decodes the body, plus a `write` that prints the same fields, in
+/// declaration order, from borrowed parts — one list of keys serves both
+/// directions, and the declaration order is the canonical byte order.
+macro_rules! bodies {
+    ($($(#[$doc:meta])* $name:ident { $($field:ident: $ty:ty),* })*) => {$(
+        $(#[$doc])*
+        #[derive(Deserialize)]
+        struct $name {
+            $($field: $ty),*
+        }
+
+        impl $name {
+            fn write(json: &mut String, $($field: &$ty),*) {
+                let mut s = Serializer::new(json);
+                let mut body = s.map();
+                $(body.field(stringify!($field), $field);)*
+                body.end();
+            }
+        }
+    )*};
 }
 
-fn json_bytes(v: &Value) -> Vec<u8> {
-    serde_json::to_string(v)
-        .expect("value-tree JSON printing is infallible")
-        .into_bytes()
+bodies! {
+    /// `SOLVE`.
+    SolveBody { tree: CruTree, costs: CostModel, lambda: Lambda }
+    /// `SOLVE_BY_ID`.
+    SolveByIdBody { id: u64, lambda: Lambda }
+    /// `FRONTIER` and `OPEN_TENANT`.
+    InstanceBody { tree: CruTree, costs: CostModel }
+    /// `FRONTIER_BY_ID`.
+    IdBody { id: u64 }
+    /// `DELTA` (the tenant travels in the header).
+    DeltaBody { delta: Delta, lambda: Lambda }
+    /// `SOLVE_ANYTIME`.
+    AnytimeBody { tree: CruTree, costs: CostModel, lambda: Lambda, budget_ms: u64 }
+    /// `HELLO_ACK`.
+    HelloAckBody { max_frame_len: u64 }
+    /// `SOLUTION`.
+    SolutionBody { id: u64, solution: Solution }
+    /// `FRONTIER_REPLY`.
+    FrontierBody { id: u64, frontier: LambdaFrontier }
+    /// `APPLIED`.
+    AppliedBody { outcome: ApplyOutcome, solution: Solution }
+    /// `ANYTIME`.
+    AnytimeReplyBody { id: u64, answer: AnytimeAnswer }
+    /// `TENANT_CLOSED`.
+    TenantClosedBody { stats: SessionStats }
 }
 
-/// The payload body of a request, plus its kind byte and header tenant.
-/// The single source of payload truth: both the allocating [`Frame`]
-/// constructors and the buffer-reusing [`FrameEncoder`] print exactly
-/// this value, so the two paths are byte-identical by construction.
-fn request_body(req: &Request) -> (u8, u64, Option<Value>) {
+/// Prints a request's body into `json`; returns its kind byte and header
+/// tenant ([`Request::Delta`]'s own, 0 for the other kinds).
+fn write_request(req: &Request, json: &mut String) -> (u8, u64) {
     match req {
         Request::Solve {
             tree,
             costs,
             lambda,
-        } => (
-            kind::SOLVE,
-            0,
-            Some(obj_value(vec![
-                ("tree", tree.to_value()),
-                ("costs", costs.to_value()),
-                ("lambda", lambda.to_value()),
-            ])),
-        ),
-        Request::SolveById { id, lambda } => (
-            kind::SOLVE_BY_ID,
-            0,
-            Some(obj_value(vec![
-                ("id", id.raw().to_value()),
-                ("lambda", lambda.to_value()),
-            ])),
-        ),
-        Request::Frontier { tree, costs } => (
-            kind::FRONTIER,
-            0,
-            Some(obj_value(vec![
-                ("tree", tree.to_value()),
-                ("costs", costs.to_value()),
-            ])),
-        ),
-        Request::FrontierById { id } => (
-            kind::FRONTIER_BY_ID,
-            0,
-            Some(obj_value(vec![("id", id.raw().to_value())])),
-        ),
+        } => {
+            SolveBody::write(json, tree, costs, lambda);
+            (kind::SOLVE, 0)
+        }
+        Request::SolveById { id, lambda } => {
+            SolveByIdBody::write(json, &id.raw(), lambda);
+            (kind::SOLVE_BY_ID, 0)
+        }
+        Request::Frontier { tree, costs } => {
+            InstanceBody::write(json, tree, costs);
+            (kind::FRONTIER, 0)
+        }
+        Request::FrontierById { id } => {
+            IdBody::write(json, &id.raw());
+            (kind::FRONTIER_BY_ID, 0)
+        }
         Request::Delta {
             tenant,
             delta,
             lambda,
-        } => (
-            kind::DELTA,
-            tenant.0,
-            Some(obj_value(vec![
-                ("delta", delta.to_value()),
-                ("lambda", lambda.to_value()),
-            ])),
-        ),
+        } => {
+            DeltaBody::write(json, delta, lambda);
+            (kind::DELTA, tenant.0)
+        }
         Request::SolveAnytime {
             tree,
             costs,
             lambda,
             budget_ms,
-        } => (
-            kind::SOLVE_ANYTIME,
-            0,
-            Some(obj_value(vec![
-                ("tree", tree.to_value()),
-                ("costs", costs.to_value()),
-                ("lambda", lambda.to_value()),
-                ("budget_ms", budget_ms.to_value()),
-            ])),
-        ),
+        } => {
+            AnytimeBody::write(json, tree, costs, lambda, budget_ms);
+            (kind::SOLVE_ANYTIME, 0)
+        }
     }
 }
 
-/// The payload body of a reply, plus its kind byte.
-fn reply_body(reply: &Reply) -> (u8, Option<Value>) {
+/// Prints a reply's body into `json`; returns its kind byte.
+fn write_reply(reply: &Reply, json: &mut String) -> u8 {
     match reply {
-        Reply::Solution { id, solution } => (
-            kind::SOLUTION,
-            Some(obj_value(vec![
-                ("id", id.raw().to_value()),
-                ("solution", solution.to_value()),
-            ])),
-        ),
-        Reply::Frontier { id, frontier } => (
-            kind::FRONTIER_REPLY,
-            Some(obj_value(vec![
-                ("id", id.raw().to_value()),
-                ("frontier", frontier.to_value()),
-            ])),
-        ),
-        Reply::Applied { outcome, solution } => (
-            kind::APPLIED,
-            Some(obj_value(vec![
-                ("outcome", outcome.to_value()),
-                ("solution", solution.to_value()),
-            ])),
-        ),
-        Reply::Anytime { id, answer } => (
-            kind::ANYTIME,
-            Some(obj_value(vec![
-                ("id", id.raw().to_value()),
-                ("answer", answer.to_value()),
-            ])),
-        ),
+        Reply::Solution { id, solution } => {
+            SolutionBody::write(json, &id.raw(), solution);
+            kind::SOLUTION
+        }
+        Reply::Frontier { id, frontier } => {
+            FrontierBody::write(json, &id.raw(), frontier);
+            kind::FRONTIER_REPLY
+        }
+        Reply::Applied { outcome, solution } => {
+            AppliedBody::write(json, outcome, solution);
+            kind::APPLIED
+        }
+        Reply::Anytime { id, answer } => {
+            AnytimeReplyBody::write(json, &id.raw(), answer);
+            kind::ANYTIME
+        }
     }
-}
-
-fn hello_ack_body(max_frame_len: usize) -> Value {
-    obj_value(vec![("max_frame_len", (max_frame_len as u64).to_value())])
-}
-
-fn open_tenant_body(tree: &CruTree, costs: &CostModel) -> Value {
-    obj_value(vec![("tree", tree.to_value()), ("costs", costs.to_value())])
-}
-
-fn tenant_closed_body(stats: &SessionStats) -> Value {
-    obj_value(vec![("stats", stats.to_value())])
 }
 
 /// An encoder with reusable scratch: frames go **appended** into a
 /// caller-owned `Vec<u8>` (the per-connection write queue), the payload
 /// JSON is printed into one retained `String` — steady state allocates
 /// nothing per frame, and pipelined replies coalesce in the output buffer
-/// for a single `write(2)`. The bytes are identical to the allocating
-/// [`Frame`] path (same body builders, same printer).
+/// for a single `write(2)`. Every [`Frame`] constructor encodes through
+/// this type too, so the two paths are byte-identical by construction.
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
     json: String,
@@ -572,8 +548,8 @@ pub struct FrameEncoder {
 
 /// Appends one frame whose payload bytes are already encoded: length
 /// prefix + header written fresh, `payload` copied verbatim. This is the
-/// hit path of the reactor's encode memo and the primitive every
-/// [`FrameEncoder`] append bottoms out in.
+/// primitive every [`FrameEncoder`] append bottoms out in, and the way a
+/// client replays a payload it encoded once.
 pub fn put_raw_frame(out: &mut Vec<u8>, kind_: u8, tenant: u64, corr: u64, payload: &[u8]) {
     out.put_u32((HEADER_LEN + payload.len()) as u32);
     out.put_u8(PROTOCOL_VERSION);
@@ -589,33 +565,26 @@ impl FrameEncoder {
         FrameEncoder::default()
     }
 
-    fn put_frame(
+    /// Prints a body with `write` (which returns the kind byte and header
+    /// tenant) and appends its frame.
+    fn put_with(
         &mut self,
         out: &mut Vec<u8>,
-        kind: u8,
-        tenant: u64,
         corr: u64,
-        body: Option<&Value>,
+        write: impl FnOnce(&mut String) -> (u8, u64),
     ) {
         self.json.clear();
-        if let Some(v) = body {
-            serde_json::to_string_into(v, &mut self.json)
-                .expect("value-tree JSON printing is infallible");
-        }
+        let (kind, tenant) = write(&mut self.json);
         put_raw_frame(out, kind, tenant, corr, self.json.as_bytes());
     }
 
     /// Appends a request frame (see [`request_frame`]).
     pub fn put_request(&mut self, out: &mut Vec<u8>, corr: u64, req: &Request) {
-        let (kind, tenant, body) = request_body(req);
-        self.put_frame(out, kind, tenant, corr, body.as_ref());
+        self.put_with(out, corr, |json| write_request(req, json));
     }
 
     /// Appends a reply frame (see [`reply_frame`]), returning its kind and
-    /// the byte range the payload occupies inside `out` — callers that
-    /// memoise encoded payloads (the reactor, for deterministic
-    /// id-addressed answers) copy the range out and replay it later via
-    /// [`put_raw_frame`], byte-identical by construction.
+    /// the byte range the payload occupies inside `out`.
     pub fn put_reply(
         &mut self,
         out: &mut Vec<u8>,
@@ -623,30 +592,33 @@ impl FrameEncoder {
         tenant: u64,
         reply: &Reply,
     ) -> (u8, std::ops::Range<usize>) {
-        let (kind, body) = reply_body(reply);
-        self.put_frame(out, kind, tenant, corr, body.as_ref());
+        let mut kind = 0;
+        self.put_with(out, corr, |json| {
+            kind = write_reply(reply, json);
+            (kind, tenant)
+        });
         (kind, out.len() - self.json.len()..out.len())
     }
 
     /// Appends an error frame (see [`error_frame`]).
     pub fn put_error(&mut self, out: &mut Vec<u8>, corr: u64, tenant: u64, err: &WireError) {
-        self.put_frame(out, kind::ERROR, tenant, corr, Some(&err.to_value()));
+        self.put_with(out, corr, |json| {
+            err.serialize(&mut Serializer::new(json));
+            (kind::ERROR, tenant)
+        });
     }
 
     /// Appends the handshake frame.
     pub fn put_hello(&mut self, out: &mut Vec<u8>, corr: u64) {
-        self.put_frame(out, kind::HELLO, 0, corr, None);
+        put_raw_frame(out, kind::HELLO, 0, corr, &[]);
     }
 
     /// Appends the handshake answer.
     pub fn put_hello_ack(&mut self, out: &mut Vec<u8>, corr: u64, max_frame_len: usize) {
-        self.put_frame(
-            out,
-            kind::HELLO_ACK,
-            0,
-            corr,
-            Some(&hello_ack_body(max_frame_len)),
-        );
+        self.put_with(out, corr, |json| {
+            HelloAckBody::write(json, &(max_frame_len as u64));
+            (kind::HELLO_ACK, 0)
+        });
     }
 
     /// Appends an open-tenant frame.
@@ -658,23 +630,20 @@ impl FrameEncoder {
         tree: &CruTree,
         costs: &CostModel,
     ) {
-        self.put_frame(
-            out,
-            kind::OPEN_TENANT,
-            tenant.0,
-            corr,
-            Some(&open_tenant_body(tree, costs)),
-        );
+        self.put_with(out, corr, |json| {
+            InstanceBody::write(json, tree, costs);
+            (kind::OPEN_TENANT, tenant.0)
+        });
     }
 
     /// Appends a close-tenant frame.
     pub fn put_close_tenant(&mut self, out: &mut Vec<u8>, corr: u64, tenant: TenantId) {
-        self.put_frame(out, kind::CLOSE_TENANT, tenant.0, corr, None);
+        put_raw_frame(out, kind::CLOSE_TENANT, tenant.0, corr, &[]);
     }
 
     /// Appends the tenant-opened acknowledgement.
     pub fn put_tenant_opened(&mut self, out: &mut Vec<u8>, corr: u64, tenant: TenantId) {
-        self.put_frame(out, kind::TENANT_OPENED, tenant.0, corr, None);
+        put_raw_frame(out, kind::TENANT_OPENED, tenant.0, corr, &[]);
     }
 
     /// Appends the tenant-closed acknowledgement.
@@ -685,110 +654,90 @@ impl FrameEncoder {
         tenant: TenantId,
         stats: &SessionStats,
     ) {
-        self.put_frame(
-            out,
-            kind::TENANT_CLOSED,
-            tenant.0,
-            corr,
-            Some(&tenant_closed_body(stats)),
-        );
+        self.put_with(out, corr, |json| {
+            TenantClosedBody::write(json, stats);
+            (kind::TENANT_CLOSED, tenant.0)
+        });
     }
 }
 
-fn body(payload: &[u8]) -> Result<Value, WireError> {
+/// Decodes a payload body: linear in its length, nesting capped at
+/// [`serde::MAX_DEPTH`], keys in any order, unknown keys ignored.
+fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, WireError> {
     let text = std::str::from_utf8(payload)
         .map_err(|e| WireError::Malformed(format!("payload is not UTF-8: {e}")))?;
-    serde_json::from_str::<Value>(text).map_err(|e| WireError::Malformed(e.to_string()))
+    serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))
 }
 
-fn field<T: Deserialize>(m: &[(String, Value)], name: &str) -> Result<T, WireError> {
-    let v = value::field(m, name).map_err(|e| WireError::Malformed(e.to_string()))?;
-    T::from_value(v).map_err(|e: DeError| WireError::Malformed(format!("{name}: {e}")))
-}
-
-fn as_map(v: &Value) -> Result<&[(String, Value)], WireError> {
-    v.as_map()
-        .ok_or_else(|| WireError::Malformed("body is not a JSON object".to_string()))
+/// The one frame `put` appends, as an owned [`Frame`].
+fn owned_frame(put: impl FnOnce(&mut FrameEncoder, &mut Vec<u8>)) -> Frame {
+    let mut out = Vec::new();
+    put(&mut FrameEncoder::new(), &mut out);
+    let payload = out.split_off(4 + HEADER_LEN);
+    Frame {
+        version: out[4],
+        kind: out[5],
+        tenant: u64::from_be_bytes(out[6..14].try_into().expect("8 bytes")),
+        corr: u64::from_be_bytes(out[14..22].try_into().expect("8 bytes")),
+        payload,
+    }
 }
 
 /// Encodes a request into its frame. The tenant header field is taken
 /// from the request itself ([`Request::Delta`]); other kinds travel with
 /// tenant 0.
 pub fn request_frame(corr: u64, req: &Request) -> Frame {
-    let (kind, tenant, body) = request_body(req);
-    Frame::new(
-        kind,
-        tenant,
-        corr,
-        body.as_ref().map(json_bytes).unwrap_or_default(),
-    )
+    owned_frame(|enc, out| enc.put_request(out, corr, req))
 }
 
 /// The handshake frame.
 pub fn hello_frame(corr: u64) -> Frame {
-    Frame::new(kind::HELLO, 0, corr, Vec::new())
+    owned_frame(|enc, out| enc.put_hello(out, corr))
 }
 
 /// The handshake answer.
 pub fn hello_ack_frame(corr: u64, max_frame_len: usize) -> Frame {
-    Frame::new(
-        kind::HELLO_ACK,
-        0,
-        corr,
-        json_bytes(&hello_ack_body(max_frame_len)),
-    )
+    owned_frame(|enc, out| enc.put_hello_ack(out, corr, max_frame_len))
 }
 
 /// An open-tenant frame (instance in the body, tenant in the header).
 pub fn open_tenant_frame(corr: u64, tenant: TenantId, tree: &CruTree, costs: &CostModel) -> Frame {
-    Frame::new(
-        kind::OPEN_TENANT,
-        tenant.0,
-        corr,
-        json_bytes(&open_tenant_body(tree, costs)),
-    )
+    owned_frame(|enc, out| enc.put_open_tenant(out, corr, tenant, tree, costs))
 }
 
 /// A close-tenant frame.
 pub fn close_tenant_frame(corr: u64, tenant: TenantId) -> Frame {
-    Frame::new(kind::CLOSE_TENANT, tenant.0, corr, Vec::new())
+    owned_frame(|enc, out| enc.put_close_tenant(out, corr, tenant))
 }
 
 /// The tenant-opened acknowledgement.
 pub fn tenant_opened_frame(corr: u64, tenant: TenantId) -> Frame {
-    Frame::new(kind::TENANT_OPENED, tenant.0, corr, Vec::new())
+    owned_frame(|enc, out| enc.put_tenant_opened(out, corr, tenant))
 }
 
 /// The tenant-closed acknowledgement, carrying the session's counters.
 pub fn tenant_closed_frame(corr: u64, tenant: TenantId, stats: &SessionStats) -> Frame {
-    Frame::new(
-        kind::TENANT_CLOSED,
-        tenant.0,
-        corr,
-        json_bytes(&tenant_closed_body(stats)),
-    )
+    owned_frame(|enc, out| enc.put_tenant_closed(out, corr, tenant, stats))
 }
 
 /// Encodes a reply into its frame.
 pub fn reply_frame(corr: u64, tenant: u64, reply: &Reply) -> Frame {
-    let (kind, body) = reply_body(reply);
-    Frame::new(
-        kind,
-        tenant,
-        corr,
-        body.as_ref().map(json_bytes).unwrap_or_default(),
-    )
+    owned_frame(|enc, out| {
+        enc.put_reply(out, corr, tenant, reply);
+    })
 }
 
 /// Encodes an error frame.
 pub fn error_frame(corr: u64, tenant: u64, err: &WireError) -> Frame {
-    Frame::new(kind::ERROR, tenant, corr, json_bytes(&err.to_value()))
+    owned_frame(|enc, out| enc.put_error(out, corr, tenant, err))
 }
 
 /// The canonical wire JSON of a reply — what t13's byte-identity check
 /// compares between a loopback answer and an in-process one.
 pub fn reply_json(reply: &Reply) -> String {
-    String::from_utf8(reply_frame(0, 0, reply).payload).expect("wire JSON is UTF-8")
+    let mut json = String::new();
+    write_reply(reply, &mut json);
+    json
 }
 
 /// Decodes a client→server frame. The version byte must already have been
@@ -806,126 +755,93 @@ pub fn decode_request_parts(
     tenant: u64,
     payload: &[u8],
 ) -> Result<NetRequest, WireError> {
-    match kind_ {
-        kind::HELLO => Ok(NetRequest::Hello),
+    let submit = NetRequest::Submit;
+    Ok(match kind_ {
+        kind::HELLO => NetRequest::Hello,
         kind::SOLVE => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
-            Ok(NetRequest::Submit(Request::solve_arc(
-                Arc::new(field::<CruTree>(m, "tree")?),
-                Arc::new(field::<CostModel>(m, "costs")?),
-                field::<Lambda>(m, "lambda")?,
-            )))
-        }
-        kind::SOLVE_BY_ID => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
-            Ok(NetRequest::Submit(Request::solve_by_id(
-                InstanceId::from_raw(field::<u64>(m, "id")?),
-                field::<Lambda>(m, "lambda")?,
-            )))
-        }
-        kind::FRONTIER => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
-            Ok(NetRequest::Submit(Request::frontier_arc(
-                Arc::new(field::<CruTree>(m, "tree")?),
-                Arc::new(field::<CostModel>(m, "costs")?),
-            )))
-        }
-        kind::FRONTIER_BY_ID => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
-            Ok(NetRequest::Submit(Request::frontier_by_id(
-                InstanceId::from_raw(field::<u64>(m, "id")?),
-            )))
-        }
-        kind::DELTA => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
-            Ok(NetRequest::Submit(Request::delta_arc(
-                TenantId(tenant),
-                Arc::new(field::<Delta>(m, "delta")?),
-                field::<Lambda>(m, "lambda")?,
-            )))
-        }
-        kind::SOLVE_ANYTIME => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
-            Ok(NetRequest::Submit(Request::solve_anytime_arc(
-                Arc::new(field::<CruTree>(m, "tree")?),
-                Arc::new(field::<CostModel>(m, "costs")?),
-                field::<Lambda>(m, "lambda")?,
-                field::<u64>(m, "budget_ms")?,
-            )))
-        }
-        kind::OPEN_TENANT => {
-            let v = body(payload)?;
-            let m = as_map(&v)?;
-            Ok(NetRequest::OpenTenant(
-                TenantId(tenant),
-                field::<CruTree>(m, "tree")?,
-                field::<CostModel>(m, "costs")?,
+            let b: SolveBody = decode(payload)?;
+            submit(Request::solve_arc(
+                Arc::new(b.tree),
+                Arc::new(b.costs),
+                b.lambda,
             ))
         }
-        kind::CLOSE_TENANT => Ok(NetRequest::CloseTenant(TenantId(tenant))),
-        k => Err(WireError::UnknownKind(k)),
-    }
+        kind::SOLVE_BY_ID => {
+            let b: SolveByIdBody = decode(payload)?;
+            submit(Request::solve_by_id(InstanceId::from_raw(b.id), b.lambda))
+        }
+        kind::FRONTIER => {
+            let b: InstanceBody = decode(payload)?;
+            submit(Request::frontier_arc(Arc::new(b.tree), Arc::new(b.costs)))
+        }
+        kind::FRONTIER_BY_ID => {
+            let b: IdBody = decode(payload)?;
+            submit(Request::frontier_by_id(InstanceId::from_raw(b.id)))
+        }
+        kind::DELTA => {
+            let b: DeltaBody = decode(payload)?;
+            submit(Request::delta_arc(
+                TenantId(tenant),
+                Arc::new(b.delta),
+                b.lambda,
+            ))
+        }
+        kind::SOLVE_ANYTIME => {
+            let b: AnytimeBody = decode(payload)?;
+            submit(Request::solve_anytime_arc(
+                Arc::new(b.tree),
+                Arc::new(b.costs),
+                b.lambda,
+                b.budget_ms,
+            ))
+        }
+        kind::OPEN_TENANT => {
+            let b: InstanceBody = decode(payload)?;
+            NetRequest::OpenTenant(TenantId(tenant), b.tree, b.costs)
+        }
+        kind::CLOSE_TENANT => NetRequest::CloseTenant(TenantId(tenant)),
+        k => return Err(WireError::UnknownKind(k)),
+    })
 }
 
 /// Decodes a server→client frame.
 pub fn decode_server_frame(frame: &Frame) -> Result<NetReply, WireError> {
-    match frame.kind {
-        kind::HELLO_ACK => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
-            Ok(NetReply::HelloAck(field::<u64>(m, "max_frame_len")?))
-        }
+    let payload = &frame.payload;
+    Ok(match frame.kind {
+        kind::HELLO_ACK => NetReply::HelloAck(decode::<HelloAckBody>(payload)?.max_frame_len),
         kind::SOLUTION => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
-            Ok(NetReply::Reply(Reply::Solution {
-                id: InstanceId::from_raw(field::<u64>(m, "id")?),
-                solution: field(m, "solution")?,
-            }))
+            let b: SolutionBody = decode(payload)?;
+            NetReply::Reply(Reply::Solution {
+                id: InstanceId::from_raw(b.id),
+                solution: b.solution,
+            })
         }
         kind::FRONTIER_REPLY => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
-            Ok(NetReply::Reply(Reply::Frontier {
-                id: InstanceId::from_raw(field::<u64>(m, "id")?),
-                frontier: field(m, "frontier")?,
-            }))
+            let b: FrontierBody = decode(payload)?;
+            NetReply::Reply(Reply::Frontier {
+                id: InstanceId::from_raw(b.id),
+                frontier: b.frontier,
+            })
         }
         kind::APPLIED => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
-            Ok(NetReply::Reply(Reply::Applied {
-                outcome: field(m, "outcome")?,
-                solution: field(m, "solution")?,
-            }))
+            let b: AppliedBody = decode(payload)?;
+            NetReply::Reply(Reply::Applied {
+                outcome: b.outcome,
+                solution: b.solution,
+            })
         }
         kind::ANYTIME => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
-            Ok(NetReply::Reply(Reply::Anytime {
-                id: InstanceId::from_raw(field::<u64>(m, "id")?),
-                answer: field(m, "answer")?,
-            }))
+            let b: AnytimeReplyBody = decode(payload)?;
+            NetReply::Reply(Reply::Anytime {
+                id: InstanceId::from_raw(b.id),
+                answer: b.answer,
+            })
         }
-        kind::TENANT_OPENED => Ok(NetReply::TenantOpened),
-        kind::TENANT_CLOSED => {
-            let v = body(&frame.payload)?;
-            let m = as_map(&v)?;
-            Ok(NetReply::TenantClosed(field(m, "stats")?))
-        }
-        kind::ERROR => {
-            let v = body(&frame.payload)?;
-            let err = WireError::from_value(&v).map_err(|e| WireError::Malformed(e.to_string()))?;
-            Ok(NetReply::Error(err))
-        }
-        k => Err(WireError::UnknownKind(k)),
-    }
+        kind::TENANT_OPENED => NetReply::TenantOpened,
+        kind::TENANT_CLOSED => NetReply::TenantClosed(decode::<TenantClosedBody>(payload)?.stats),
+        kind::ERROR => NetReply::Error(decode(payload)?),
+        k => return Err(WireError::UnknownKind(k)),
+    })
 }
 
 #[cfg(test)]

@@ -254,11 +254,18 @@ struct BatchShared<R, F> {
 
 impl Drop for WorkerPool {
     /// Graceful shutdown: close the injector, let workers drain what was
-    /// already accepted, join them all.
+    /// already accepted, join them all. When the pool's last owner is
+    /// released inside one of its own jobs, the drop runs on that worker:
+    /// its own handle is detached instead of joined (a thread cannot join
+    /// itself), and it exits once the job returns to an empty, closed
+    /// injector.
     fn drop(&mut self) {
         self.injector.close();
+        let me = std::thread::current().id();
         for w in self.workers.drain(..) {
-            let _ = w.join();
+            if w.thread().id() != me {
+                let _ = w.join();
+            }
         }
     }
 }
@@ -315,6 +322,7 @@ impl ScratchPool {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -370,7 +378,34 @@ mod tests {
         // The pool survives: later batches still run on the same workers.
         let out = pool.run_batch(vec![1u32, 2, 3], |x| x * 10);
         assert_eq!(out, vec![10, 20, 30]);
+        // The batch may finish on the other worker before the panicking
+        // one has counted its unwind.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.panicked_jobs() == 0 {
+            assert!(Instant::now() < deadline, "the panic was never counted");
+            std::thread::yield_now();
+        }
         assert_eq!(pool.panicked_jobs(), 1);
+    }
+
+    #[test]
+    fn last_owner_released_inside_a_job_does_not_join_itself() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let (go, wait) = mpsc::channel::<()>();
+        let (done, finished) = mpsc::channel::<()>();
+        let last = Arc::clone(&pool);
+        pool.submit(move || {
+            wait.recv().unwrap();
+            // The test's handle is gone: this drop frees the pool on one
+            // of its own workers.
+            drop(last);
+            done.send(()).unwrap();
+        });
+        drop(pool);
+        go.send(()).unwrap();
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the job outlives the drop of its own pool");
     }
 
     #[test]

@@ -38,7 +38,7 @@ use hsa_assign::{
 use hsa_graph::{Lambda, ScaledSsb};
 use hsa_heuristics::{BnbConfig, CutAnnealing, CutBranchBound, CutGenetic, GaConfig, SaConfig};
 use hsa_tree::{CostModel, CruTree};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -87,19 +87,19 @@ impl fmt::Display for ArmKind {
 }
 
 impl Serialize for ArmKind {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.str(self.as_str());
     }
 }
 
 impl Deserialize for ArmKind {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.as_str() {
-            Some("exact") => Ok(ArmKind::Exact),
-            Some("cut-ga") => Ok(ArmKind::Genetic),
-            Some("cut-sa") => Ok(ArmKind::Annealing),
-            Some("cut-bnb") => Ok(ArmKind::BranchBound),
-            _ => Err(DeError::custom(format!("unknown arm kind {v:?}"))),
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        match &*d.str()? {
+            "exact" => Ok(ArmKind::Exact),
+            "cut-ga" => Ok(ArmKind::Genetic),
+            "cut-sa" => Ok(ArmKind::Annealing),
+            "cut-bnb" => Ok(ArmKind::BranchBound),
+            other => Err(DeError::custom(format!("unknown arm kind {other:?}"))),
         }
     }
 }

@@ -247,6 +247,39 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     server.shutdown();
 }
 
+/// A payload nested far past the decoder's depth cap answers a typed
+/// `Malformed` frame under its own correlation id (it must not overflow the
+/// reactor thread's stack), and the same connection then serves a solve.
+#[test]
+fn deeply_nested_payload_answers_malformed_and_the_connection_survives() {
+    let server = server(verify_service(), NetConfig::default());
+    let sc = hsa_workloads::paper_scenario();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let brackets = "[".repeat(100_000);
+    // The bare brackets are refused as the wrong shape; under an unknown
+    // key they are skipped, which is where the depth cap has to hold.
+    for (corr, payload) in [(5, brackets.clone()), (6, format!("{{\"x\":{brackets}"))] {
+        let frame = wire::Frame {
+            version: wire::PROTOCOL_VERSION,
+            kind: wire::kind::SOLVE,
+            tenant: 0,
+            corr,
+            payload: payload.into_bytes(),
+        };
+        client.send_raw(&frame.encode()).unwrap();
+        let answer = client.recv_raw().unwrap();
+        assert_eq!((answer.kind, answer.corr), (wire::kind::ERROR, corr));
+        match wire::decode_server_frame(&answer).unwrap() {
+            wire::NetReply::Error(WireError::Malformed(msg)) => {
+                assert!(corr == 5 || msg.contains("nesting deeper than"), "{msg}")
+            }
+            other => panic!("expected a malformed-payload error, got {other:?}"),
+        }
+    }
+    assert!(client.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    server.shutdown();
+}
+
 #[test]
 fn per_tenant_quota_refuses_with_typed_frames() {
     let server = server(

@@ -23,7 +23,7 @@
 //! queries agree digit-for-digit with an independent solve at the same λ.
 
 use crate::{Cost, Lambda, ScaledSsb};
-use serde::{value, DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize, Serializer};
 use std::cmp::Ordering;
 
 /// An exact rational λ ∈ [0, 1] with 64-bit numerator and denominator —
@@ -33,7 +33,7 @@ use std::cmp::Ordering;
 /// exact. (Denominators beyond 2⁶⁴ — which would require bottleneck-weight
 /// differences above 2⁶³ ticks — are halved into range; no realistic cost
 /// model gets near that.)
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct LambdaQ {
     num: u64,
     den: u64,
@@ -152,31 +152,25 @@ fn gcd(mut a: u128, mut b: u128) -> u128 {
     a
 }
 
-impl Serialize for LambdaQ {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("num".to_string(), self.num.to_value()),
-            ("den".to_string(), self.den.to_value()),
-        ])
-    }
+/// A [`LambdaQ`] as it arrives, before reduction.
+#[derive(Deserialize)]
+struct RawLambdaQ {
+    num: u64,
+    den: u64,
 }
 
 // Deserialisation funnels through [`LambdaQ::new`], so incoming rationals
 // are re-reduced and clamped into [0, 1] — values we encoded ourselves are
 // already reduced and round-trip bit-for-bit.
 impl Deserialize for LambdaQ {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| DeError::custom(format!("expected LambdaQ map, got {v:?}")))?;
-        let num = u64::from_value(value::field(m, "num")?)?;
-        let den = u64::from_value(value::field(m, "den")?)?;
-        Ok(LambdaQ::new(num, den))
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        let raw = RawLambdaQ::deserialize(d)?;
+        Ok(LambdaQ::new(raw.num, raw.den))
     }
 }
 
 /// One maximal λ interval on which a single candidate is optimal.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct EnvelopeSegment<T> {
     /// Inclusive left end of the interval.
     pub lo: LambdaQ,
@@ -194,33 +188,6 @@ impl<T> EnvelopeSegment<T> {
     /// The segment's exact midpoint λ.
     pub fn midpoint(&self) -> LambdaQ {
         LambdaQ::midpoint(self.lo, self.hi)
-    }
-}
-
-impl<T: Serialize> Serialize for EnvelopeSegment<T> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("lo".to_string(), self.lo.to_value()),
-            ("hi".to_string(), self.hi.to_value()),
-            ("s".to_string(), self.s.to_value()),
-            ("b".to_string(), self.b.to_value()),
-            ("payload".to_string(), self.payload.to_value()),
-        ])
-    }
-}
-
-impl<T: Deserialize> Deserialize for EnvelopeSegment<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| DeError::custom(format!("expected EnvelopeSegment map, got {v:?}")))?;
-        Ok(EnvelopeSegment {
-            lo: LambdaQ::from_value(value::field(m, "lo")?)?,
-            hi: LambdaQ::from_value(value::field(m, "hi")?)?,
-            s: Cost::from_value(value::field(m, "s")?)?,
-            b: Cost::from_value(value::field(m, "b")?)?,
-            payload: T::from_value(value::field(m, "payload")?)?,
-        })
     }
 }
 
@@ -300,8 +267,8 @@ impl<T> LambdaEnvelope<T> {
 }
 
 impl<T: Serialize> Serialize for LambdaEnvelope<T> {
-    fn to_value(&self) -> Value {
-        self.segments.to_value()
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        self.segments.serialize(s);
     }
 }
 
@@ -309,8 +276,8 @@ impl<T: Serialize> Serialize for LambdaEnvelope<T> {
 // coverage of [0, 1] are taken on trust from the encoder (the query methods
 // degrade gracefully — `segment_at` falls back to the last segment).
 impl<T: Deserialize> Deserialize for LambdaEnvelope<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let segments = Vec::<EnvelopeSegment<T>>::from_value(v)?;
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        let segments = Vec::<EnvelopeSegment<T>>::deserialize(d)?;
         if segments.is_empty() {
             return Err(DeError::custom("LambdaEnvelope must have ≥ 1 segment"));
         }

@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// a setter — that is what lets the lazily-computed
 /// [`content_hash`](CostModel::content_hash) cache invalidate itself
 /// exactly when the value changes and never serve a stale hash.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CostModel {
     /// `h_i` per CRU: host processing time.
     host_time: Vec<Cost>,
@@ -48,50 +48,10 @@ pub struct CostModel {
     comm_raw: Vec<Cost>,
     /// Number of satellites in the platform (ids `0..n_satellites`).
     n_satellites: u32,
-    /// Lazily-computed content hash; reset by every setter.
+    /// Lazily-computed content hash; reset by every setter. Not part of
+    /// the value: never serialised, empty when read.
+    #[serde(skip)]
     cache: HashCache,
-}
-
-// The hash cache is not part of the value: serialise exactly the fields
-// the derive would have emitted before the cache existed, so the wire
-// format is unchanged. (The vendored derive has no `#[serde(skip)]`.)
-impl Serialize for CostModel {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                "host_time".to_string(),
-                Serialize::to_value(&self.host_time),
-            ),
-            (
-                "satellite_time".to_string(),
-                Serialize::to_value(&self.satellite_time),
-            ),
-            ("comm_up".to_string(), Serialize::to_value(&self.comm_up)),
-            ("pinning".to_string(), Serialize::to_value(&self.pinning)),
-            ("comm_raw".to_string(), Serialize::to_value(&self.comm_raw)),
-            (
-                "n_satellites".to_string(),
-                Serialize::to_value(&self.n_satellites),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for CostModel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::DeError::custom("expected map for struct CostModel"))?;
-        Ok(CostModel {
-            host_time: Deserialize::from_value(serde::value::field(m, "host_time")?)?,
-            satellite_time: Deserialize::from_value(serde::value::field(m, "satellite_time")?)?,
-            comm_up: Deserialize::from_value(serde::value::field(m, "comm_up")?)?,
-            pinning: Deserialize::from_value(serde::value::field(m, "pinning")?)?,
-            comm_raw: Deserialize::from_value(serde::value::field(m, "comm_raw")?)?,
-            n_satellites: Deserialize::from_value(serde::value::field(m, "n_satellites")?)?,
-            cache: HashCache::default(),
-        })
-    }
 }
 
 impl CostModel {

@@ -11,26 +11,21 @@
 //! and the canonical extreme cuts (all-on-host, maximal offload).
 
 use crate::{Colouring, CruId, CruTree, TreeEdge, TreeError};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize};
 
 /// A validated cut, normalised to sorted edge order.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[serde(transparent)]
 pub struct Cut {
     edges: Vec<TreeEdge>,
-}
-
-impl Serialize for Cut {
-    fn to_value(&self) -> Value {
-        self.edges.to_value()
-    }
 }
 
 // Deserialisation re-normalises (sort + dedup) but cannot re-validate the
 // antichain property without the tree in hand; wire consumers that need the
 // guarantee call [`Cut::validate`] against their copy of the tree.
 impl Deserialize for Cut {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let mut edges = Vec::<TreeEdge>::from_value(v)?;
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        let mut edges = Vec::<TreeEdge>::deserialize(d)?;
         edges.sort();
         edges.dedup();
         Ok(Cut { edges })

@@ -31,36 +31,13 @@ pub struct CruNode {
 /// trees are immutable after construction (no `&mut` accessor exists), so
 /// the cache is filled at most once per tree and shared by every
 /// subsequent identity check.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CruTree {
     nodes: Vec<CruNode>,
     root: CruId,
+    /// Not part of the value: never serialised, empty when read.
+    #[serde(skip)]
     cache: HashCache,
-}
-
-// The hash cache is not part of the value: serialise exactly the fields
-// the derive would have emitted before the cache existed, so the wire
-// format is unchanged. (The vendored derive has no `#[serde(skip)]`.)
-impl Serialize for CruTree {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("nodes".to_string(), Serialize::to_value(&self.nodes)),
-            ("root".to_string(), Serialize::to_value(&self.root)),
-        ])
-    }
-}
-
-impl Deserialize for CruTree {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::DeError::custom("expected map for struct CruTree"))?;
-        Ok(CruTree {
-            nodes: Deserialize::from_value(serde::value::field(m, "nodes")?)?,
-            root: Deserialize::from_value(serde::value::field(m, "root")?)?,
-            cache: HashCache::default(),
-        })
-    }
 }
 
 impl CruTree {
