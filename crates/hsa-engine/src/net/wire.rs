@@ -669,17 +669,13 @@ fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, WireError> {
     serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))
 }
 
-/// The one frame `put` appends, as an owned [`Frame`].
+/// The one frame `put` appends, read back as an owned [`Frame`].
 fn owned_frame(put: impl FnOnce(&mut FrameEncoder, &mut Vec<u8>)) -> Frame {
     let mut out = Vec::new();
     put(&mut FrameEncoder::new(), &mut out);
-    let payload = out.split_off(4 + HEADER_LEN);
-    Frame {
-        version: out[4],
-        kind: out[5],
-        tenant: u64::from_be_bytes(out[6..14].try_into().expect("8 bytes")),
-        corr: u64::from_be_bytes(out[14..22].try_into().expect("8 bytes")),
-        payload,
+    match read_frame(&mut out.as_slice(), usize::MAX) {
+        Ok(ReadFrame::Frame(frame)) => frame,
+        other => unreachable!("an encoded frame reads back whole: {other:?}"),
     }
 }
 

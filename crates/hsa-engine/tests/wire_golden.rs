@@ -9,9 +9,8 @@
 //! format: the encoder must reproduce every line byte for byte, and
 //! decoding a line then encoding it again must give the line back.
 //!
-//! Each line is `name <TAB> kind <TAB> tenant <TAB> payload`. Setting
-//! `HSA_WIRE_GOLDEN_BLESS=1` rewrites the file from the current encoder;
-//! only a new protocol version has a reason to.
+//! Each line is `name <TAB> kind <TAB> tenant <TAB> payload`. The file is
+//! never rewritten: a new protocol version gets a fixture file of its own.
 
 use hsa_engine::net::wire::{self, FrameEncoder, NetReply, NetRequest, WireError};
 use hsa_engine::{
@@ -215,26 +214,9 @@ fn parse(text: &str) -> Vec<(String, u8, u64, String)> {
         .collect()
 }
 
-fn render(all: &[Golden]) -> String {
-    let mut text = String::from("# name\tkind\ttenant\tpayload (protocol v1)\n");
-    for g in all {
-        let payload = std::str::from_utf8(&g.payload).expect("payloads are UTF-8");
-        text.push_str(&format!(
-            "{}\t{:#04x}\t{}\t{payload}\n",
-            g.name, g.kind, g.tenant
-        ));
-    }
-    text
-}
-
 #[test]
 fn encoder_reproduces_every_golden_payload() {
     let built = build();
-    if std::env::var_os("HSA_WIRE_GOLDEN_BLESS").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/wire_v1.tsv");
-        std::fs::write(path, render(&built)).unwrap();
-        return;
-    }
     let golden = parse(FIXTURES);
     let names: Vec<&str> = golden.iter().map(|g| g.0.as_str()).collect();
     let built_names: Vec<&str> = built.iter().map(|g| g.name).collect();
