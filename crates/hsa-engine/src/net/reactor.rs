@@ -16,12 +16,14 @@
 //!
 //! Completions travel back from the service's worker threads via
 //! [`crate::service::Ticket::on_ready`] callbacks that post into the
-//! owning shard's inbox and poke its wake pipe. Replies are re-ordered
-//! to submission order per connection (the contract the threaded
-//! waiter provided) before encoding. When the service's global gate is
-//! full the shard *parks* the one decoded-but-unsubmitted request and
-//! stops reading that connection — the same bounded-memory backpressure
-//! the blocking reader applied, without pinning a thread.
+//! owning shard's inbox and poke its wake pipe; a ticket that comes back
+//! already answered (the service answers id-addressed reads on the
+//! submitting thread, which is the shard's own) skips both. Replies are
+//! re-ordered to submission order per connection (the contract the
+//! threaded waiter provided) before encoding. When the service's global
+//! gate is full the shard *parks* the one decoded-but-unsubmitted request
+//! and stops reading that connection — the same bounded-memory
+//! backpressure the blocking reader applied, without pinning a thread.
 
 use super::server::Inner;
 use super::sys::{Event, Poller};
@@ -396,15 +398,23 @@ impl Reactor {
     fn apply_completion(&mut self, completion: Completion, touched: &mut Vec<u64>) {
         self.outstanding -= 1;
         self.inner.release(completion.tenant);
-        let Some(conn) = self.conns.get_mut(&completion.token) else {
+        let Some(mut conn) = self.conns.remove(&completion.token) else {
             // The connection can only be gone once its pending queue
             // drained, and entries leave the queue only via completions.
             debug_assert!(false, "completion for a vanished connection");
             return;
         };
-        conn.ready.insert(completion.seq, completion.result);
-        // Emit in submission order: the contract recv-side clients (and
-        // the threaded waiter before this) rely on.
+        self.emit_in_order(&mut conn, completion.seq, completion.result);
+        self.conns.insert(completion.token, conn);
+        touched.push(completion.token);
+    }
+
+    /// Files one answer under its sequence number, then encodes every
+    /// answer now at the head of the connection's submission order: the
+    /// contract recv-side clients (and the threaded waiter before this)
+    /// rely on.
+    fn emit_in_order(&mut self, conn: &mut Conn, seq: u64, result: Result<Reply, ServiceError>) {
+        conn.ready.insert(seq, result);
         while let Some(&(seq, corr, tenant)) = conn.pending.front() {
             let Some(result) = conn.ready.remove(&seq) else {
                 break;
@@ -420,7 +430,6 @@ impl Reactor {
             }
             self.inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
         }
-        touched.push(completion.token);
     }
 
     fn handle_readable(&mut self, token: u64, conn: &mut Conn) {
@@ -599,6 +608,17 @@ impl Reactor {
         let seq = conn.next_seq;
         conn.next_seq += 1;
         conn.pending.push_back((seq, corr, tenant));
+        // An id-addressed read comes back already answered (the service
+        // ran it on this thread): it joins the in-order queue right here,
+        // skipping the inbox and the wake pipe.
+        let ticket = match ticket.try_take() {
+            Ok(result) => {
+                self.inner.release(tenant);
+                self.emit_in_order(conn, seq, result);
+                return;
+            }
+            Err(ticket) => ticket,
+        };
         self.outstanding += 1;
         let shard = Arc::clone(&self.shard);
         let inner = Arc::clone(&self.inner);

@@ -377,6 +377,7 @@ pub fn service_error_code(e: &ServiceError) -> &'static str {
         ServiceError::TenantExists(_) => "tenant_exists",
         ServiceError::VerifyFailed { .. } => "verify_failed",
         ServiceError::Saturated => "saturated",
+        ServiceError::Internal(_) => "internal",
     }
 }
 

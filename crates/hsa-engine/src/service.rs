@@ -12,10 +12,18 @@
 //!   unbounded memory. `try_submit` refuses instead of blocking.
 //! * **Per-request λ** — every solve and delta request carries its own
 //!   weighting; nothing is globally configured per stream.
-//! * **Stateless queries hit the shared engine** — solve/frontier
-//!   requests present their instance, `prepare` answers from the sharded
-//!   cache (a hot key is one hash + one `Arc` clone), and the solve runs
-//!   on whichever service worker picked the request up.
+//! * **Stateless queries hit the shared engine** — by-value solve,
+//!   frontier and anytime requests present their instance, `prepare`
+//!   answers from the sharded cache (a hot key is one hash + one `Arc`
+//!   clone), and the solve runs on whichever service worker picks the
+//!   request up. The id-addressed reads ([`Request::SolveById`],
+//!   [`Request::FrontierById`]) are a cache lookup plus one sweep, cheaper
+//!   than the two thread wake-ups a worker hop costs, so they are answered
+//!   on the submitting thread: their [`Ticket`] comes back already
+//!   answered.
+//! * **A panicking handler still answers** — on either path the unwind is
+//!   caught and the request answers [`ServiceError::Internal`], so its
+//!   gate slot is released and no ticket waits forever.
 //! * **Stateful delta streams stay FIFO per tenant, parallel across
 //!   tenants** — each tenant owns a [`Session`]; deltas enqueue onto the
 //!   tenant's pending list *at submission time* (so per-tenant order is
@@ -68,8 +76,10 @@ use hsa_assign::{
 };
 use hsa_graph::Lambda;
 use hsa_tree::{CostModel, CruTree, Delta};
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -142,6 +152,9 @@ pub enum ServiceError {
     },
     /// [`Service::try_submit`] found the submission queue full.
     Saturated,
+    /// The request's handler panicked; carries the panic message. Like
+    /// [`ServiceError::VerifyFailed`], a bug in the service stack.
+    Internal(String),
 }
 
 impl fmt::Display for ServiceError {
@@ -155,6 +168,7 @@ impl fmt::Display for ServiceError {
                 write!(f, "{what} answer diverged from a from-scratch solve")
             }
             ServiceError::Saturated => write!(f, "submission queue full"),
+            ServiceError::Internal(msg) => write!(f, "handler panicked: {msg}"),
         }
     }
 }
@@ -562,6 +576,21 @@ impl Ticket {
         }
     }
 
+    /// The answer if the request is already answered, else the ticket
+    /// back. An id-addressed read is answered inside
+    /// [`Service::submit`], so its ticket always yields here — the net
+    /// reactor queues such a reply without a completion round trip.
+    pub fn try_take(self) -> Result<Result<Reply, ServiceError>, Ticket> {
+        let result = self
+            .slot
+            .state
+            .lock()
+            .expect("reply slot poisoned")
+            .result
+            .take();
+        result.ok_or(self)
+    }
+
     /// Registers a completion callback instead of blocking: `f` runs
     /// exactly once with the answer — immediately on this thread if the
     /// request already finished, otherwise later on the worker thread
@@ -925,8 +954,9 @@ impl Service {
     }
 
     /// Submits a request, blocking while the in-flight queue is at
-    /// capacity (backpressure). The returned [`Ticket`] resolves once a
-    /// worker answered.
+    /// capacity (backpressure). The returned [`Ticket`] resolves once the
+    /// request is answered; an id-addressed read already is by the time
+    /// this returns.
     pub fn submit(&self, request: Request) -> Ticket {
         self.shared.gate.acquire();
         self.dispatch(request)
@@ -943,104 +973,153 @@ impl Service {
     }
 
     /// Routes one accepted request (the gate slot is already held and is
-    /// released by whoever fulfils the reply).
+    /// released by whoever fulfils the reply). The rule is keyed on the
+    /// request kind alone: the id-addressed reads are a cache lookup plus
+    /// one sweep, cheaper than the two thread wake-ups of a worker hop
+    /// (the call [`WorkerPool::run_batch`] makes for one-item batches), so
+    /// they are answered right here; everything else goes to the pool.
     fn dispatch(&self, request: Request) -> Ticket {
-        let shared = &self.shared;
-        let accepted = Instant::now();
-        shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        let slot = ReplySlot::new();
-        let ticket = Ticket {
-            slot: Arc::clone(&slot),
-        };
         match request {
+            Request::SolveById { id, lambda } => self.answer_inline(ReqKind::Solve, |shared| {
+                handle_solve_by_id(shared, id, lambda)
+            }),
+            Request::FrontierById { id } => self.answer_inline(ReqKind::Frontier, |shared| {
+                handle_frontier_by_id(shared, id)
+            }),
             Request::Solve {
                 tree,
                 costs,
                 lambda,
-            } => {
-                let shared = Arc::clone(shared);
-                self.pool.submit(move || {
-                    let result = handle_solve(&shared, &tree, &costs, lambda);
-                    finish(&shared, ReqKind::Solve, accepted, &slot, result);
-                });
-            }
-            Request::SolveById { id, lambda } => {
-                let shared = Arc::clone(shared);
-                self.pool.submit(move || {
-                    let result = handle_solve_by_id(&shared, id, lambda);
-                    finish(&shared, ReqKind::Solve, accepted, &slot, result);
-                });
-            }
-            Request::Frontier { tree, costs } => {
-                let shared = Arc::clone(shared);
-                self.pool.submit(move || {
-                    let result = handle_frontier(&shared, &tree, &costs);
-                    finish(&shared, ReqKind::Frontier, accepted, &slot, result);
-                });
-            }
-            Request::FrontierById { id } => {
-                let shared = Arc::clone(shared);
-                self.pool.submit(move || {
-                    let result = handle_frontier_by_id(&shared, id);
-                    finish(&shared, ReqKind::Frontier, accepted, &slot, result);
-                });
-            }
+            } => self.answer_on_pool(ReqKind::Solve, move |shared| {
+                handle_solve(shared, &tree, &costs, lambda)
+            }),
+            Request::Frontier { tree, costs } => self
+                .answer_on_pool(ReqKind::Frontier, move |shared| {
+                    handle_frontier(shared, &tree, &costs)
+                }),
             Request::SolveAnytime {
                 tree,
                 costs,
                 lambda,
                 budget_ms,
-            } => {
-                let shared = Arc::clone(shared);
-                self.pool.submit(move || {
-                    let result = handle_solve_anytime(&shared, &tree, &costs, lambda, budget_ms);
-                    finish(&shared, ReqKind::Anytime, accepted, &slot, result);
-                });
-            }
+            } => self.answer_on_pool(ReqKind::Anytime, move |shared| {
+                handle_solve_anytime(shared, &tree, &costs, lambda, budget_ms)
+            }),
             Request::Delta {
                 tenant,
                 delta,
                 lambda,
-            } => {
-                let Some(slot_tenant) = self
-                    .tenants
-                    .read()
-                    .expect("tenant registry poisoned")
-                    .get(&tenant)
-                    .cloned()
-                else {
-                    finish(
-                        shared,
-                        ReqKind::Delta,
-                        accepted,
-                        &slot,
-                        Err(ServiceError::UnknownTenant(tenant)),
-                    );
-                    return ticket;
-                };
-                // Enqueue *here*, on the submitting thread: per-tenant
-                // order is submission order by construction, regardless of
-                // which workers later run the drain. The queue lock is
-                // never held across a solve, so this push cannot stall
-                // behind a busy tenant's in-flight apply.
-                let start_drain = {
-                    let mut q = slot_tenant.queue.lock().expect("tenant queue poisoned");
-                    q.pending.push_back((delta, lambda, slot, accepted));
-                    if q.draining {
-                        false
-                    } else {
-                        q.draining = true;
-                        true
-                    }
-                };
-                if start_drain {
-                    let shared = Arc::clone(shared);
-                    self.pool
-                        .submit(move || drain_tenant(&shared, &slot_tenant));
-                }
+            } => self.enqueue_delta(tenant, delta, lambda),
+        }
+    }
+
+    /// Counts one accepted request and opens its reply slot.
+    fn accept(&self) -> (Instant, Arc<ReplySlot>, Ticket) {
+        self.shared
+            .counters
+            .submitted
+            .fetch_add(1, Ordering::Relaxed);
+        let slot = ReplySlot::new();
+        let ticket = Ticket {
+            slot: Arc::clone(&slot),
+        };
+        (Instant::now(), slot, ticket)
+    }
+
+    /// Answers an accepted request on the calling thread.
+    fn answer_inline(
+        &self,
+        kind: ReqKind,
+        handler: impl FnOnce(&Shared) -> Result<Reply, ServiceError>,
+    ) -> Ticket {
+        let (accepted, slot, ticket) = self.accept();
+        answer(&self.shared, kind, accepted, &slot, handler);
+        ticket
+    }
+
+    /// Answers an accepted request on whichever pool worker frees up
+    /// first.
+    fn answer_on_pool(
+        &self,
+        kind: ReqKind,
+        handler: impl FnOnce(&Shared) -> Result<Reply, ServiceError> + Send + 'static,
+    ) -> Ticket {
+        let (accepted, slot, ticket) = self.accept();
+        let shared = Arc::clone(&self.shared);
+        self.pool
+            .submit(move || answer(&shared, kind, accepted, &slot, handler));
+        ticket
+    }
+
+    /// Queues an accepted delta on its tenant, starting a drainer if none
+    /// runs.
+    fn enqueue_delta(&self, tenant: TenantId, delta: Arc<Delta>, lambda: Lambda) -> Ticket {
+        let (accepted, slot, ticket) = self.accept();
+        let Some(slot_tenant) = self
+            .tenants
+            .read()
+            .expect("tenant registry poisoned")
+            .get(&tenant)
+            .cloned()
+        else {
+            finish(
+                &self.shared,
+                ReqKind::Delta,
+                accepted,
+                &slot,
+                Err(ServiceError::UnknownTenant(tenant)),
+            );
+            return ticket;
+        };
+        // Enqueue *here*, on the submitting thread: per-tenant order is
+        // submission order by construction, regardless of which workers
+        // later run the drain. The queue lock is never held across a
+        // solve, so this push cannot stall behind a busy tenant's
+        // in-flight apply.
+        let start_drain = {
+            let mut q = slot_tenant.queue.lock().expect("tenant queue poisoned");
+            q.pending.push_back((delta, lambda, slot, accepted));
+            if q.draining {
+                false
+            } else {
+                q.draining = true;
+                true
             }
+        };
+        if start_drain {
+            let shared = Arc::clone(&self.shared);
+            self.pool
+                .submit(move || drain_tenant(&shared, &slot_tenant));
         }
         ticket
+    }
+}
+
+/// Runs a request's handler and answers it through [`finish`]. A handler
+/// that unwinds answers [`ServiceError::Internal`] instead: the pool keeps
+/// its worker and the reactor its shard either way, but only an answer
+/// releases the gate slot and resolves the ticket (and, over the wire,
+/// every later reply on the same connection).
+fn answer(
+    shared: &Shared,
+    kind: ReqKind,
+    accepted: Instant,
+    slot: &ReplySlot,
+    handler: impl FnOnce(&Shared) -> Result<Reply, ServiceError>,
+) {
+    let result = catch_unwind(AssertUnwindSafe(|| handler(shared)))
+        .unwrap_or_else(|payload| Err(ServiceError::Internal(panic_message(payload.as_ref()))));
+    finish(shared, kind, accepted, slot, result);
+}
+
+/// The text a panic was raised with, when it carried one.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -1547,5 +1626,42 @@ mod tests {
         for t in tickets {
             assert!(t.wait().is_ok(), "accepted requests outlive the service");
         }
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_internal_on_both_paths() {
+        let sc = paper_scenario();
+        let svc = service(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        let boom = |_: &Shared| -> Result<Reply, ServiceError> { panic!("injected fault") };
+        // What `submit` does before routing: take the gate slot.
+        svc.shared.gate.acquire();
+        let inline = svc.answer_inline(ReqKind::Solve, boom);
+        svc.shared.gate.acquire();
+        let pooled = svc.answer_on_pool(ReqKind::Frontier, boom);
+        for ticket in [inline, pooled] {
+            match ticket.wait() {
+                Err(ServiceError::Internal(msg)) => assert_eq!(msg, "injected fault"),
+                other => panic!("expected an internal error, got {other:?}"),
+            }
+        }
+        assert_eq!(*svc.shared.gate.inflight.lock().unwrap(), 0);
+        let stats = svc.stats();
+        assert_eq!(stats.submitted, stats.completed + stats.failed);
+        assert_eq!((stats.submitted, stats.failed), (2, 2));
+        assert_eq!((stats.solves, stats.frontiers), (1, 1));
+        // Neither the calling thread nor the pool's workers were lost.
+        let id = svc
+            .submit(Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+            .wait()
+            .unwrap()
+            .instance_id()
+            .unwrap();
+        assert!(svc
+            .submit(Request::solve_by_id(id, Lambda::HALF))
+            .wait()
+            .is_ok());
     }
 }

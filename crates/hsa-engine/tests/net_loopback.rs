@@ -280,6 +280,99 @@ fn deeply_nested_payload_answers_malformed_and_the_connection_survives() {
     server.shutdown();
 }
 
+/// One pipelined window mixes requests the service hands to its pool
+/// (by-value `SOLVE`, `DELTA`) with the id-addressed reads it answers on
+/// the reactor thread (`SOLVE_BY_ID`, `FRONTIER_BY_ID`, an unknown id).
+/// The answers leave in submission order, each byte-identical to a
+/// sequential in-process service.
+#[test]
+fn pool_and_inline_answers_share_one_connection_in_submission_order() {
+    let server = server(
+        ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+        NetConfig::default(),
+    );
+    let local = Service::new(
+        Arc::new(Engine::new(EngineConfig::default())),
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let sc = hsa_workloads::paper_scenario();
+    // A first contact big enough that the reads behind it are answered
+    // while it is still on a worker.
+    let (big_tree, big_costs) = random_instance(
+        &RandomTreeParams {
+            n_crus: 220,
+            n_satellites: 4,
+            placement: Placement::Random,
+            ..RandomTreeParams::default()
+        },
+        11,
+    );
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let id = client
+        .solve(&sc.tree, &sc.costs, Lambda::HALF)
+        .unwrap()
+        .instance_id()
+        .unwrap();
+    let tenant = TenantId(5);
+    client.open_tenant(tenant, &sc.tree, &sc.costs).unwrap();
+    let setup = local
+        .submit(Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .wait();
+    assert!(setup.is_ok());
+    local.open_tenant(tenant, &sc.tree, &sc.costs).unwrap();
+
+    let unknown = hsa_engine::InstanceId::from_raw(0xDEAD_BEEF);
+    let busier = Delta::new().scale_subtree(sc.tree.root(), 11, 10);
+    let window = [
+        Request::solve(&big_tree, &big_costs, Lambda::HALF),
+        Request::solve_by_id(id, Lambda::new(1, 4).unwrap()),
+        Request::frontier_by_id(id),
+        Request::delta(tenant, busier.clone(), Lambda::HALF),
+        Request::solve_by_id(unknown, Lambda::HALF),
+        Request::solve_by_id(id, Lambda::ONE),
+        Request::delta(tenant, busier, Lambda::ZERO),
+        Request::frontier_by_id(id),
+    ];
+    let corrs: Vec<u64> = window.iter().map(|r| client.send(r).unwrap()).collect();
+    client.flush().unwrap();
+    for (request, corr) in window.iter().zip(corrs) {
+        let frame = client.recv_raw().unwrap();
+        assert_eq!(frame.corr, corr, "answers leave in submission order");
+        let ticket = local.submit(request.clone());
+        let answer = if matches!(
+            request,
+            Request::SolveById { .. } | Request::FrontierById { .. }
+        ) {
+            ticket
+                .try_take()
+                .unwrap_or_else(|_| panic!("an id-addressed read is answered inside submit"))
+        } else {
+            ticket.wait()
+        };
+        let want = match answer {
+            Ok(reply) => wire::reply_json(&reply).into_bytes(),
+            Err(e) => wire::error_frame(corr, 0, &WireError::from(&e)).payload,
+        };
+        assert_eq!(
+            String::from_utf8_lossy(&frame.payload),
+            String::from_utf8_lossy(&want)
+        );
+    }
+    let stats = local.stats();
+    assert_eq!(stats.latency.solve.count, stats.solves);
+    assert_eq!(stats.latency.frontier.count, stats.frontiers);
+    let remote = server.service().stats();
+    assert_eq!(remote.submitted, remote.completed + remote.failed);
+    assert_eq!(remote.failed, 1, "only the unknown id fails");
+    server.shutdown();
+}
+
 #[test]
 fn per_tenant_quota_refuses_with_typed_frames() {
     let server = server(
