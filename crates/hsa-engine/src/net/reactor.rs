@@ -608,9 +608,9 @@ impl Reactor {
         let seq = conn.next_seq;
         conn.next_seq += 1;
         conn.pending.push_back((seq, corr, tenant));
-        // An id-addressed read comes back already answered (the service
-        // ran it on this thread): it joins the in-order queue right here,
-        // skipping the inbox and the wake pipe.
+        // A ticket that is already answered (always so for an id-addressed
+        // read, which the service ran on this thread) joins the in-order
+        // queue right here, skipping the inbox and the wake pipe.
         let ticket = match ticket.try_take() {
             Ok(result) => {
                 self.inner.release(tenant);

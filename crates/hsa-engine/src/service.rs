@@ -1096,10 +1096,10 @@ impl Service {
 }
 
 /// Runs a request's handler and answers it through [`finish`]. A handler
-/// that unwinds answers [`ServiceError::Internal`] instead: the pool keeps
-/// its worker and the reactor its shard either way, but only an answer
-/// releases the gate slot and resolves the ticket (and, over the wire,
-/// every later reply on the same connection).
+/// that unwinds answers [`ServiceError::Internal`] instead, so its gate
+/// slot is released, its ticket resolves (over the wire, every later reply
+/// on the same connection with it), and the unwind stops here rather than
+/// in the submitting thread, which over the wire is a reactor shard.
 fn answer(
     shared: &Shared,
     kind: ReqKind,
