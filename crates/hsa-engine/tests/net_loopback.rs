@@ -321,10 +321,10 @@ fn pool_and_inline_answers_share_one_connection_in_submission_order() {
         .unwrap();
     let tenant = TenantId(5);
     client.open_tenant(tenant, &sc.tree, &sc.costs).unwrap();
-    let setup = local
+    assert!(local
         .submit(Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
-        .wait();
-    assert!(setup.is_ok());
+        .wait()
+        .is_ok());
     local.open_tenant(tenant, &sc.tree, &sc.costs).unwrap();
 
     let unknown = hsa_engine::InstanceId::from_raw(0xDEAD_BEEF);
