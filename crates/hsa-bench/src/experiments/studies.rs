@@ -16,7 +16,8 @@ use hsa_assign::{
     solve_with_frontiers, AllOnHost, BruteForce, CancelToken, EvalScratch, Expanded,
     ExpandedConfig, FrontierSet, MaxOffload, PaperSsb, Prepared, SbObjective, Solver,
 };
-use hsa_engine::net::{wire, Client, NetConfig, NetServer, NetStats};
+use hsa_engine::net::wire::{self, FrameEncoder};
+use hsa_engine::net::{Client, NetConfig, NetServer, NetStats};
 use hsa_engine::{
     Engine, EngineConfig, InstanceId, Portfolio, PortfolioConfig, Reply, Request, Service,
     ServiceConfig, Session, SessionConfig, TenantId, Ticket,
@@ -890,16 +891,17 @@ fn run_service_stream(
     // the experiment reports.
     for (i, sc) in stream.instances.iter().enumerate() {
         service
-            .open_tenant(TenantId(i as u64), &sc.tree, &sc.costs)
+            .open_tenant(conn_tenant(0, i), &sc.tree, &sc.costs)
             .expect("stream tenants open");
     }
     // A real hot client cannot know an instance id before its first answer:
     // the first contact per instance goes by value (and is waited inline to
     // learn the id from the reply); every later solve/frontier on that
     // instance is id-addressed, skipping hashing and the first-contact
-    // equality check entirely. `Answer` carries either the outstanding
-    // ticket or the already-waited first-contact reply, so the drain loop
-    // below checks every answer exactly once either way.
+    // equality check entirely ([`stream_request`], shared with t13).
+    // `Answer` carries either the outstanding ticket or the already-waited
+    // first-contact reply, so the drain loop below checks every answer
+    // exactly once either way.
     enum Answer {
         Pending(Ticket),
         Done(Box<Reply>),
@@ -917,32 +919,13 @@ fn run_service_stream(
         .iter()
         .map(|r| {
             let (tree, costs) = &arcs[r.instance];
-            match &r.op {
-                StreamOp::Solve { lambda } => match learned[r.instance] {
-                    Some(id) => Answer::Pending(service.submit(Request::solve_by_id(id, *lambda))),
-                    None => {
-                        let reply = first_contact(
-                            Request::solve_arc(Arc::clone(tree), Arc::clone(costs), *lambda),
-                            r.instance,
-                        );
-                        learned[r.instance] = reply.instance_id();
-                        Answer::Done(Box::new(reply))
-                    }
-                },
-                StreamOp::Frontier => match learned[r.instance] {
-                    Some(id) => Answer::Pending(service.submit(Request::frontier_by_id(id))),
-                    None => {
-                        let reply = first_contact(
-                            Request::frontier_arc(Arc::clone(tree), Arc::clone(costs)),
-                            r.instance,
-                        );
-                        learned[r.instance] = reply.instance_id();
-                        Answer::Done(Box::new(reply))
-                    }
-                },
-                StreamOp::Delta { delta, lambda } => Answer::Pending(service.submit(
-                    Request::delta(TenantId(r.instance as u64), delta.clone(), *lambda),
-                )),
+            let req = stream_request(&r.op, r.instance, 0, learned[r.instance], tree, costs);
+            if is_first_contact(&r.op, learned[r.instance]) {
+                let reply = first_contact(req, r.instance);
+                learned[r.instance] = reply.instance_id();
+                Answer::Done(Box::new(reply))
+            } else {
+                Answer::Pending(service.submit(req))
             }
         })
         .collect();
@@ -967,7 +950,7 @@ fn run_service_stream(
     // generator recorded (FIFO per tenant, nothing lost, nothing reordered).
     for (i, want) in stream.final_costs.iter().enumerate() {
         let got = service
-            .tenant_costs(TenantId(i as u64))
+            .tenant_costs(conn_tenant(0, i))
             .expect("tenant still open");
         assert_eq!(
             &got, want,
@@ -1241,28 +1224,36 @@ fn precompute_stream(
             .expect("reference tenants open");
     }
     let mut learned: Vec<Option<InstanceId>> = vec![None; stream.instances.len()];
+    let mut enc = FrameEncoder::new();
+    let mut frame = Vec::new();
     stream
         .requests
         .iter()
         .map(|r| {
             let (tree, costs) = &arcs[r.instance];
-            let first_contact = learned[r.instance].is_none()
-                && matches!(r.op, StreamOp::Solve { .. } | StreamOp::Frontier);
+            let first_contact = is_first_contact(&r.op, learned[r.instance]);
             let req = stream_request(&r.op, r.instance, 0, learned[r.instance], tree, costs);
-            let frame = wire::request_frame(0, &req);
+            frame.clear();
+            let (kind, payload) = enc.put_request(&mut frame, 0, &req);
             let reply = service.submit(req).wait().expect("reference answers");
             if first_contact {
                 learned[r.instance] = reply.instance_id();
             }
             PreStep {
-                kind: frame.kind,
-                payload: frame.payload,
+                kind,
+                payload: frame[payload].to_vec(),
                 delta_instance: matches!(r.op, StreamOp::Delta { .. }).then_some(r.instance),
                 first_contact,
                 expected: wire::reply_json(&reply),
             }
         })
         .collect()
+}
+
+/// Whether a stream step is its instance's first contact: a solve or
+/// frontier before the instance's id is learned.
+fn is_first_contact(op: &StreamOp, learned: Option<InstanceId>) -> bool {
+    learned.is_none() && !matches!(op, StreamOp::Delta { .. })
 }
 
 /// The [`Request`] one stream step maps to: first contact per instance

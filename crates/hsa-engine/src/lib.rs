@@ -98,8 +98,8 @@ pub use pad::CachePadded;
 pub use pool::{parallel_map, WorkerPool};
 pub use portfolio::{AnytimeAnswer, AnytimeOutcome, ArmKind, Portfolio, PortfolioConfig};
 pub use service::{
-    AnswerExt, Reply, Request, RequestLatency, Service, ServiceConfig, ServiceError, ServiceStats,
-    TenantId, Ticket,
+    Reply, Request, RequestLatency, Service, ServiceConfig, ServiceError, ServiceStats, TenantId,
+    Ticket,
 };
 pub use session::{ApplyOutcome, Session, SessionConfig, SessionStats};
 
@@ -505,10 +505,10 @@ fn instance_hash(tree: &CruTree, costs: &CostModel) -> u64 {
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
-        parallel_map, AnswerExt, AnytimeAnswer, AnytimeOutcome, ApplyOutcome, ArmKind, Engine,
-        EngineConfig, EngineError, EngineStats, InstanceId, Portfolio, PortfolioConfig, Reply,
-        Request, Service, ServiceConfig, ServiceError, ServiceStats, Session, SessionConfig,
-        SessionStats, TenantId, Ticket, WorkerPool,
+        parallel_map, AnytimeAnswer, AnytimeOutcome, ApplyOutcome, ArmKind, Engine, EngineConfig,
+        EngineError, EngineStats, InstanceId, Portfolio, PortfolioConfig, Reply, Request, Service,
+        ServiceConfig, ServiceError, ServiceStats, Session, SessionConfig, SessionStats, TenantId,
+        Ticket, WorkerPool,
     };
 }
 

@@ -78,13 +78,19 @@ pub struct Client {
     /// pipelined answers, which then pop here without further syscalls.
     dec: wire::FrameDecoder,
     enc: FrameEncoder,
+    /// The cap the server announced in its handshake answer: the longest
+    /// frame it accepts, so the longest this client queues.
     max_frame_len: usize,
     next_corr: u64,
 }
 
 impl Client {
-    /// Connects and completes the handshake (the server answers with its
-    /// frame cap, which this client then enforces on its own frames). A
+    /// Connects and completes the handshake. The server answers with its
+    /// frame cap, which this client then enforces on its own frames:
+    /// [`Client::send`], the typed calls and [`Client::open_tenant`]
+    /// refuse a longer request with [`ClientError::Protocol`] before
+    /// queueing anything, so the connection stays usable. Answers are
+    /// received under this side's own [`wire::DEFAULT_MAX_FRAME_LEN`]. A
     /// server past [`super::NetConfig::max_connections`] refuses here
     /// with [`ClientError::Remote`]`(`[`WireError::ConnLimit`]`)`.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
@@ -124,6 +130,29 @@ impl Client {
         corr
     }
 
+    /// Queues the frame `put` appends under the next correlation id,
+    /// unless it is longer than the server's cap: the server would answer
+    /// that frame with a fatal `Oversized` and close the connection, so it
+    /// is refused here and nothing is queued.
+    fn queue(
+        &mut self,
+        put: impl FnOnce(&mut FrameEncoder, &mut Vec<u8>, u64),
+    ) -> Result<u64, ClientError> {
+        let (start, corr) = (self.out.len(), self.next_corr);
+        put(&mut self.enc, &mut self.out, corr);
+        // The length prefix counts the bytes after its own four.
+        let len = self.out.len() - start - 4;
+        if len > self.max_frame_len {
+            self.out.truncate(start);
+            return Err(ClientError::Protocol(format!(
+                "a {len}-byte request frame exceeds the server's cap of {} bytes",
+                self.max_frame_len
+            )));
+        }
+        self.next_corr += 1;
+        Ok(corr)
+    }
+
     /// Writes every queued frame to the socket in one burst. Receiving
     /// flushes implicitly; call this directly to push a pipelined batch
     /// out before doing other work.
@@ -138,19 +167,22 @@ impl Client {
 
     /// Sends `request` without waiting; returns the correlation id its
     /// answer will carry. Pair with [`Client::recv_any`] to pipeline.
-    /// The frame is queued, not written — see [`Client::flush`].
+    /// The frame is queued, not written — see [`Client::flush`]. A frame
+    /// longer than the server's cap is refused with
+    /// [`ClientError::Protocol`] and not queued.
     pub fn send(&mut self, request: &Request) -> Result<u64, ClientError> {
-        let corr = self.next_corr();
-        self.enc.put_request(&mut self.out, corr, request);
-        Ok(corr)
+        self.queue(|enc, out, corr| {
+            enc.put_request(out, corr, request);
+        })
     }
 
-    /// Queues a request whose payload bytes are already encoded (e.g.
-    /// cached off [`wire::request_frame`]) under a fresh correlation id —
-    /// a hot client replaying identical requests skips re-printing the
-    /// same JSON per send. `tenant` and the returned correlation id
-    /// travel in the frame header, so one cached payload serves any
-    /// tenant namespace.
+    /// Queues a request whose payload bytes are already encoded (e.g. the
+    /// payload range [`FrameEncoder::put_request`] returns) under a fresh
+    /// correlation id — a hot client replaying identical requests skips
+    /// re-printing the same JSON per send. `tenant` and the returned
+    /// correlation id travel in the frame header, so one cached payload
+    /// serves any tenant namespace. This is the raw replay primitive: it
+    /// does not check the server's frame cap.
     pub fn send_encoded(&mut self, kind: u8, tenant: u64, payload: &[u8]) -> u64 {
         let corr = self.next_corr();
         wire::put_raw_frame(&mut self.out, kind, tenant, corr, payload);
@@ -187,12 +219,12 @@ impl Client {
     fn recv_frame(&mut self) -> Result<wire::Frame, ClientError> {
         self.flush()?;
         loop {
-            match self.dec.next(self.max_frame_len) {
+            match self.dec.next(wire::DEFAULT_MAX_FRAME_LEN) {
                 Some(wire::Decoded::Frame(f)) => return Ok(f.to_frame()),
                 Some(wire::Decoded::Oversized(len)) => {
                     return Err(ClientError::Protocol(format!(
                         "server announced a {len}-byte frame (cap {})",
-                        self.max_frame_len
+                        wire::DEFAULT_MAX_FRAME_LEN
                     )))
                 }
                 Some(wire::Decoded::Undersized(len)) => {
@@ -290,9 +322,8 @@ impl Client {
         tree: &CruTree,
         costs: &CostModel,
     ) -> Result<(), ClientError> {
-        let corr = self.next_corr();
-        self.enc
-            .put_open_tenant(&mut self.out, corr, tenant, tree, costs);
+        let corr =
+            self.queue(|enc, out, corr| enc.put_open_tenant(out, corr, tenant, tree, costs))?;
         match self.recv_matching(corr)? {
             NetReply::TenantOpened => Ok(()),
             NetReply::Error(err) => Err(ClientError::Remote(err)),
@@ -304,8 +335,7 @@ impl Client {
 
     /// Remote [`crate::Service::close_tenant`].
     pub fn close_tenant(&mut self, tenant: TenantId) -> Result<SessionStats, ClientError> {
-        let corr = self.next_corr();
-        self.enc.put_close_tenant(&mut self.out, corr, tenant);
+        let corr = self.queue(|enc, out, corr| enc.put_close_tenant(out, corr, tenant))?;
         match self.recv_matching(corr)? {
             NetReply::TenantClosed(stats) => Ok(stats),
             NetReply::Error(err) => Err(ClientError::Remote(err)),

@@ -2,7 +2,7 @@
 //! per-tenant admission quotas, connection cap, graceful shutdown.
 
 use super::reactor::{Reactor, Shard};
-use super::wire::{self, WireError};
+use super::wire::{self, FrameEncoder, WireError};
 use crate::service::Service;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -298,8 +298,9 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
 /// already-sent bytes (a HELLO, usually) are drained briefly so closing
 /// does not reset the refusal off the wire.
 fn refuse(mut stream: TcpStream, cap: usize) {
-    let frame = wire::error_frame(0, 0, &WireError::ConnLimit(cap as u64));
-    if stream.write_all(&frame.encode()).is_err() {
+    let mut out = Vec::new();
+    FrameEncoder::new().put_error(&mut out, 0, 0, &WireError::ConnLimit(cap as u64));
+    if stream.write_all(&out).is_err() {
         return;
     }
     let _ = stream.shutdown(Shutdown::Write);

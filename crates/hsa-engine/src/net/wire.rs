@@ -28,13 +28,14 @@
 use crate::service::{Reply, Request, ServiceError, TenantId};
 use crate::session::{ApplyOutcome, SessionStats};
 use crate::{AnytimeAnswer, EngineError, InstanceId};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::BufMut;
 use hsa_assign::{LambdaFrontier, Solution};
 use hsa_graph::Lambda;
 use hsa_tree::{CostModel, CruTree, Delta};
 use serde::{Deserialize, Serialize, Serializer};
 use std::fmt;
 use std::io::{self, Read};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The protocol version this build speaks.
@@ -129,70 +130,6 @@ pub struct Frame {
     pub corr: u64,
     /// Kind-specific JSON body (may be empty).
     pub payload: Vec<u8>,
-}
-
-impl Frame {
-    /// Appends this frame (length prefix + header + payload) to `out`.
-    pub fn put(&self, out: &mut BytesMut) {
-        out.put_u32((HEADER_LEN + self.payload.len()) as u32);
-        out.put_u8(self.version);
-        out.put_u8(self.kind);
-        out.put_u64(self.tenant);
-        out.put_u64(self.corr);
-        out.put_slice(&self.payload);
-    }
-
-    /// This frame as freshly-encoded wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(4 + HEADER_LEN + self.payload.len());
-        self.put(&mut out);
-        out.freeze()
-    }
-}
-
-/// The outcome of reading one frame off a blocking stream.
-#[derive(Debug)]
-pub enum ReadFrame {
-    /// A complete frame (its version/kind/payload still unvalidated).
-    Frame(Frame),
-    /// Clean end-of-stream at a frame boundary.
-    Eof,
-    /// The length prefix itself is unusable; the stream cannot be
-    /// re-synchronised. Carries `(len, max)`.
-    Oversized(u32, usize),
-    /// The length prefix is shorter than the fixed header.
-    Undersized(u32),
-}
-
-/// Reads exactly one length-prefixed frame. Truncation mid-frame surfaces
-/// as the underlying [`io::ErrorKind::UnexpectedEof`]; EOF *between*
-/// frames is the clean [`ReadFrame::Eof`].
-pub fn read_frame(r: &mut impl Read, max_frame_len: usize) -> io::Result<ReadFrame> {
-    let mut len_buf = [0u8; 4];
-    // A clean EOF before the first length byte ends the stream; anything
-    // shorter than the full prefix is a truncated frame.
-    match r.read(&mut len_buf)? {
-        0 => return Ok(ReadFrame::Eof),
-        n => r.read_exact(&mut len_buf[n..])?,
-    }
-    let len = u32::from_be_bytes(len_buf);
-    if (len as usize) < HEADER_LEN {
-        return Ok(ReadFrame::Undersized(len));
-    }
-    if len as usize > max_frame_len {
-        return Ok(ReadFrame::Oversized(len, max_frame_len));
-    }
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let mut payload = vec![0u8; len as usize - HEADER_LEN];
-    r.read_exact(&mut payload)?;
-    Ok(ReadFrame::Frame(Frame {
-        version: header[0],
-        kind: header[1],
-        tenant: u64::from_be_bytes(header[2..10].try_into().expect("8 bytes")),
-        corr: u64::from_be_bytes(header[10..18].try_into().expect("8 bytes")),
-        payload,
-    }))
 }
 
 /// What [`FrameDecoder::next`] found at the head of the buffer.
@@ -540,8 +477,8 @@ fn write_reply(reply: &Reply, json: &mut String) -> u8 {
 /// caller-owned `Vec<u8>` (the per-connection write queue), the payload
 /// JSON is printed into one retained `String` — steady state allocates
 /// nothing per frame, and pipelined replies coalesce in the output buffer
-/// for a single `write(2)`. Every [`Frame`] constructor encodes through
-/// this type too, so the two paths are byte-identical by construction.
+/// for a single `write(2)`. It is the only frame writer: every frame on
+/// the wire, from either side, is appended by one of its `put_*` methods.
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
     json: String,
@@ -567,41 +504,46 @@ impl FrameEncoder {
     }
 
     /// Prints a body with `write` (which returns the kind byte and header
-    /// tenant) and appends its frame.
+    /// tenant) and appends its frame, returning the kind and the byte
+    /// range the payload occupies inside `out`.
     fn put_with(
         &mut self,
         out: &mut Vec<u8>,
         corr: u64,
         write: impl FnOnce(&mut String) -> (u8, u64),
-    ) {
+    ) -> (u8, Range<usize>) {
         self.json.clear();
         let (kind, tenant) = write(&mut self.json);
         put_raw_frame(out, kind, tenant, corr, self.json.as_bytes());
+        (kind, out.len() - self.json.len()..out.len())
     }
 
-    /// Appends a request frame (see [`request_frame`]).
-    pub fn put_request(&mut self, out: &mut Vec<u8>, corr: u64, req: &Request) {
-        self.put_with(out, corr, |json| write_request(req, json));
+    /// Appends a request frame, returning its kind and the byte range the
+    /// payload occupies inside `out`. The tenant header field is taken
+    /// from the request itself ([`Request::Delta`]); other kinds travel
+    /// with tenant 0.
+    pub fn put_request(
+        &mut self,
+        out: &mut Vec<u8>,
+        corr: u64,
+        req: &Request,
+    ) -> (u8, Range<usize>) {
+        self.put_with(out, corr, |json| write_request(req, json))
     }
 
-    /// Appends a reply frame (see [`reply_frame`]), returning its kind and
-    /// the byte range the payload occupies inside `out`.
+    /// Appends a reply frame, returning its kind and the byte range the
+    /// payload occupies inside `out`.
     pub fn put_reply(
         &mut self,
         out: &mut Vec<u8>,
         corr: u64,
         tenant: u64,
         reply: &Reply,
-    ) -> (u8, std::ops::Range<usize>) {
-        let mut kind = 0;
-        self.put_with(out, corr, |json| {
-            kind = write_reply(reply, json);
-            (kind, tenant)
-        });
-        (kind, out.len() - self.json.len()..out.len())
+    ) -> (u8, Range<usize>) {
+        self.put_with(out, corr, |json| (write_reply(reply, json), tenant))
     }
 
-    /// Appends an error frame (see [`error_frame`]).
+    /// Appends an error frame.
     pub fn put_error(&mut self, out: &mut Vec<u8>, corr: u64, tenant: u64, err: &WireError) {
         self.put_with(out, corr, |json| {
             err.serialize(&mut Serializer::new(json));
@@ -670,65 +612,6 @@ fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, WireError> {
     serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))
 }
 
-/// The one frame `put` appends, read back as an owned [`Frame`].
-fn owned_frame(put: impl FnOnce(&mut FrameEncoder, &mut Vec<u8>)) -> Frame {
-    let mut out = Vec::new();
-    put(&mut FrameEncoder::new(), &mut out);
-    match read_frame(&mut out.as_slice(), usize::MAX) {
-        Ok(ReadFrame::Frame(frame)) => frame,
-        other => unreachable!("an encoded frame reads back whole: {other:?}"),
-    }
-}
-
-/// Encodes a request into its frame. The tenant header field is taken
-/// from the request itself ([`Request::Delta`]); other kinds travel with
-/// tenant 0.
-pub fn request_frame(corr: u64, req: &Request) -> Frame {
-    owned_frame(|enc, out| enc.put_request(out, corr, req))
-}
-
-/// The handshake frame.
-pub fn hello_frame(corr: u64) -> Frame {
-    owned_frame(|enc, out| enc.put_hello(out, corr))
-}
-
-/// The handshake answer.
-pub fn hello_ack_frame(corr: u64, max_frame_len: usize) -> Frame {
-    owned_frame(|enc, out| enc.put_hello_ack(out, corr, max_frame_len))
-}
-
-/// An open-tenant frame (instance in the body, tenant in the header).
-pub fn open_tenant_frame(corr: u64, tenant: TenantId, tree: &CruTree, costs: &CostModel) -> Frame {
-    owned_frame(|enc, out| enc.put_open_tenant(out, corr, tenant, tree, costs))
-}
-
-/// A close-tenant frame.
-pub fn close_tenant_frame(corr: u64, tenant: TenantId) -> Frame {
-    owned_frame(|enc, out| enc.put_close_tenant(out, corr, tenant))
-}
-
-/// The tenant-opened acknowledgement.
-pub fn tenant_opened_frame(corr: u64, tenant: TenantId) -> Frame {
-    owned_frame(|enc, out| enc.put_tenant_opened(out, corr, tenant))
-}
-
-/// The tenant-closed acknowledgement, carrying the session's counters.
-pub fn tenant_closed_frame(corr: u64, tenant: TenantId, stats: &SessionStats) -> Frame {
-    owned_frame(|enc, out| enc.put_tenant_closed(out, corr, tenant, stats))
-}
-
-/// Encodes a reply into its frame.
-pub fn reply_frame(corr: u64, tenant: u64, reply: &Reply) -> Frame {
-    owned_frame(|enc, out| {
-        enc.put_reply(out, corr, tenant, reply);
-    })
-}
-
-/// Encodes an error frame.
-pub fn error_frame(corr: u64, tenant: u64, err: &WireError) -> Frame {
-    owned_frame(|enc, out| enc.put_error(out, corr, tenant, err))
-}
-
 /// The canonical wire JSON of a reply — what t13's byte-identity check
 /// compares between a loopback answer and an in-process one.
 pub fn reply_json(reply: &Reply) -> String {
@@ -737,16 +620,12 @@ pub fn reply_json(reply: &Reply) -> String {
     json
 }
 
-/// Decodes a client→server frame. The version byte must already have been
-/// checked by the caller (so a version mismatch can echo the correlation
-/// id without attempting to parse a future payload layout).
-pub fn decode_request(frame: &Frame) -> Result<NetRequest, WireError> {
-    decode_request_parts(frame.kind, frame.tenant, &frame.payload)
-}
-
-/// [`decode_request`] on borrowed parts — lets the reactor decode straight
-/// out of a connection's reassembly buffer (a [`FrameRef`]) without first
-/// copying the payload into an owned [`Frame`].
+/// Decodes a client→server frame from its header fields and borrowed
+/// payload (the reactor passes a [`FrameRef`]'s parts, so the payload is
+/// decoded straight out of the connection's reassembly buffer). The
+/// version byte must already have been checked by the caller, so a
+/// version mismatch can echo the correlation id without attempting to
+/// parse a future payload layout.
 pub fn decode_request_parts(
     kind_: u8,
     tenant: u64,
@@ -846,16 +725,64 @@ mod tests {
     use super::*;
     use hsa_graph::Lambda;
 
-    fn sample_frames() -> Vec<Frame> {
+    /// A handful of frames, each encoded on its own.
+    fn sample_frames() -> Vec<Vec<u8>> {
         let sc = hsa_workloads::paper_scenario();
-        vec![
-            hello_frame(1),
-            hello_ack_frame(1, DEFAULT_MAX_FRAME_LEN),
-            request_frame(2, &Request::solve(&sc.tree, &sc.costs, Lambda::HALF)),
-            request_frame(3, &Request::frontier(&sc.tree, &sc.costs)),
-            error_frame(4, 9, &WireError::Quota(9)),
-            tenant_opened_frame(5, TenantId(9)),
-        ]
+        let mut enc = FrameEncoder::new();
+        let mut frames = vec![Vec::new(); 6];
+        enc.put_hello(&mut frames[0], 1);
+        enc.put_hello_ack(&mut frames[1], 1, DEFAULT_MAX_FRAME_LEN);
+        let solve = Request::solve(&sc.tree, &sc.costs, Lambda::HALF);
+        enc.put_request(&mut frames[2], 2, &solve);
+        enc.put_request(&mut frames[3], 3, &Request::frontier(&sc.tree, &sc.costs));
+        enc.put_error(&mut frames[4], 4, 9, &WireError::Quota(9));
+        enc.put_tenant_opened(&mut frames[5], 5, TenantId(9));
+        frames
+    }
+
+    /// A decoded frame written back out.
+    fn reput(f: &FrameRef<'_>) -> Vec<u8> {
+        assert_eq!(f.version, PROTOCOL_VERSION);
+        let mut out = Vec::new();
+        put_raw_frame(&mut out, f.kind, f.tenant, f.corr, f.payload);
+        out
+    }
+
+    /// The header layout, byte for byte: the golden fixtures pin only
+    /// payloads, and a replaying client reads the kind and payload at
+    /// these offsets.
+    #[test]
+    fn header_bytes_are_pinned() {
+        let (tenant, corr) = (0x0102_0304_0506_0708, 0x1112_1314_1516_1718);
+        let mut out = Vec::new();
+        put_raw_frame(&mut out, 0x02, tenant, corr, b"{}");
+        #[rustfmt::skip]
+        let want = [
+            0, 0, 0, 20,                                      // len
+            1,                                                // version
+            0x02,                                             // kind
+            0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,   // tenant
+            0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18,   // corr
+            b'{', b'}',                                       // payload
+        ];
+        assert_eq!(out, want);
+
+        let mut dec = FrameDecoder::new();
+        dec.push(&out);
+        match dec.next(DEFAULT_MAX_FRAME_LEN) {
+            Some(Decoded::Frame(f)) => assert_eq!(
+                f,
+                FrameRef {
+                    version: PROTOCOL_VERSION,
+                    kind: 0x02,
+                    tenant,
+                    corr,
+                    payload: b"{}",
+                }
+            ),
+            other => panic!("expected the frame back, got {other:?}"),
+        }
+        assert_eq!(dec.buffered(), 0);
     }
 
     /// Reassembly is fragmentation-blind: feeding the same byte stream
@@ -863,22 +790,18 @@ mod tests {
     #[test]
     fn decoder_reassembles_byte_at_a_time() {
         let frames = sample_frames();
-        let stream: Vec<u8> = frames.iter().flat_map(|f| f.encode().to_vec()).collect();
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
-        for byte in stream {
+        for &byte in frames.concat().iter() {
             dec.push(&[byte]);
             while let Some(d) = dec.next(DEFAULT_MAX_FRAME_LEN) {
                 match d {
-                    Decoded::Frame(f) => got.push(f.to_frame()),
+                    Decoded::Frame(f) => got.push(reput(&f)),
                     other => panic!("unexpected decode: {other:?}"),
                 }
             }
         }
-        assert_eq!(got.len(), frames.len());
-        for (g, f) in got.iter().zip(&frames) {
-            assert_eq!(g.encode(), f.encode());
-        }
+        assert_eq!(got, frames);
         assert_eq!(dec.buffered(), 0);
     }
 
@@ -887,8 +810,8 @@ mod tests {
     #[test]
     fn decoder_survives_all_split_points() {
         let frames = sample_frames();
-        let stream: Vec<u8> = frames.iter().flat_map(|f| f.encode().to_vec()).collect();
-        let cut_range = frames[0].encode().len() + frames[1].encode().len();
+        let stream = frames.concat();
+        let cut_range = frames[0].len() + frames[1].len();
         for cut in 0..=cut_range {
             let mut dec = FrameDecoder::new();
             let mut got = 0usize;
@@ -918,10 +841,8 @@ mod tests {
     /// markers, even arriving after valid frames on the same stream.
     #[test]
     fn decoder_flags_bad_prefixes() {
-        let good = hello_frame(1).encode();
-
         let mut dec = FrameDecoder::new();
-        dec.push(&good);
+        dec.push(&sample_frames()[0]);
         dec.push(
             &u32::try_from(DEFAULT_MAX_FRAME_LEN + 1)
                 .unwrap()
@@ -944,42 +865,5 @@ mod tests {
             dec.next(DEFAULT_MAX_FRAME_LEN),
             Some(Decoded::Undersized(_))
         ));
-    }
-
-    /// The buffer-reusing encoder and the allocating `Frame` path are
-    /// byte-identical for every frame constructor — the invariant the
-    /// byte-identity acceptance checks lean on.
-    #[test]
-    fn encoder_matches_frame_encode_bytes() {
-        let sc = hsa_workloads::paper_scenario();
-        let req = Request::solve(&sc.tree, &sc.costs, Lambda::HALF);
-        let stats = SessionStats::default();
-        let mut enc = FrameEncoder::new();
-        let mut out = Vec::new();
-
-        let mut legacy: Vec<u8> = Vec::new();
-        for bytes in [
-            request_frame(7, &req).encode(),
-            hello_frame(8).encode(),
-            hello_ack_frame(8, 12345).encode(),
-            error_frame(9, 3, &WireError::ConnLimit(64)).encode(),
-            open_tenant_frame(10, TenantId(3), &sc.tree, &sc.costs).encode(),
-            close_tenant_frame(11, TenantId(3)).encode(),
-            tenant_opened_frame(12, TenantId(3)).encode(),
-            tenant_closed_frame(13, TenantId(3), &stats).encode(),
-        ] {
-            legacy.extend_from_slice(&bytes);
-        }
-
-        enc.put_request(&mut out, 7, &req);
-        enc.put_hello(&mut out, 8);
-        enc.put_hello_ack(&mut out, 8, 12345);
-        enc.put_error(&mut out, 9, 3, &WireError::ConnLimit(64));
-        enc.put_open_tenant(&mut out, 10, TenantId(3), &sc.tree, &sc.costs);
-        enc.put_close_tenant(&mut out, 11, TenantId(3));
-        enc.put_tenant_opened(&mut out, 12, TenantId(3));
-        enc.put_tenant_closed(&mut out, 13, TenantId(3), &stats);
-
-        assert_eq!(out, legacy);
     }
 }

@@ -363,8 +363,22 @@ impl Request {
 /// Non-exhaustive for the same reason as [`Request`]: replies are wire
 /// frames, and the schema may grow. Prefer the uniform accessors
 /// ([`Reply::solution`], [`Reply::frontier`], [`Reply::outcome`],
-/// [`Reply::instance_id`] — and [`AnswerExt`] on the `Result` a
-/// [`Ticket::wait`] returns) over exhaustive matching.
+/// [`Reply::instance_id`]) over exhaustive matching; on the `Result` a
+/// [`Ticket::wait`] returns, reach them after `?`, `unwrap` or
+/// `as_ref().ok()`:
+///
+/// ```
+/// use hsa_engine::{Engine, EngineConfig, Request, Service, ServiceConfig};
+/// use hsa_graph::Lambda;
+/// use std::sync::Arc;
+///
+/// let sc = hsa_workloads::paper_scenario();
+/// let engine = Arc::new(Engine::new(EngineConfig::default()));
+/// let service = Service::new(engine, ServiceConfig::default());
+/// let answer = service.submit(Request::solve(&sc.tree, &sc.costs, Lambda::HALF)).wait();
+/// let objective = answer.as_ref().ok().and_then(|r| r.solution()).map(|s| s.objective);
+/// assert!(objective.is_some());
+/// ```
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub enum Reply {
@@ -450,65 +464,6 @@ impl Reply {
             Reply::Applied { outcome, .. } => Some(outcome),
             _ => None,
         }
-    }
-}
-
-/// Uniform accessors over a whole answer — the `Result<Reply,
-/// ServiceError>` a [`Ticket::wait`] (or a remote
-/// [`crate::net::Client`] call) hands back. Collapses the two-level
-/// `Result`/enum match into one `Option` probe per payload kind:
-///
-/// ```
-/// use hsa_engine::{AnswerExt, Engine, EngineConfig, Request, Service, ServiceConfig};
-/// use hsa_graph::Lambda;
-/// use std::sync::Arc;
-///
-/// let sc = hsa_workloads::paper_scenario();
-/// let engine = Arc::new(Engine::new(EngineConfig::default()));
-/// let service = Service::new(engine, ServiceConfig::default());
-/// let answer = service.submit(Request::solve(&sc.tree, &sc.costs, Lambda::HALF)).wait();
-/// assert!(answer.error().is_none());
-/// let objective = answer.solution().expect("solve answers a solution").objective;
-/// # let _ = objective;
-/// ```
-pub trait AnswerExt {
-    /// The solution, if the answer succeeded with one.
-    fn solution(&self) -> Option<&Solution>;
-    /// The λ-frontier, if the answer succeeded with one.
-    fn frontier(&self) -> Option<&LambdaFrontier>;
-    /// The apply outcome, if the answer is a fulfilled delta.
-    fn outcome(&self) -> Option<&ApplyOutcome>;
-    /// The anytime answer, if the answer fulfils a portfolio race.
-    fn anytime(&self) -> Option<&AnytimeAnswer>;
-    /// The instance id for id-addressed re-queries, if one was reported.
-    fn instance_id(&self) -> Option<InstanceId>;
-    /// The error, if the request failed.
-    fn error(&self) -> Option<&ServiceError>;
-}
-
-impl AnswerExt for Result<Reply, ServiceError> {
-    fn solution(&self) -> Option<&Solution> {
-        self.as_ref().ok().and_then(Reply::solution)
-    }
-
-    fn frontier(&self) -> Option<&LambdaFrontier> {
-        self.as_ref().ok().and_then(Reply::frontier)
-    }
-
-    fn outcome(&self) -> Option<&ApplyOutcome> {
-        self.as_ref().ok().and_then(Reply::outcome)
-    }
-
-    fn anytime(&self) -> Option<&AnytimeAnswer> {
-        self.as_ref().ok().and_then(Reply::anytime)
-    }
-
-    fn instance_id(&self) -> Option<InstanceId> {
-        self.as_ref().ok().and_then(Reply::instance_id)
-    }
-
-    fn error(&self) -> Option<&ServiceError> {
-        self.as_ref().err()
     }
 }
 

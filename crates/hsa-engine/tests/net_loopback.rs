@@ -3,7 +3,7 @@
 //! quotas, graceful shutdown draining every accepted ticket, and
 //! reconnect resuming id-addressed requests via the raw instance id.
 
-use hsa_engine::net::wire::{self, WireError};
+use hsa_engine::net::wire::{self, FrameEncoder, WireError};
 use hsa_engine::net::{Client, ClientError, NetConfig, NetServer};
 use hsa_engine::{Engine, EngineConfig, Request, Service, ServiceConfig, TenantId};
 use hsa_graph::{Cost, Lambda};
@@ -156,12 +156,14 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     // Bad version byte: refused under its own correlation id, connection
     // stays up (the header layout is version-stable).
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let mut bad_version = wire::request_frame(
+    let mut bad_version = Vec::new();
+    FrameEncoder::new().put_request(
+        &mut bad_version,
         99,
         &Request::solve_by_id(hsa_engine::InstanceId::from_raw(1), Lambda::HALF),
     );
-    bad_version.version = 77;
-    client.send_raw(&bad_version.encode()).unwrap();
+    bad_version[4] = 77; // the version byte, right after the length prefix
+    client.send_raw(&bad_version).unwrap();
     let frame = client.recv_raw().unwrap();
     assert_eq!(frame.kind, wire::kind::ERROR);
     assert_eq!(frame.corr, 99, "version refusals echo the correlation id");
@@ -174,14 +176,9 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     );
 
     // Unknown kind byte.
-    let unknown_kind = wire::Frame {
-        version: wire::PROTOCOL_VERSION,
-        kind: 0x6F,
-        tenant: 0,
-        corr: 123,
-        payload: b"{}".to_vec(),
-    };
-    client.send_raw(&unknown_kind.encode()).unwrap();
+    let mut unknown_kind = Vec::new();
+    wire::put_raw_frame(&mut unknown_kind, 0x6F, 0, 123, b"{}");
+    client.send_raw(&unknown_kind).unwrap();
     let frame = client.recv_raw().unwrap();
     assert_eq!(frame.kind, wire::kind::ERROR);
     assert_eq!(frame.corr, 123);
@@ -191,14 +188,9 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     assert_eq!(err, WireError::UnknownKind(0x6F));
 
     // Garbage payload under a valid kind.
-    let garbage = wire::Frame {
-        version: wire::PROTOCOL_VERSION,
-        kind: wire::kind::SOLVE,
-        tenant: 0,
-        corr: 7,
-        payload: b"not json at all".to_vec(),
-    };
-    client.send_raw(&garbage.encode()).unwrap();
+    let mut garbage = Vec::new();
+    wire::put_raw_frame(&mut garbage, wire::kind::SOLVE, 0, 7, b"not json at all");
+    client.send_raw(&garbage).unwrap();
     let frame = client.recv_raw().unwrap();
     assert_eq!((frame.kind, frame.corr), (wire::kind::ERROR, 7));
     assert!(matches!(
@@ -238,12 +230,67 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     // A frame truncated mid-payload (client hangs up): the server drops
     // the connection without wedging — new connections still answer.
     let mut truncated = Client::connect(server.local_addr()).unwrap();
-    let frame = wire::request_frame(1, &Request::solve(&sc.tree, &sc.costs, Lambda::HALF));
-    let bytes = frame.encode();
+    let mut bytes = Vec::new();
+    FrameEncoder::new().put_request(
+        &mut bytes,
+        1,
+        &Request::solve(&sc.tree, &sc.costs, Lambda::HALF),
+    );
     truncated.send_raw(&bytes[..bytes.len() / 2]).unwrap();
     drop(truncated);
     let mut fresh = Client::connect(server.local_addr()).unwrap();
     assert!(fresh.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    server.shutdown();
+}
+
+/// The cap a server announces bounds what the client sends, not what it
+/// receives: a reply longer than the cap still arrives, and a request
+/// longer than the cap is refused locally with nothing queued.
+#[test]
+fn announced_frame_cap_bounds_requests_not_replies() {
+    let (tree, costs) = random_instance(
+        &RandomTreeParams {
+            n_crus: 40,
+            n_satellites: 3,
+            placement: Placement::Random,
+            ..RandomTreeParams::default()
+        },
+        7,
+    );
+    let service = Arc::new(Service::new(
+        Arc::new(Engine::new(EngineConfig::default())),
+        verify_service(),
+    ));
+    let id = service
+        .submit(Request::frontier(&tree, &costs))
+        .wait()
+        .unwrap()
+        .instance_id()
+        .unwrap();
+    let cap = 512;
+    let net = NetConfig {
+        max_frame_len: cap,
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", Arc::clone(&service), net).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    let frontier = client.frontier_by_id(id).unwrap();
+    assert!(
+        wire::reply_json(&frontier).len() > cap,
+        "the reply must outgrow the cap for this test to mean anything"
+    );
+    match client.solve(&tree, &costs, Lambda::HALF) {
+        Err(ClientError::Protocol(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
+        other => panic!("an over-cap request must be refused locally, got {other:?}"),
+    }
+    let again = client.frontier_by_id(id).unwrap();
+    assert_eq!(wire::reply_json(&again), wire::reply_json(&frontier));
+    assert_eq!(
+        server.service().stats().submitted,
+        3,
+        "the refused solve never reached the server"
+    );
     server.shutdown();
 }
 
@@ -259,14 +306,9 @@ fn deeply_nested_payload_answers_malformed_and_the_connection_survives() {
     // The bare brackets are refused as the wrong shape; under an unknown
     // key they are skipped, which is where the depth cap has to hold.
     for (corr, payload) in [(5, brackets.clone()), (6, format!("{{\"x\":{brackets}"))] {
-        let frame = wire::Frame {
-            version: wire::PROTOCOL_VERSION,
-            kind: wire::kind::SOLVE,
-            tenant: 0,
-            corr,
-            payload: payload.into_bytes(),
-        };
-        client.send_raw(&frame.encode()).unwrap();
+        let mut frame = Vec::new();
+        wire::put_raw_frame(&mut frame, wire::kind::SOLVE, 0, corr, payload.as_bytes());
+        client.send_raw(&frame).unwrap();
         let answer = client.recv_raw().unwrap();
         assert_eq!((answer.kind, answer.corr), (wire::kind::ERROR, corr));
         match wire::decode_server_frame(&answer).unwrap() {
@@ -355,14 +397,16 @@ fn pool_and_inline_answers_share_one_connection_in_submission_order() {
         } else {
             ticket.wait()
         };
-        let want = match answer {
-            Ok(reply) => wire::reply_json(&reply).into_bytes(),
-            Err(e) => wire::error_frame(corr, 0, &WireError::from(&e)).payload,
-        };
-        assert_eq!(
-            String::from_utf8_lossy(&frame.payload),
-            String::from_utf8_lossy(&want)
-        );
+        match answer {
+            Ok(reply) => assert_eq!(
+                String::from_utf8_lossy(&frame.payload),
+                wire::reply_json(&reply)
+            ),
+            Err(e) => match wire::decode_server_frame(&frame) {
+                Ok(wire::NetReply::Error(err)) => assert_eq!(err, WireError::from(&e)),
+                other => panic!("expected an error frame, got {other:?}"),
+            },
+        }
     }
     let stats = local.stats();
     assert_eq!(stats.latency.solve.count, stats.solves);

@@ -9,7 +9,7 @@
 //! binary holds this one test only: a sibling test running in parallel
 //! would move the counts.
 
-use hsa_engine::net::wire::{self, NetReply, ReadFrame};
+use hsa_engine::net::wire::{self, FrameDecoder, FrameEncoder, NetReply};
 use hsa_engine::net::{Client, NetConfig, NetServer};
 use hsa_engine::{Engine, EngineConfig, Request, Service, ServiceConfig};
 use hsa_graph::Lambda;
@@ -218,6 +218,22 @@ fn pipelined_client(
     assert!(answers.is_empty(), "every pipelined answer must arrive");
 }
 
+/// The next whole frame off a blocking stream, or `None` at a clean EOF
+/// between frames.
+fn next_frame(stream: &mut TcpStream, dec: &mut FrameDecoder) -> Option<wire::Frame> {
+    loop {
+        match dec.next(wire::DEFAULT_MAX_FRAME_LEN) {
+            Some(wire::Decoded::Frame(f)) => return Some(f.to_frame()),
+            Some(bad) => panic!("unusable length prefix: {bad:?}"),
+            None => {}
+        }
+        if dec.fill_from(stream, 16 * 1024).unwrap() == 0 {
+            assert_eq!(dec.buffered(), 0, "the stream ended mid-frame");
+            return None;
+        }
+    }
+}
+
 /// A half-closing peer speaking raw wire bytes: handshake, write every
 /// request, FIN the write half, then drain all answers until EOF. The
 /// server must keep serving a read-closed connection until its queue is
@@ -230,32 +246,28 @@ fn half_close_client(
 ) {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_nodelay(true).unwrap();
-    stream.write_all(&wire::hello_frame(0).encode()).unwrap();
-    match wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_LEN).unwrap() {
-        ReadFrame::Frame(f) => {
-            assert!(matches!(
-                wire::decode_server_frame(&f),
-                Ok(NetReply::HelloAck(_))
-            ));
-        }
-        other => panic!("handshake answered {other:?}"),
-    }
+    let (mut enc, mut dec) = (FrameEncoder::new(), FrameDecoder::new());
+    let mut bytes = Vec::new();
+    enc.put_hello(&mut bytes, 0);
+    stream.write_all(&bytes).unwrap();
+    let ack = next_frame(&mut stream, &mut dec).expect("handshake answered");
+    assert!(matches!(
+        wire::decode_server_frame(&ack),
+        Ok(NetReply::HelloAck(_))
+    ));
 
     // The whole stream in one write, then FIN.
-    let mut bytes = Vec::new();
+    bytes.clear();
     let base = (client_id as u64) << 32;
     for (i, req) in requests.iter().enumerate() {
-        bytes.extend_from_slice(&wire::request_frame(base + i as u64, req).encode());
+        enc.put_request(&mut bytes, base + i as u64, req);
     }
     stream.write_all(&bytes).unwrap();
     stream.shutdown(Shutdown::Write).unwrap();
 
     let mut got = vec![false; requests.len()];
     for _ in 0..requests.len() {
-        let frame = match wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_LEN).unwrap() {
-            ReadFrame::Frame(frame) => frame,
-            other => panic!("expected an answer frame, got {other:?}"),
-        };
+        let frame = next_frame(&mut stream, &mut dec).expect("an answer frame");
         let idx = usize::try_from(frame.corr - base).expect("answer for someone else's corr");
         assert!(idx < requests.len(), "answer for someone else's corr");
         assert!(!got[idx], "duplicate answer for one correlation id");
@@ -267,9 +279,8 @@ fn half_close_client(
         );
     }
     // All answered, then a clean EOF.
-    match wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_LEN).unwrap() {
-        ReadFrame::Eof => {}
-        other => panic!("expected EOF after the drain, got {other:?}"),
+    if let Some(extra) = next_frame(&mut stream, &mut dec) {
+        panic!("expected EOF after the drain, got {extra:?}");
     }
     assert!(got.into_iter().all(|g| g), "every answer must arrive");
 }

@@ -6,7 +6,7 @@
 //! cancellation, a race that waits on a dead arm), not scheduler jitter.
 
 use hsa_engine::{
-    AnswerExt, Engine, EngineConfig, Portfolio, PortfolioConfig, Request, Service, ServiceConfig,
+    Engine, EngineConfig, Portfolio, PortfolioConfig, Request, Service, ServiceConfig,
 };
 use hsa_graph::Lambda;
 use hsa_workloads::{random_instance, Placement, RandomTreeParams};
@@ -124,7 +124,7 @@ fn service_tickets_balance_across_anytime_races() {
         })
         .collect();
     for t in tickets {
-        let answer = t.wait();
+        let answer = t.wait().expect("anytime requests succeed");
         let anytime = answer
             .anytime()
             .expect("anytime requests answer anytime replies");

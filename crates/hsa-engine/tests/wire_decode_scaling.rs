@@ -16,8 +16,8 @@ const REPS: usize = 9;
 
 fn payload(request: &Request) -> Vec<u8> {
     let mut out = Vec::new();
-    FrameEncoder::new().put_request(&mut out, 0, request);
-    out.split_off(4 + wire::HEADER_LEN)
+    let (_, payload) = FrameEncoder::new().put_request(&mut out, 0, request);
+    out[payload].to_vec()
 }
 
 fn instance_payload(n_crus: usize, root_name: Option<&str>) -> Vec<u8> {

@@ -12,7 +12,9 @@
 //! Each line is `name <TAB> kind <TAB> tenant <TAB> payload`. The file is
 //! never rewritten: a new protocol version gets a fixture file of its own.
 
-use hsa_engine::net::wire::{self, FrameEncoder, NetReply, NetRequest, WireError};
+use hsa_engine::net::wire::{
+    self, Decoded, FrameDecoder, FrameEncoder, NetReply, NetRequest, WireError,
+};
 use hsa_engine::{
     Engine, EngineConfig, InstanceId, Reply, Request, Service, ServiceConfig, TenantId,
 };
@@ -78,6 +80,20 @@ fn every_op(tree: &CruTree) -> Delta {
         .repin(leaf, SatelliteId(2))
 }
 
+/// The kind, tenant and payload of the one frame in `out`, read back
+/// through the decoder; empties `out` for the next frame.
+fn take_frame(out: &mut Vec<u8>) -> (u8, u64, Vec<u8>) {
+    let mut dec = FrameDecoder::new();
+    dec.push(out);
+    out.clear();
+    let Some(Decoded::Frame(f)) = dec.next(wire::DEFAULT_MAX_FRAME_LEN) else {
+        panic!("an encoded frame decodes");
+    };
+    let parts = (f.kind, f.tenant, f.payload.to_vec());
+    assert_eq!(dec.buffered(), 0, "exactly one frame");
+    parts
+}
+
 fn answer(service: &Service, request: Request) -> Reply {
     service
         .submit(request)
@@ -130,13 +146,13 @@ fn build() -> Vec<Golden> {
     let mut out = Vec::new();
     let mut all = Vec::new();
     let mut push = |name: &'static str, out: &mut Vec<u8>| {
+        let (kind, tenant, payload) = take_frame(out);
         all.push(Golden {
             name,
-            kind: out[5],
-            tenant: u64::from_be_bytes(out[6..14].try_into().unwrap()),
-            payload: out[4 + wire::HEADER_LEN..].to_vec(),
+            kind,
+            tenant,
+            payload,
         });
-        out.clear();
     };
 
     enc.put_hello(&mut out, 1);
@@ -241,7 +257,9 @@ fn reencode(kind: u8, tenant: u64, payload: &[u8]) -> Vec<u8> {
     if client_sent(kind) {
         match wire::decode_request_parts(kind, tenant, payload).expect("fixture decodes") {
             NetRequest::Hello => enc.put_hello(&mut out, 1),
-            NetRequest::Submit(req) => enc.put_request(&mut out, 1, &req),
+            NetRequest::Submit(req) => {
+                enc.put_request(&mut out, 1, &req);
+            }
             NetRequest::OpenTenant(t, tree, costs) => {
                 enc.put_open_tenant(&mut out, 1, t, &tree, &costs)
             }
@@ -267,8 +285,9 @@ fn reencode(kind: u8, tenant: u64, payload: &[u8]) -> Vec<u8> {
             NetReply::Error(err) => enc.put_error(&mut out, 1, tenant, &err),
         }
     }
-    assert_eq!(out[5], kind, "re-encoded under another kind");
-    out.split_off(4 + wire::HEADER_LEN)
+    let (again, _, payload) = take_frame(&mut out);
+    assert_eq!(again, kind, "re-encoded under another kind");
+    payload
 }
 
 #[test]
