@@ -17,7 +17,9 @@ use std::time::Duration;
 pub struct NetConfig {
     /// Cap on the length prefix a peer may announce. A frame above it is
     /// answered with [`WireError::Oversized`] and the connection closed
-    /// (the stream cannot be re-synchronised past unread bytes).
+    /// (the stream cannot be re-synchronised past unread bytes). The cap
+    /// is announced in `HELLO_ACK`, and a [`super::Client`] refuses a
+    /// longer request before sending it. It does not bound replies.
     pub max_frame_len: usize,
     /// Per-tenant admission quota: in-flight requests per header tenant
     /// id, across all connections, **before** they reach the service's
