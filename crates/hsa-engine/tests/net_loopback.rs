@@ -284,12 +284,16 @@ fn announced_frame_cap_bounds_requests_not_replies() {
         Err(ClientError::Protocol(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
         other => panic!("an over-cap request must be refused locally, got {other:?}"),
     }
+    match client.open_tenant(TenantId(1), &tree, &costs) {
+        Err(ClientError::Protocol(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
+        other => panic!("an over-cap open-tenant must be refused locally, got {other:?}"),
+    }
     let again = client.frontier_by_id(id).unwrap();
     assert_eq!(wire::reply_json(&again), wire::reply_json(&frontier));
     assert_eq!(
         server.service().stats().submitted,
         3,
-        "the refused solve never reached the server"
+        "the refused frames never reached the server"
     );
     server.shutdown();
 }
