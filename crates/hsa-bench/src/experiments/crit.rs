@@ -419,10 +419,7 @@ pub(super) fn prepare_hot(c: &mut Criterion) {
             },
             4242,
         );
-        let engine = Engine::new(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new(EngineConfig::default());
         let id = engine.prepare(&tree, &costs).expect("instance prepares");
         let label = format!("n{n}");
         group.bench_function(format!("prepare_cold/{label}"), |b| {
@@ -439,10 +436,7 @@ pub(super) fn prepare_hot(c: &mut Criterion) {
             b.iter(|| black_box(engine.instance(id).is_some()))
         });
         group.bench_function(format!("solve_by_id/{label}"), |b| {
-            b.iter(|| {
-                let out = engine.solve_batch(&[(id, Lambda::HALF)]);
-                black_box(out[0].as_ref().unwrap().objective)
-            })
+            b.iter(|| black_box(engine.solve(id, Lambda::HALF).unwrap().objective))
         });
     }
     group.finish();

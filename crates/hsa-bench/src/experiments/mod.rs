@@ -255,7 +255,7 @@ pub static REGISTRY: &[Experiment] = &[
     },
     Experiment {
         id: "t12",
-        title: "T12 — service throughput & hit-rate vs workers under a Zipf request stream",
+        title: "T12 — service throughput vs workers under a Zipf request stream",
         paper_ref: "DESIGN.md §10",
         artefacts: &["t12_service_stream.csv", "BENCH_service.json"],
         bench_artefact: Some("BENCH_service.json"),

@@ -871,12 +871,7 @@ fn run_service_stream(
     workers: usize,
     verify: bool,
 ) -> (u64, hsa_engine::EngineStats, hsa_engine::ServiceStats) {
-    // The engine's own pool is bypassed by single-query service solves;
-    // one thread keeps it from idling workers the stream never feeds.
-    let engine = Arc::new(Engine::new(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
     let service = Service::new(
         Arc::clone(&engine),
         ServiceConfig {
@@ -887,8 +882,8 @@ fn run_service_stream(
     );
     // Tenant sessions are opened outside the clock (a warm multi-tenant
     // service); the engine's prepare cache starts cold, so solve requests
-    // pay first-touch misses *inside* the stream — that is the hit-rate
-    // the experiment reports.
+    // pay first-touch misses *inside* the stream — the `cache_misses` the
+    // experiment reports.
     for (i, sc) in stream.instances.iter().enumerate() {
         service
             .open_tenant(conn_tenant(0, i), &sc.tree, &sc.costs)
@@ -963,7 +958,7 @@ fn run_service_stream(
 pub(super) fn t12(ctx: &ExpCtx) {
     const SEED: u64 = 1200;
     // The multi-tenant service under an open-loop Zipf request stream:
-    // throughput and prepare-cache hit rate as the worker count grows.
+    // throughput and the engine's cache counts as the worker count grows.
     // Phase 1 runs the whole stream in verification mode (every single
     // answer cross-checked byte-for-byte against a from-scratch
     // `Expanded::solve` / frontier of the same instance state) — only
@@ -1007,7 +1002,8 @@ pub(super) fn t12(ctx: &ExpCtx) {
             "requests",
             "total_ns",
             "req_per_sec",
-            "hit_rate",
+            "cache_misses",
+            "cache_hits",
             "backpressure_waits",
             "solves",
             "frontiers",
@@ -1020,7 +1016,7 @@ pub(super) fn t12(ctx: &ExpCtx) {
     let mut report = BenchReport::new(
         "service",
         "t12",
-        "service throughput & hit-rate vs worker count under a Zipf request stream",
+        "service throughput vs worker count under a Zipf request stream",
         ctx.profile.name(),
         SEED,
     );
@@ -1039,10 +1035,7 @@ pub(super) fn t12(ctx: &ExpCtx) {
     // ops × total-ns, so the gate reads a per-op mean per stage.
     {
         let hot = &stream.instances[0];
-        let engine = Engine::new(EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::new(EngineConfig::default());
         let id = engine
             .prepare(&hot.tree, &hot.costs)
             .expect("hot instance prepares");
@@ -1106,7 +1099,8 @@ pub(super) fn t12(ctx: &ExpCtx) {
             stream.requests.len().to_string(),
             ns.to_string(),
             format!("{per_sec:.1}"),
-            format!("{:.3}", estats.hit_rate()),
+            estats.cache_misses.to_string(),
+            estats.cache_hits.to_string(),
             sstats.backpressure_waits.to_string(),
             sstats.solves.to_string(),
             sstats.frontiers.to_string(),
@@ -1134,7 +1128,8 @@ pub(super) fn t12(ctx: &ExpCtx) {
                 );
             }
         }
-        report.param(format!("hit_rate_w{w}"), estats.hit_rate());
+        report.param(format!("cache_misses_w{w}"), estats.cache_misses as f64);
+        report.param(format!("cache_hits_w{w}"), estats.cache_hits as f64);
         report.param(
             format!("backpressure_waits_w{w}"),
             sstats.backpressure_waits as f64,
@@ -1146,8 +1141,9 @@ pub(super) fn t12(ctx: &ExpCtx) {
     println!("(a delta's wait in its tenant FIFO included) — the tail the perf gate");
     println!("defends via the lat_*_w* metrics' percentile columns.");
     println!("shape check: the stream is a hot client — every instance is addressed by");
-    println!("id after its first answer, so prepares (and hence the hit rate) count only");
-    println!("first contacts and post-delta re-prepares, not the Zipf hot keys; the");
+    println!("id after its first answer, so the engine prepares only on first contacts:");
+    println!("cache_misses counts the instances first sent by value and cache_hits stays");
+    println!("0 (deltas go to tenant sessions, never to the engine cache); the");
     println!("hot_stage_* metrics break the id-addressed floor into hash / cache lookup /");
     println!("sweep / evaluate ns. Requests/sec should grow with workers on multi-core");
     println!("machines and at worst plateau on one core.");
@@ -1207,10 +1203,7 @@ fn precompute_stream(
     stream: &RequestStream,
     arcs: &[(Arc<hsa_tree::CruTree>, Arc<hsa_tree::CostModel>)],
 ) -> Vec<PreStep> {
-    let engine = Arc::new(Engine::new(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
     let service = Service::new(
         Arc::clone(&engine),
         ServiceConfig {
@@ -1309,10 +1302,7 @@ fn run_net_stream(
     workers: usize,
     verify: bool,
 ) -> (u64, hsa_engine::ServiceStats, NetStats) {
-    let engine = Arc::new(Engine::new(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
     let service = Arc::new(Service::new(
         Arc::clone(&engine),
         ServiceConfig {
@@ -1601,7 +1591,6 @@ pub(super) fn t14(ctx: &ExpCtx) {
         ctx.profile.name(),
         SEED,
     );
-    report.threads = PortfolioConfig::default().threads;
     report.param("budget_ms", budget.as_millis() as f64);
 
     for &n in sizes {
@@ -1609,6 +1598,7 @@ pub(super) fn t14(ctx: &ExpCtx) {
         // cached frontier set, so rep seeds also differ per size.
         let engine = Arc::new(Engine::new(EngineConfig::default()));
         let portfolio = Portfolio::new(Arc::clone(&engine), PortfolioConfig::default());
+        report.threads = portfolio.workers();
         let mut firsts = Vec::with_capacity(reps);
         let mut last = None;
         for rep in 0..reps {

@@ -17,15 +17,16 @@
 //!   a content hash of the tree and cost model — preparing twice is a
 //!   cache hit, and every later query reuses the colouring, σ/β labels,
 //!   dual graph and Pareto frontiers without rebuilding anything.
-//! * [`Engine::solve_batch`] fans a slice of `(instance, λ)` queries across
-//!   a **persistent** [`WorkerPool`] (spawned once with the engine, fed
-//!   through a channel, drained gracefully on drop), answering each from
-//!   the cached frontiers **byte-identically** to a fresh
+//! * [`Engine::solve`] answers one `(instance, λ)` query on the calling
+//!   thread from the cached frontiers, **byte-identically** to a fresh
 //!   [`Expanded`](hsa_assign::Expanded)`::solve` — same cut, same
-//!   objective, same stats semantics.
-//! * [`Engine::solve_batch_with`] runs any [`Solver`] instead, drawing
-//!   reusable [`hsa_graph::SolveScratch`] workspaces from a pool so steady-state
-//!   solving stays allocation-free.
+//!   objective, same stats semantics. The engine owns no thread.
+//! * [`Engine::solve_batch`] answers a slice of queries the same way,
+//!   fanned across scoped threads that live only as long as the call
+//!   ([`EngineConfig::threads`] sets how many).
+//! * [`Engine::solve_batch_with`] runs any [`Solver`] instead, each
+//!   thread reusing one [`hsa_graph::SolveScratch`] workspace across its
+//!   share of the batch.
 //! * [`Engine::frontier`] exposes the full **λ-frontier** — the
 //!   piecewise-linear lower envelope of optimal cuts over λ ∈ [0, 1] with
 //!   exact rational breakpoints — so a λ-sweep costs one envelope pass
@@ -75,7 +76,7 @@
 
 use hsa_assign::{
     lambda_frontier_with, solve_with_frontiers, AssignError, ExpandedConfig, FrontierSet,
-    LambdaFrontier, Prepared, Solution, SolveStats, Solver,
+    LambdaFrontier, Prepared, Solution, SolveScratch, SolveStats, Solver,
 };
 use hsa_graph::Lambda;
 use hsa_tree::{CostModel, CruTree};
@@ -95,7 +96,7 @@ mod session;
 pub use cache::CachedInstance;
 pub use hist::{HistogramSnapshot, LatencyHistogram, LatencyStats, NUM_BUCKETS};
 pub use pad::CachePadded;
-pub use pool::{parallel_map, WorkerPool};
+pub use pool::parallel_map;
 pub use portfolio::{AnytimeAnswer, AnytimeOutcome, ArmKind, Portfolio, PortfolioConfig};
 pub use service::{
     Reply, Request, RequestLatency, Service, ServiceConfig, ServiceError, ServiceStats, TenantId,
@@ -178,8 +179,10 @@ impl From<AssignError> for EngineError {
 /// Engine configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
-    /// Worker threads of the engine's persistent pool (0, the default,
-    /// means one per available core).
+    /// How many threads one [`Engine::solve_batch`] or
+    /// [`Engine::solve_batch_with`] call fans out across (0, the default,
+    /// means one per available core). The engine keeps no thread between
+    /// calls.
     pub threads: usize,
     /// Frontier caps for the cached full-expansion preparation.
     pub expanded: ExpandedConfig,
@@ -190,7 +193,8 @@ pub struct EngineConfig {
 /// any thread may record or read without a lock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Queries answered successfully by the batch entry points.
+    /// Queries answered successfully by [`Engine::solve`] and the batch
+    /// entry points.
     pub queries: u64,
     /// Queries that failed (unknown instance or solver error).
     pub failed: u64,
@@ -289,36 +293,34 @@ impl EngineCounters {
     }
 }
 
-/// The concurrent batch-solving engine. All entry points take `&self`;
-/// share one engine across threads behind an [`Arc`]. See the crate docs
-/// for the full tour.
+/// The concurrent batch-solving engine: a shared instance cache plus the
+/// solve functions over it. It owns no thread. All entry points take
+/// `&self`; share one engine across threads behind an [`Arc`]. See the
+/// crate docs for the full tour.
 pub struct Engine {
     cfg: EngineConfig,
+    /// [`EngineConfig::threads`] resolved once, so a batch call does not
+    /// re-query the core count.
+    threads: usize,
     /// RwLock-sharded content-hash → `Arc<CachedInstance>` maps.
     cache: cache::ShardedCache,
-    /// Persistent channel-fed workers for batch fan-out.
-    pool: WorkerPool,
-    /// Reusable per-worker solver workspaces.
-    scratch: Arc<pool::ScratchPool>,
     stats: EngineCounters,
 }
 
 impl Engine {
-    /// Creates an engine with the given configuration, spawning its
-    /// persistent worker pool.
+    /// Creates an engine with the given configuration.
     pub fn new(cfg: EngineConfig) -> Engine {
         Engine {
             cfg,
+            threads: pool::effective_threads(cfg.threads),
             cache: cache::ShardedCache::new(),
-            pool: WorkerPool::new(cfg.threads),
-            scratch: Arc::new(pool::ScratchPool::new()),
             stats: EngineCounters::default(),
         }
     }
 
-    /// The effective worker-thread count of the persistent pool.
+    /// How many threads one batch call fans out across, at most.
     pub fn threads(&self) -> usize {
-        self.pool.size()
+        self.threads
     }
 
     /// Prepares (or re-finds) an instance and returns its id.
@@ -384,71 +386,61 @@ impl Engine {
             .ok_or(EngineError::UnknownInstance { id })
     }
 
-    /// Answers a batch of `(instance, λ)` queries, fanned across the
-    /// persistent worker pool, each from the instance's cached
-    /// [`FrontierSet`].
+    /// Answers one `(instance, λ)` query on the calling thread from the
+    /// instance's cached [`FrontierSet`]: a cache lookup, the threshold
+    /// sweep and the counters, nothing else.
     ///
-    /// Results are in query order and **byte-identical** — same
-    /// `Solution::objective`, same `Solution::cut` — to calling
-    /// [`hsa_assign::Expanded`]`::solve` per query on a freshly prepared
-    /// instance: the cached-frontier path runs the very same threshold
-    /// sweep, it just skips re-deriving what cannot change.
-    ///
-    /// The query slice is only read (each query resolves to one `Arc`
-    /// clone of its cache entry); it is never cloned wholesale.
+    /// The answer is **byte-identical** — same `Solution::objective`, same
+    /// `Solution::cut` — to calling [`hsa_assign::Expanded`]`::solve` on a
+    /// freshly prepared instance: the cached-frontier path runs the very
+    /// same threshold sweep, it just skips re-deriving what cannot change.
+    pub fn solve(&self, id: InstanceId, lambda: Lambda) -> Result<Solution, EngineError> {
+        let out = self.lookup(id).and_then(|entry| {
+            solve_with_frontiers(&entry.prepared, &entry.frontiers, lambda)
+                .map_err(EngineError::from)
+        });
+        self.record(&out);
+        out
+    }
+
+    /// Answers a batch of `(instance, λ)` queries as [`Engine::solve`]
+    /// does, in query order, dealt round-robin across up to
+    /// [`Engine::threads`] scoped threads that end with the call. A
+    /// one-query batch runs on the calling thread.
     pub fn solve_batch(
         &self,
         queries: &[(InstanceId, Lambda)],
     ) -> Vec<Result<Solution, EngineError>> {
-        let items: Vec<(Result<Arc<CachedInstance>, EngineError>, Lambda)> = queries
-            .iter()
-            .map(|&(id, lambda)| (self.lookup(id), lambda))
-            .collect();
-        let job = |(entry, lambda): (Result<Arc<CachedInstance>, EngineError>, Lambda)| {
-            let entry = entry?;
-            solve_with_frontiers(&entry.prepared, &entry.frontiers, lambda)
-                .map_err(EngineError::from)
-        };
-        let results = if self.pool.size() <= 1 || items.len() <= 1 {
-            // Nothing to fan out: answer in-line, skipping the channel trip.
-            items.into_iter().map(job).collect()
-        } else {
-            self.pool.run_batch(items, job)
-        };
-        self.record(&results);
-        results
+        pool::fan_out(
+            queries.iter().copied(),
+            self.threads,
+            || (),
+            |_, (id, lambda)| self.solve(id, lambda),
+        )
     }
 
-    /// Answers a batch of queries with an arbitrary [`Solver`], drawing
-    /// reusable [`hsa_graph::SolveScratch`] workspaces from the engine's pool (one per
-    /// in-flight query, recycled across the batch). The solver is shared
-    /// across workers, so it arrives as an `Arc`.
+    /// Answers a batch of queries with an arbitrary [`Solver`], fanned out
+    /// as [`Engine::solve_batch`] is; each thread reuses one
+    /// [`hsa_graph::SolveScratch`] workspace for its share of the batch.
     pub fn solve_batch_with(
         &self,
         queries: &[(InstanceId, Lambda)],
         solver: Arc<dyn Solver + Send + Sync>,
     ) -> Vec<Result<Solution, EngineError>> {
-        let items: Vec<(Result<Arc<CachedInstance>, EngineError>, Lambda)> = queries
-            .iter()
-            .map(|&(id, lambda)| (self.lookup(id), lambda))
-            .collect();
-        let scratch = Arc::clone(&self.scratch);
-        let job = move |(entry, lambda): (Result<Arc<CachedInstance>, EngineError>, Lambda)| {
-            let entry = entry?;
-            let mut ws = scratch.acquire();
-            let out = solver
-                .solve_in(&entry.prepared, lambda, &mut ws)
-                .map_err(EngineError::from);
-            scratch.release(ws);
-            out
-        };
-        let results = if self.pool.size() <= 1 || items.len() <= 1 {
-            items.into_iter().map(job).collect()
-        } else {
-            self.pool.run_batch(items, job)
-        };
-        self.record(&results);
-        results
+        pool::fan_out(
+            queries.iter().copied(),
+            self.threads,
+            SolveScratch::default,
+            |ws, (id, lambda)| {
+                let out = self.lookup(id).and_then(|entry| {
+                    solver
+                        .solve_in(&entry.prepared, lambda, ws)
+                        .map_err(EngineError::from)
+                });
+                self.record(&out);
+                out
+            },
+        )
     }
 
     /// The λ-frontier of a cached instance: every optimal cut over
@@ -476,13 +468,11 @@ impl Engine {
         &self.cfg
     }
 
-    fn record(&self, results: &[Result<Solution, EngineError>]) {
-        for r in results {
-            match r {
-                Ok(sol) => self.stats.record_solve(&sol.stats),
-                Err(_) => {
-                    self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                }
+    fn record(&self, result: &Result<Solution, EngineError>) {
+        match result {
+            Ok(sol) => self.stats.record_solve(&sol.stats),
+            Err(_) => {
+                self.stats.failed.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -508,7 +498,7 @@ pub mod prelude {
         parallel_map, AnytimeAnswer, AnytimeOutcome, ApplyOutcome, ArmKind, Engine, EngineConfig,
         EngineError, EngineStats, InstanceId, Portfolio, PortfolioConfig, Reply, Request, Service,
         ServiceConfig, ServiceError, ServiceStats, Session, SessionConfig, SessionStats, TenantId,
-        Ticket, WorkerPool,
+        Ticket,
     };
 }
 
@@ -547,10 +537,14 @@ mod tests {
             Err(EngineError::UnknownInstance { id }) if id == bogus
         ));
         assert!(matches!(
+            engine.solve(bogus, Lambda::HALF),
+            Err(EngineError::UnknownInstance { id }) if id == bogus
+        ));
+        assert!(matches!(
             engine.frontier(bogus),
             Err(EngineError::UnknownInstance { .. })
         ));
-        assert_eq!(engine.stats().failed, 1);
+        assert_eq!(engine.stats().failed, 2);
     }
 
     #[test]
@@ -589,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_solver_batch_uses_the_scratch_pool() {
+    fn custom_solver_batch_matches_fresh_solves() {
         let sc = paper_scenario();
         let engine = Engine::new(EngineConfig::default());
         let id = engine.prepare(&sc.tree, &sc.costs).unwrap();

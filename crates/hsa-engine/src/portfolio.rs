@@ -20,7 +20,7 @@
 //!
 //! Losing arms are not killed, they *drain*: every arm polls a shared
 //! [`CancelToken`] and returns promptly once the race is decided, so the
-//! portfolio's small worker pool is reusable race after race and
+//! portfolio's own workers, one per arm, are reusable race after race and
 //! [`Portfolio::pending_arms`] falls back to zero (the cancellation tests
 //! pin this down).
 //!
@@ -30,7 +30,8 @@
 //! cache hit answered tight and instantly.
 
 use crate::cache::CachedInstance;
-use crate::{instance_hash, Engine, EngineError, InstanceId, WorkerPool};
+use crate::pool::WorkerPool;
+use crate::{instance_hash, Engine, EngineError, InstanceId};
 use hsa_assign::{
     solve_with_frontiers, structural_lower_bound, AssignError, CancelToken, ExpandedConfig,
     FrontierSet, GapCertificate, Prepared, Solution, SolveScratch, Solver,
@@ -150,31 +151,23 @@ pub struct AnytimeOutcome {
     pub certificates: Vec<GapCertificate>,
 }
 
-/// Portfolio configuration: arm seeds/budgets plus the private pool size.
-#[derive(Clone, Copy, Debug)]
+/// The arms every race runs: exact, genetic, annealing, branch-and-bound.
+/// The portfolio keeps one worker per arm of its own (DESIGN.md §14). One
+/// per arm lets a race's arms all run at once, so a heuristic incumbent
+/// is in hand at the deadline while the exact arm still runs. Its own,
+/// because an anytime request already holds a service worker while it
+/// waits: arms queued on a saturated service pool would never start.
+const ARMS: usize = 4;
+
+/// Portfolio configuration: the arms' seeds and budgets.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PortfolioConfig {
-    /// Worker threads of the portfolio's own pool (default 4, one per
-    /// arm). The portfolio deliberately does not borrow the engine's batch
-    /// pool: arms must keep draining even while the engine pool is busy,
-    /// and a racing submit from inside a pool job must never deadlock.
-    pub threads: usize,
     /// Genetic-arm configuration (deterministic per seed).
     pub ga: GaConfig,
     /// Annealing-arm configuration (deterministic per seed).
     pub sa: SaConfig,
     /// Branch-and-bound arm configuration.
     pub bnb: BnbConfig,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            threads: 4,
-            ga: GaConfig::default(),
-            sa: SaConfig::default(),
-            bnb: BnbConfig::default(),
-        }
-    }
 }
 
 /// Shared state of one race, guarded by a mutex; arms report here and the
@@ -307,9 +300,9 @@ impl Drop for ArmGuard {
 /// The anytime racing solver portfolio. See the module docs for the
 /// racing model; [`Portfolio::solve_anytime`] is the single entry point.
 ///
-/// The portfolio owns a small persistent [`WorkerPool`] (spawned once,
-/// reused across races, drained on drop) so repeated races never
-/// accumulate threads.
+/// The portfolio owns one persistent worker per arm (spawned once, reused
+/// across races, drained on drop), so repeated races never accumulate
+/// threads.
 pub struct Portfolio {
     engine: Arc<Engine>,
     cfg: PortfolioConfig,
@@ -323,7 +316,7 @@ impl Portfolio {
     pub fn new(engine: Arc<Engine>, cfg: PortfolioConfig) -> Portfolio {
         Portfolio {
             engine,
-            pool: WorkerPool::new(cfg.threads.max(1)),
+            pool: WorkerPool::new(ARMS),
             cfg,
             pending: Arc::new(AtomicUsize::new(0)),
         }
@@ -339,6 +332,11 @@ impl Portfolio {
     /// The configuration this portfolio was built with.
     pub fn config(&self) -> &PortfolioConfig {
         &self.cfg
+    }
+
+    /// The portfolio's worker count: one per arm.
+    pub fn workers(&self) -> usize {
+        self.pool.size()
     }
 
     /// Races all four arms on `(tree, costs, λ)` and returns within
@@ -394,7 +392,7 @@ impl Portfolio {
         let race = Arc::new(Race {
             state: Mutex::new(RaceState {
                 finished: false,
-                arms_left: 4,
+                arms_left: ARMS,
                 answers: Vec::new(),
                 exact: None,
                 cert: None,

@@ -110,7 +110,8 @@ pub struct ServiceConfig {
     /// Configuration for tenant [`Session`]s opened through this service.
     pub session: SessionConfig,
     /// Configuration of the anytime racing portfolio behind
-    /// [`Request::SolveAnytime`] (arm seeds and its private pool size).
+    /// [`Request::SolveAnytime`] (its arms' seeds and budgets; the
+    /// portfolio runs one worker of its own per arm).
     pub portfolio: PortfolioConfig,
 }
 
@@ -705,8 +706,8 @@ struct TenantQueue {
 /// Everything a request job needs, bundled once per service.
 struct Shared {
     engine: Arc<Engine>,
-    /// The anytime racing portfolio (its own small pool; feeds exact
-    /// results back into `engine`'s cache).
+    /// The anytime racing portfolio (one worker of its own per arm; feeds
+    /// exact results back into `engine`'s cache).
     portfolio: Portfolio,
     gate: Gate,
     counters: ServiceCounters,
@@ -930,8 +931,7 @@ impl Service {
     /// Routes one accepted request (the gate slot is already held and is
     /// released by whoever fulfils the reply). The rule is keyed on the
     /// request kind alone: the id-addressed reads are a cache lookup plus
-    /// one sweep, cheaper than the two thread wake-ups of a worker hop
-    /// (the call [`WorkerPool::run_batch`] makes for one-item batches), so
+    /// one sweep, cheaper than the two thread wake-ups of a worker hop, so
     /// they are answered right here; everything else goes to the pool.
     fn dispatch(&self, request: Request) -> Ticket {
         match request {
@@ -1112,11 +1112,7 @@ fn handle_solve(
     lambda: Lambda,
 ) -> Result<Reply, ServiceError> {
     let id = shared.engine.prepare(tree, costs)?;
-    let solution = shared
-        .engine
-        .solve_batch(&[(id, lambda)])
-        .pop()
-        .expect("one query, one answer")?;
+    let solution = shared.engine.solve(id, lambda)?;
     if shared.verify {
         verify_solve(tree, costs, lambda, &solution)?;
     }
@@ -1128,11 +1124,7 @@ fn handle_solve_by_id(
     id: InstanceId,
     lambda: Lambda,
 ) -> Result<Reply, ServiceError> {
-    let solution = shared
-        .engine
-        .solve_batch(&[(id, lambda)])
-        .pop()
-        .expect("one query, one answer")?;
+    let solution = shared.engine.solve(id, lambda)?;
     if shared.verify {
         // The id proves prior contact (the first-contact equality check
         // already ran), so the cached instance *is* the instance to

@@ -211,10 +211,7 @@ fn check_concurrent_replay(
     workers: usize,
     queue_capacity: usize,
 ) -> Result<(), TestCaseError> {
-    let engine = Arc::new(Engine::new(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
     let service = Service::new(
         Arc::clone(&engine),
         ServiceConfig {

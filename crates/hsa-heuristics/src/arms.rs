@@ -22,6 +22,8 @@
 //!   the racing portfolio's deadline semantics. An uncancelled run is
 //!   deterministic per seed.
 
+use crate::ga::tournament;
+use crate::sa::metropolis;
 use crate::{BnbConfig, GaConfig, SaConfig};
 use hsa_assign::{AssignError, CancelToken, EvalScratch, Prepared, Solution, SolveStats, Solver};
 use hsa_graph::{Cost, Lambda, ScaledSsb, SolveScratch};
@@ -177,8 +179,8 @@ impl Solver for CutGenetic {
                 next.push(population[e].clone());
             }
             while next.len() < pop_size {
-                let a = tournament(&fitness, cfg.tournament, pop_size, &mut rng);
-                let b = tournament(&fitness, cfg.tournament, pop_size, &mut rng);
+                let a = tournament(&fitness, cfg.tournament, &mut rng);
+                let b = tournament(&fitness, cfg.tournament, &mut rng);
                 let mut child: Vec<bool> = (0..n)
                     .map(|i| {
                         if rng.random_bool(0.5) {
@@ -220,17 +222,6 @@ impl Solver for CutGenetic {
             },
         )
     }
-}
-
-fn tournament(fitness: &[ScaledSsb], k: usize, pop: usize, rng: &mut StdRng) -> usize {
-    let mut best = rng.random_range(0..pop);
-    for _ in 1..k.max(1) {
-        let c = rng.random_range(0..pop);
-        if fitness[c] < fitness[best] {
-            best = c;
-        }
-    }
-    best
 }
 
 /// Simulated annealing over cut genomes: single-bit-flip neighbourhood,
@@ -286,8 +277,7 @@ impl Solver for CutAnnealing {
             let cand_obj = eval.objective(prep, &current, lambda);
             evaluated += 1;
             let delta = cand_obj as f64 - cur_obj as f64;
-            let accept = delta <= 0.0 || rng.random_bool((-delta / temp).exp().clamp(0.0, 1.0));
-            if accept {
+            if metropolis(delta, temp, &mut rng) {
                 cur_obj = cand_obj;
                 if cur_obj < best_obj {
                     best_obj = cur_obj;

@@ -94,8 +94,8 @@ pub fn genetic(dag: &TaskDag, cfg: &GaConfig) -> Result<GaResult, String> {
             next.push(population[e].clone());
         }
         while next.len() < pop_size {
-            let a = tournament(&fitness, cfg.tournament, pop_size, &mut rng);
-            let b = tournament(&fitness, cfg.tournament, pop_size, &mut rng);
+            let a = tournament(&fitness, cfg.tournament, &mut rng);
+            let b = tournament(&fitness, cfg.tournament, &mut rng);
             let mut child: DagAssignment = (0..n)
                 .map(|i| {
                     if rng.random_bool(0.5) {
@@ -132,10 +132,13 @@ pub fn genetic(dag: &TaskDag, cfg: &GaConfig) -> Result<GaResult, String> {
     })
 }
 
-fn tournament(fitness: &[Cost], k: usize, pop: usize, rng: &mut StdRng) -> usize {
-    let mut best = rng.random_range(0..pop);
+/// Tournament selection, shared with the cut-space GA: draws `k`
+/// individuals uniformly and returns the fittest (lowest) of them, the
+/// earliest draw winning a tie.
+pub(crate) fn tournament<F: PartialOrd>(fitness: &[F], k: usize, rng: &mut StdRng) -> usize {
+    let mut best = rng.random_range(0..fitness.len());
     for _ in 1..k.max(1) {
-        let c = rng.random_range(0..pop);
+        let c = rng.random_range(0..fitness.len());
         if fitness[c] < fitness[best] {
             best = c;
         }

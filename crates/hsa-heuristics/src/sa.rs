@@ -85,8 +85,7 @@ pub fn simulated_annealing(dag: &TaskDag, cfg: &SaConfig) -> Result<SaResult, St
         }
         let mk = list_makespan(dag, &current)?;
         let delta = mk.ticks() as f64 - cur_mk.ticks() as f64;
-        let accept = delta <= 0.0 || rng.random_bool((-delta / temp).exp().clamp(0.0, 1.0));
-        if accept {
+        if metropolis(delta, temp, &mut rng) {
             cur_mk = mk;
             accepted += 1;
             if mk < best_mk {
@@ -103,6 +102,14 @@ pub fn simulated_annealing(dag: &TaskDag, cfg: &SaConfig) -> Result<SaResult, St
         makespan: best_mk,
         accepted,
     })
+}
+
+/// Metropolis acceptance, shared with the cut-space annealer: a move that
+/// does not worsen the objective (`delta <= 0`) is always taken, without
+/// drawing from `rng`; a worsening one with probability
+/// `exp(-delta / temp)`.
+pub(crate) fn metropolis(delta: f64, temp: f64, rng: &mut StdRng) -> bool {
+    delta <= 0.0 || rng.random_bool((-delta / temp).exp().clamp(0.0, 1.0))
 }
 
 #[cfg(test)]
