@@ -85,8 +85,8 @@ mod tests {
         let prep = Prepared::new(&t, &m).unwrap();
         // Max-offload cut: B colour covers both ⟨CRU2,CRU5⟩ and ⟨CRU3,CRU6⟩.
         let cut = Cut::max_offload(&t, &prep.colouring);
-        let path = prep.graph.cut_to_path(&cut).unwrap();
-        let mea = ColouredMeasure::of_edges(&prep.graph, &path.edges, prep.n_satellites());
+        let path = prep.graph().cut_to_path(&cut).unwrap();
+        let mea = ColouredMeasure::of_edges(prep.graph(), &path.edges, prep.n_satellites());
         // Cross-check against the direct oracle.
         let (_, rep) = crate::evaluate_cut(&prep, &cut).unwrap();
         assert_eq!(mea.s, rep.host_time);
@@ -105,7 +105,7 @@ mod tests {
     fn empty_measure_is_zero() {
         let (t, m) = fig2_tree();
         let prep = Prepared::new(&t, &m).unwrap();
-        let mea = ColouredMeasure::of_edges(&prep.graph, &[], 4);
+        let mea = ColouredMeasure::of_edges(prep.graph(), &[], 4);
         assert_eq!(mea.s, Cost::ZERO);
         assert_eq!(mea.b, Cost::ZERO);
         assert_eq!(mea.argmax_colour, None);
@@ -117,7 +117,7 @@ mod tests {
         // Craft a measure by hand: loads [5,5] → argmax Sat0.
         let (t, m) = fig2_tree();
         let prep = Prepared::new(&t, &m).unwrap();
-        let mut mea = ColouredMeasure::of_edges(&prep.graph, &[], 2);
+        let mut mea = ColouredMeasure::of_edges(prep.graph(), &[], 2);
         mea.per_colour = vec![Cost::new(5), Cost::new(5)];
         let (b, who) =
             mea.per_colour

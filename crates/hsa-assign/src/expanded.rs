@@ -34,6 +34,7 @@ use hsa_graph::{Cost, Lambda, SolveScratch};
 #[cfg(test)]
 use hsa_tree::SatelliteId;
 use hsa_tree::{CruId, Cut, TreeEdge};
+use std::ops::Range;
 
 /// One Pareto-optimal way to cover a colour's leaves.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,9 +115,8 @@ fn cover_at_or_below(
     prep: &Prepared<'_>,
     c: CruId,
     cfg: &ExpandedConfig,
-    cancel: Option<&CancelToken>,
 ) -> Result<Frontier, AssignError> {
-    let mut pts_below = cover_below(prep, c, cfg, cancel)?;
+    let mut pts_below = cover_below(prep, c, cfg)?;
     if c != prep.tree.root() {
         let e = TreeEdge::Parent(c);
         pts_below.push(FrontierPoint {
@@ -130,19 +130,11 @@ fn cover_at_or_below(
 
 /// All ways to cover the leaves of `c`'s subtree with cuts strictly below
 /// `c` (sensor edge for leaves; child combinations otherwise).
-///
-/// Polls `cancel` once per visited node — the Minkowski fold between two
-/// polls is bounded by the frontier cap, so a cancelled prepare unwinds
-/// promptly instead of finishing a colour.
 fn cover_below(
     prep: &Prepared<'_>,
     c: CruId,
     cfg: &ExpandedConfig,
-    cancel: Option<&CancelToken>,
 ) -> Result<Frontier, AssignError> {
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return Err(AssignError::Cancelled);
-    }
     if prep.tree.is_leaf(c) {
         let e = TreeEdge::Sensor(c);
         return Ok(vec![FrontierPoint {
@@ -153,7 +145,7 @@ fn cover_below(
     }
     let mut acc: Frontier = seed_frontier();
     for &ch in prep.tree.children(c) {
-        let child_frontier = cover_at_or_below(prep, ch, cfg, cancel)?;
+        let child_frontier = cover_at_or_below(prep, ch, cfg)?;
         acc = minkowski(&acc, &child_frontier, cfg.frontier_cap)?;
     }
     Ok(acc)
@@ -168,58 +160,354 @@ fn seed_frontier() -> Frontier {
     }]
 }
 
-/// Runs the per-region cover DP for every colour whose `rebuild` flag is
-/// set, folding into the matching `frontiers` slot (which must hold the
-/// seed frontier); unflagged slots are left untouched. Shared by the
-/// from-scratch preparation (all flags set) and the incremental refresh
-/// (only dirty flags set), so both produce identical frontiers per colour
-/// by construction.
-fn build_frontiers_into(
-    prep: &Prepared<'_>,
-    cfg: &ExpandedConfig,
-    frontiers: &mut [Frontier],
-    rebuild: &[bool],
-    cancel: Option<&CancelToken>,
-) -> Result<(), AssignError> {
-    for s in 0..prep.n_satellites() as usize {
-        if !rebuild[s] {
-            continue;
-        }
-        for &c in prep.tops.of(s) {
-            let f = if c == prep.tree.root() {
-                // Root cannot be cut above; cover strictly below.
-                cover_below(prep, c, cfg, cancel)?
-            } else {
-                cover_at_or_below(prep, c, cfg, cancel)?
-            };
-            frontiers[s] = minkowski(&frontiers[s], &f, cfg.frontier_cap)?;
-        }
-    }
-    Ok(())
-}
-
-/// Per-colour Pareto frontiers for an instance. Unused satellites get an
-/// empty-edge zero point.
+/// Per-colour Pareto frontiers for an instance, built by the *nested*
+/// cover DP (every point owns its edge list, every frontier is a `Vec`).
+/// Unused satellites get an empty-edge zero point.
+///
+/// This is the reference the flat kernel behind [`FrontierSet::prepare`]
+/// is property-tested against (`tests/proptest_layout.rs`); no solver
+/// calls it.
 pub fn colour_frontiers(
     prep: &Prepared<'_>,
     cfg: &ExpandedConfig,
 ) -> Result<Vec<Frontier>, AssignError> {
-    let n = prep.n_satellites() as usize;
-    let mut frontiers: Vec<Frontier> = vec![seed_frontier(); n];
-    build_frontiers_into(prep, cfg, &mut frontiers, &vec![true; n], None)?;
-    Ok(frontiers)
+    (0..prep.n_satellites() as usize)
+        .map(|s| {
+            let mut acc = seed_frontier();
+            for &c in prep.tops.of(s) {
+                let f = if c == prep.tree.root() {
+                    cover_below(prep, c, cfg)?
+                } else {
+                    cover_at_or_below(prep, c, cfg)?
+                };
+                acc = minkowski(&acc, &f, cfg.frontier_cap)?;
+            }
+            Ok(acc)
+        })
+        .collect()
+}
+
+/// The flat cover DP's working memory: a stack of Pareto frontiers in a
+/// [`FrontierSet`]'s own CSR layout (σ, β, edge offsets, edges), plus the
+/// Minkowski candidate buffer. One stack serves one whole preparation, so
+/// the DP allocates a handful of growing vectors instead of one `Vec` per
+/// candidate point and per intermediate frontier.
+///
+/// It computes exactly what the nested reference ([`colour_frontiers`])
+/// computes, point for point and edge for edge:
+///
+/// * every frontier on the stack is pruned (β strictly ascending, σ
+///   strictly descending), as every operand of the nested DP is;
+/// * a Minkowski candidate is a `(β, σ, i, j)` index tuple, and its edges
+///   (point `i`'s, then point `j`'s) are copied only if it survives;
+/// * ties on (β, σ) compare `i`'s edge run and then `j`'s, which orders
+///   them as the nested DP's comparison of the concatenations does: two
+///   covers of one leaf set are never proper prefixes of each other, so
+///   the concatenations differ inside the first run unless it is equal;
+/// * a one-point operand shifts the other frontier without a sort when no
+///   sum saturates, since the shift keeps both strict orders and prunes
+///   nothing;
+/// * the frontier cap is checked where the nested DP checks it.
+///
+/// Once every colour is folded, the stack holds one frontier per colour
+/// in colour order — the finished arenas ([`FrontierStack::finish`]).
+struct FrontierStack<'p> {
+    prep: &'p Prepared<'p>,
+    /// The frontier cap ([`ExpandedConfig::frontier_cap`]).
+    cap: usize,
+    /// Polled once per visited node.
+    cancel: Option<&'p CancelToken>,
+    sigma: Vec<Cost>,
+    beta: Vec<Cost>,
+    /// Point `p` owns `edges[edge_starts[p]..edge_starts[p+1]]`.
+    edge_starts: Vec<u32>,
+    edges: Vec<TreeEdge>,
+    /// The first point of each frontier on the stack, bottom to top.
+    frames: Vec<u32>,
+    /// Minkowski candidates `(β, σ, i, j)`, reused across sums.
+    cands: Vec<(Cost, Cost, u32, u32)>,
+}
+
+impl<'p> FrontierStack<'p> {
+    /// An empty stack with room for a typical DP over the instance's tree,
+    /// so the fold rarely regrows a vector.
+    fn new(
+        prep: &'p Prepared<'p>,
+        cfg: &ExpandedConfig,
+        cancel: Option<&'p CancelToken>,
+    ) -> FrontierStack<'p> {
+        let nodes = prep.tree.len();
+        let mut edge_starts = Vec::with_capacity(2 * nodes + 1);
+        edge_starts.push(0);
+        FrontierStack {
+            prep,
+            cap: cfg.frontier_cap,
+            cancel,
+            sigma: Vec::with_capacity(2 * nodes),
+            beta: Vec::with_capacity(2 * nodes),
+            edge_starts,
+            edges: Vec::with_capacity(8 * nodes),
+            frames: Vec::new(),
+            cands: Vec::with_capacity(64),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.sigma.len()
+    }
+
+    fn edges_of(&self, p: usize) -> &[TreeEdge] {
+        &self.edges[self.edge_starts[p] as usize..self.edge_starts[p + 1] as usize]
+    }
+
+    fn top_start(&self) -> usize {
+        *self.frames.last().expect("a frontier on the stack") as usize
+    }
+
+    /// Fails when the frontier from `lo` to the top exceeds the cap.
+    fn check_cap(&self, lo: usize) -> Result<(), AssignError> {
+        if self.len() - lo > self.cap {
+            return Err(AssignError::FrontierOverflow { cap: self.cap });
+        }
+        Ok(())
+    }
+
+    /// Pushes a one-point frontier (a sensor edge, or the zero seed).
+    fn push_point(&mut self, sigma: Cost, beta: Cost, edges: &[TreeEdge]) {
+        self.frames.push(self.len() as u32);
+        self.sigma.push(sigma);
+        self.beta.push(beta);
+        self.edges.extend_from_slice(edges);
+        self.edge_starts.push(self.edges.len() as u32);
+    }
+
+    /// Pushes a copy of an already-built colour frontier, rebasing its
+    /// edge offsets (the clean colours of an incremental refresh).
+    fn push_copy(&mut self, f: ColourFrontier<'_>) {
+        self.frames.push(self.len() as u32);
+        self.sigma.extend_from_slice(f.sigma);
+        self.beta.extend_from_slice(f.beta);
+        let (lo, hi) = (f.edge_starts[0], f.edge_starts[f.len()]);
+        let base = self.edges.len() as u32;
+        self.edges
+            .extend_from_slice(&f.edges[lo as usize..hi as usize]);
+        // Rebase before subtracting: the new base may be below `lo`.
+        self.edge_starts
+            .extend(f.edge_starts[1..].iter().map(|&e| e - lo + base));
+    }
+
+    /// Appends the point `i + j` past the top of the stack.
+    fn emit_sum(&mut self, i: usize, j: usize) {
+        self.sigma.push(self.sigma[i] + self.sigma[j]);
+        self.beta.push(self.beta[i] + self.beta[j]);
+        for p in [i, j] {
+            let (lo, hi) = (self.edge_starts[p], self.edge_starts[p + 1]);
+            self.edges.extend_from_within(lo as usize..hi as usize);
+        }
+        self.edge_starts.push(self.edges.len() as u32);
+    }
+
+    /// True when point `p` is the zero seed (no edges, σ = β = 0).
+    fn is_zero_seed(&self, p: usize) -> bool {
+        self.sigma[p] == Cost::ZERO
+            && self.beta[p] == Cost::ZERO
+            && self.edge_starts[p] == self.edge_starts[p + 1]
+    }
+
+    /// True when adding point `p` to every point of the frontier `f` can
+    /// saturate neither σ (largest at `f.start`) nor β (largest at the end).
+    fn shift_is_exact(&self, p: usize, f: Range<usize>) -> bool {
+        let fits = |a: Cost, b: Cost| a.ticks().checked_add(b.ticks()).is_some();
+        fits(self.sigma[p], self.sigma[f.start]) && fits(self.beta[p], self.beta[f.end - 1])
+    }
+
+    /// Replaces the top two frontiers by their pruned Minkowski sum.
+    fn minkowski_top(&mut self) -> Result<(), AssignError> {
+        let b_lo = self.frames.pop().expect("two frontiers on the stack") as usize;
+        let a_lo = self.top_start();
+        let tail = self.len();
+        if (b_lo - a_lo).saturating_mul(tail - b_lo) > self.cap.saturating_mul(4) {
+            return Err(AssignError::FrontierOverflow { cap: self.cap });
+        }
+        if b_lo - a_lo == 1 && self.is_zero_seed(a_lo) {
+            // Adding the zero seed changes nothing: drop it and keep B.
+            self.settle(a_lo, b_lo);
+        } else {
+            self.emit_minkowski(a_lo..b_lo, b_lo..tail);
+            self.settle(a_lo, tail);
+        }
+        self.check_cap(a_lo)
+    }
+
+    /// Appends the pruned Minkowski sum of the frontiers `a` and `b` past
+    /// the top of the stack.
+    fn emit_minkowski(&mut self, a: Range<usize>, b: Range<usize>) {
+        if a.len() == 1 && self.shift_is_exact(a.start, b.clone()) {
+            for j in b {
+                self.emit_sum(a.start, j);
+            }
+            return;
+        }
+        if b.len() == 1 && self.shift_is_exact(b.start, a.clone()) {
+            for i in a {
+                self.emit_sum(i, b.start);
+            }
+            return;
+        }
+        let mut cands = std::mem::take(&mut self.cands);
+        cands.clear();
+        for i in a {
+            for j in b.clone() {
+                let (sigma, beta) = (self.sigma[i] + self.sigma[j], self.beta[i] + self.beta[j]);
+                cands.push((beta, sigma, i as u32, j as u32));
+            }
+        }
+        cands.sort_unstable_by(|x, y| {
+            (x.0, x.1)
+                .cmp(&(y.0, y.1))
+                .then_with(|| self.edges_of(x.2 as usize).cmp(self.edges_of(y.2 as usize)))
+                .then_with(|| self.edges_of(x.3 as usize).cmp(self.edges_of(y.3 as usize)))
+        });
+        let mut last: Option<Cost> = None;
+        for &(_, sigma, i, j) in &cands {
+            if last.is_some_and(|l| sigma >= l) {
+                continue; // dominated (β ≥, σ ≥)
+            }
+            last = Some(sigma);
+            self.emit_sum(i as usize, j as usize);
+        }
+        self.cands = cands;
+    }
+
+    /// Moves the points from `tail` on down to `base`, dropping the ones in
+    /// between (the operands a sum has consumed).
+    fn settle(&mut self, base: usize, tail: usize) {
+        let (e_base, e_tail) = (self.edge_starts[base], self.edge_starts[tail]);
+        self.sigma.drain(base..tail);
+        self.beta.drain(base..tail);
+        self.edges.drain(e_base as usize..e_tail as usize);
+        self.edge_starts.drain(base + 1..tail + 1);
+        for e in &mut self.edge_starts[base + 1..] {
+            *e = *e - e_tail + e_base;
+        }
+    }
+
+    /// Adds the one-edge cover ⟨parent(c), c⟩ to the top frontier and
+    /// prunes: the nested DP's sort-and-prune of "the frontier plus one
+    /// point", done as an insertion. Points before the new one's sorted
+    /// position keep their place; it survives unless its predecessor has
+    /// σ ≤ its own, and then evicts the run of successors with σ ≥ its own.
+    fn add_parent_edge(&mut self, c: CruId) -> Result<(), AssignError> {
+        let e = TreeEdge::Parent(c);
+        let (sigma, beta) = (self.prep.sigma.sigma(e), self.prep.beta.beta(e));
+        let (lo, hi) = (self.top_start(), self.len());
+        // β strictly ascends, so at most one point ties on β and only it
+        // needs the (σ, edges) comparison; a full tie sorts the new point
+        // last, as the nested DP's stable sort of "frontier, then point"
+        // does.
+        let mut k = lo + self.beta[lo..hi].partition_point(|&b| b < beta);
+        if k < hi
+            && self.beta[k] == beta
+            && (self.sigma[k], self.edges_of(k)) <= (sigma, std::slice::from_ref(&e))
+        {
+            k += 1;
+        }
+        if k == lo || self.sigma[k - 1] > sigma {
+            let m = k + self.sigma[k..hi].partition_point(|&s| s >= sigma);
+            let (e_k, e_m) = (self.edge_starts[k], self.edge_starts[m]);
+            self.sigma.splice(k..m, [sigma]);
+            self.beta.splice(k..m, [beta]);
+            self.edges.splice(e_k as usize..e_m as usize, [e]);
+            self.edge_starts.splice(k + 1..m + 1, [e_k + 1]);
+            for s in &mut self.edge_starts[k + 2..] {
+                *s = *s - e_m + e_k + 1;
+            }
+        }
+        self.check_cap(lo)
+    }
+
+    /// Pushes every cover of `c`'s leaves by cuts *at or below* the edge
+    /// ⟨parent(c), c⟩; `c` is never the root (callers cover the root
+    /// strictly below).
+    fn cover_at_or_below(&mut self, c: CruId) -> Result<(), AssignError> {
+        self.cover_below(c)?;
+        self.add_parent_edge(c)
+    }
+
+    /// Pushes every cover of `c`'s leaves by cuts strictly below `c`
+    /// (sensor edge for leaves; child combinations otherwise).
+    ///
+    /// Polls `cancel` once per visited node — the Minkowski fold between
+    /// two polls is bounded by the frontier cap, so a cancelled prepare
+    /// unwinds promptly instead of finishing a colour.
+    fn cover_below(&mut self, c: CruId) -> Result<(), AssignError> {
+        if self.cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(AssignError::Cancelled);
+        }
+        let prep = self.prep;
+        if prep.tree.is_leaf(c) {
+            let e = TreeEdge::Sensor(c);
+            self.push_point(prep.sigma.sigma(e), prep.beta.beta(e), &[e]);
+            return Ok(());
+        }
+        self.push_point(Cost::ZERO, Cost::ZERO, &[]);
+        for &ch in prep.tree.children(c) {
+            self.cover_at_or_below(ch)?;
+            self.minkowski_top()?;
+        }
+        Ok(())
+    }
+
+    /// Pushes colour `s`'s frontier: the zero seed folded with the cover
+    /// of each of its regions, in pre-order.
+    fn push_colour(&mut self, s: usize) -> Result<(), AssignError> {
+        let prep = self.prep;
+        self.push_point(Cost::ZERO, Cost::ZERO, &[]);
+        for &c in prep.tops.of(s) {
+            if c == prep.tree.root() {
+                // Root cannot be cut above; cover strictly below.
+                self.cover_below(c)?;
+            } else {
+                self.cover_at_or_below(c)?;
+            }
+            self.minkowski_top()?;
+        }
+        Ok(())
+    }
+
+    /// Turns a stack holding one frontier per colour into the set, trimming
+    /// the arenas to their final size (a cached set should not keep the
+    /// DP's peak capacity).
+    fn finish(self) -> FrontierSet {
+        let mut fs = FrontierSet {
+            point_starts: self.frames,
+            composites: self.beta.len() as u64,
+            thetas: self.beta.clone(),
+            sigma: self.sigma,
+            beta: self.beta,
+            edge_starts: self.edge_starts,
+            edges: self.edges,
+        };
+        fs.point_starts.push(fs.sigma.len() as u32);
+        fs.thetas.sort_unstable();
+        fs.thetas.dedup();
+        fs.sigma.shrink_to_fit();
+        fs.beta.shrink_to_fit();
+        fs.edge_starts.shrink_to_fit();
+        fs.edges.shrink_to_fit();
+        fs
+    }
 }
 
 /// For each colour, the index of the cheapest-σ point with β ≤ θ (i.e. the
 /// last frontier point with β ≤ θ, frontiers being β-sorted/σ-descending).
-/// Shared with the λ-frontier so both sweeps pick identically by
-/// construction.
+/// The sweeps call it only for the thresholds they pick.
 ///
 /// Equivalence with the nested formulation: `pareto_prune` emits strictly
 /// increasing β (an equal-β later point has σ ≥ its predecessor's and is
 /// dropped as dominated), so a binary search over the `beta` arena alone
 /// finds the same index a search over full points would.
-pub(crate) fn pick_for_threshold(fs: &FrontierSet, theta: Cost) -> Option<Vec<usize>> {
+fn pick_for_threshold(fs: &FrontierSet, theta: Cost) -> Option<Vec<usize>> {
     let mut picks = Vec::with_capacity(fs.n_colours());
     for f in fs.colours() {
         let idx = f.beta.partition_point(|&b| b <= theta);
@@ -231,22 +519,60 @@ pub(crate) fn pick_for_threshold(fs: &FrontierSet, theta: Cost) -> Option<Vec<us
     Some(picks)
 }
 
-fn assemble(
-    prep: &Prepared<'_>,
-    fs: &FrontierSet,
-    picks: &[usize],
-    lambda: Lambda,
-    stats: SolveStats,
-) -> Result<Solution, AssignError> {
+/// The cut that takes, per colour, the point [`pick_for_threshold`] picks
+/// at a threshold the sweep found feasible.
+pub(crate) fn threshold_cut(prep: &Prepared<'_>, fs: &FrontierSet, theta: Cost) -> Cut {
+    let picks = pick_for_threshold(fs, theta).expect("the sweep found this threshold feasible");
     let mut edges: Vec<TreeEdge> = Vec::new();
-    for (f, &i) in fs.colours().zip(picks) {
+    for (f, &i) in fs.colours().zip(&picks) {
         edges.extend_from_slice(f.point_edges(i));
     }
     // Frontier points are valid per-colour partial cuts and colours'
     // regions are disjoint, so their union is a valid cut by construction:
-    // take the walk-free path (`trusted` + label-based evaluation).
-    let cut = Cut::trusted(&prep.tree, edges);
-    EvalScratch::with_thread_local(|es| Solution::from_cut_in(prep, cut, lambda, stats, es))
+    // take the walk-free path (`trusted`, no re-validation).
+    Cut::trusted(&prep.tree, edges)
+}
+
+/// The one θ walk behind every sweep ([`solve_with_frontiers`],
+/// [`crate::lambda_frontier_with`], [`solve_sb_expanded`]): calls
+/// `visit(θ, S)` for every feasible threshold in ascending order and
+/// returns how many it visited (`SolveStats::evaluated`).
+///
+/// `S` is the Σσ of each colour's cheapest point with β ≤ θ. Thresholds
+/// ascend and each colour's β strictly ascends, so one forward cursor per
+/// colour finds the picks without a search; Σσ is kept exact in `u128` as
+/// cursors advance and clamped to [`Cost::MAX`] when read, which is the
+/// saturating sum of the picks (every term is non-negative). The matching
+/// B is θ itself: θ is some colour's β, that colour picks that very point,
+/// and every other pick has β ≤ θ.
+pub(crate) fn sweep_thresholds(fs: &FrontierSet, mut visit: impl FnMut(Cost, Cost)) -> u64 {
+    let cols: Vec<ColourFrontier<'_>> = fs.colours().collect();
+    // cursor[c] = number of colour c's points with β ≤ θ.
+    let mut cursor = vec![0usize; cols.len()];
+    let mut unmet = cols.len();
+    let mut sum = 0u128;
+    let mut evaluated = 0u64;
+    for &theta in &fs.thetas {
+        for (f, cur) in cols.iter().zip(cursor.iter_mut()) {
+            let old = *cur;
+            while *cur < f.len() && f.beta[*cur] <= theta {
+                *cur += 1;
+            }
+            if *cur != old {
+                if old == 0 {
+                    unmet -= 1;
+                } else {
+                    sum -= u128::from(f.sigma[old - 1].ticks());
+                }
+                sum += u128::from(f.sigma[*cur - 1].ticks());
+            }
+        }
+        if unmet == 0 {
+            evaluated += 1;
+            visit(theta, Cost::new(u64::try_from(sum).unwrap_or(u64::MAX)));
+        }
+    }
+    evaluated
 }
 
 /// A borrowed view of one colour's Pareto frontier inside a
@@ -318,11 +644,13 @@ impl Eq for ColourFrontier<'_> {}
 /// Internally the points of all colours live in **flat CSR-style arenas**:
 /// one contiguous `sigma`/`beta` pair of arrays plus one edge arena, with
 /// per-colour offset ranges (`point_starts`) — not a `Vec` of per-colour
-/// `Vec`s of boxed points. The threshold sweep thereby scans two dense
-/// arrays and the per-query cache footprint is three allocations instead
-/// of O(points). Access goes through [`FrontierSet::colour`] views; the
-/// nested representation is only materialised on demand
-/// ([`FrontierSet::to_nested`], the equivalence oracle of the test suite).
+/// `Vec`s of boxed points. The cover DP builds them in that same layout
+/// (a stack of frontiers whose bottom entries become the colours), the
+/// threshold sweep scans two dense arrays, and the per-query cache
+/// footprint is three allocations instead of O(points). Access goes
+/// through [`FrontierSet::colour`] views; the nested representation is only
+/// materialised on demand ([`FrontierSet::to_nested`], the equivalence
+/// oracle of the test suite).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrontierSet {
     /// Colour `s`'s points occupy `point_starts[s]..point_starts[s+1]` in
@@ -375,10 +703,10 @@ impl FrontierSet {
             .map(|f| (0..f.len()).map(|i| f.point(i)).collect())
             .collect()
     }
+
     /// Computes the frontiers and thresholds for an instance.
     pub fn prepare(prep: &Prepared<'_>, cfg: &ExpandedConfig) -> Result<FrontierSet, AssignError> {
-        let frontiers = colour_frontiers(prep, cfg)?;
-        Ok(FrontierSet::from_frontiers(frontiers))
+        FrontierSet::build(prep, cfg, None, None)
     }
 
     /// Like [`FrontierSet::prepare`], but polls `cancel` once per visited
@@ -391,10 +719,7 @@ impl FrontierSet {
         cfg: &ExpandedConfig,
         cancel: &CancelToken,
     ) -> Result<FrontierSet, AssignError> {
-        let n = prep.n_satellites() as usize;
-        let mut frontiers: Vec<Frontier> = vec![seed_frontier(); n];
-        build_frontiers_into(prep, cfg, &mut frontiers, &vec![true; n], Some(cancel))?;
-        Ok(FrontierSet::from_frontiers(frontiers))
+        FrontierSet::build(prep, cfg, None, Some(cancel))
     }
 
     /// Recomputes only the colours flagged `dirty`, reusing every clean
@@ -419,12 +744,12 @@ impl FrontierSet {
         Ok(fs)
     }
 
-    /// The allocation-lean form of [`FrontierSet::refresh`]: patches this
-    /// set in place, re-running the cover DP **only** for the dirty
-    /// colours (clean colours' arena slices are block-copied, never
-    /// re-enumerated point by point — this is the `Session` apply hot
-    /// path). On error, `self` is unchanged: all dirty frontiers are
-    /// rebuilt fallibly off to the side before anything is spliced in.
+    /// The allocation-lean form of [`FrontierSet::refresh`]: re-runs the
+    /// cover DP **only** for the dirty colours (clean colours' arena
+    /// slices are block-copied, never re-enumerated point by point — this
+    /// is the `Session` apply hot path). On error, `self` is unchanged:
+    /// the merged set is built to the side and swapped in only once every
+    /// dirty colour has been rebuilt.
     pub fn refresh_in_place(
         &mut self,
         prep: &Prepared<'_>,
@@ -441,89 +766,39 @@ impl FrontierSet {
         if !dirty.contains(&true) {
             return Ok(()); // observed-clean apply: nothing to rebuild
         }
-        let mut rebuilt: Vec<Frontier> = dirty
-            .iter()
-            .map(|&d| if d { seed_frontier() } else { Frontier::new() })
-            .collect();
-        build_frontiers_into(prep, cfg, &mut rebuilt, dirty, None)?;
-        self.splice_arenas(&rebuilt, dirty);
-        self.rederive();
+        *self = FrontierSet::build(prep, cfg, Some((self, dirty)), None)?;
         Ok(())
     }
 
-    /// Rebuilds the flat arenas, taking dirty colours' points from
-    /// `rebuilt` and block-copying clean colours' slices from the current
-    /// arenas (clean edge offsets are rebased, their payload memcpy'd).
-    /// Infallible by design: every fallible step happened before this.
-    fn splice_arenas(&mut self, rebuilt: &[Frontier], dirty: &[bool]) {
-        let n = dirty.len();
-        let mut point_starts = Vec::with_capacity(n + 1);
-        let mut sigma = Vec::with_capacity(self.sigma.len());
-        let mut beta = Vec::with_capacity(self.beta.len());
-        let mut edge_starts = Vec::with_capacity(self.edge_starts.len());
-        let mut edges = Vec::with_capacity(self.edges.len());
-        point_starts.push(0u32);
-        edge_starts.push(0u32);
-        for s in 0..n {
-            if dirty[s] {
-                for p in &rebuilt[s] {
-                    sigma.push(p.sigma);
-                    beta.push(p.beta);
-                    edges.extend_from_slice(&p.edges);
-                    edge_starts.push(edges.len() as u32);
-                }
-            } else {
-                let (lo, hi) = (
-                    self.point_starts[s] as usize,
-                    self.point_starts[s + 1] as usize,
-                );
-                sigma.extend_from_slice(&self.sigma[lo..hi]);
-                beta.extend_from_slice(&self.beta[lo..hi]);
-                let elo = self.edge_starts[lo];
-                let base = edges.len() as u32;
-                edges.extend_from_slice(&self.edges[elo as usize..self.edge_starts[hi] as usize]);
-                edge_starts.extend(
-                    self.edge_starts[lo + 1..=hi]
-                        .iter()
-                        .map(|&e| e - elo + base),
-                );
+    /// Runs the flat cover DP ([`FrontierStack`]) for every colour, or,
+    /// given `reuse`, only for the colours it flags dirty, copying the
+    /// others from its set. The one implementation behind the from-scratch
+    /// and incremental paths, so both produce identical frontiers per
+    /// colour by construction.
+    fn build(
+        prep: &Prepared<'_>,
+        cfg: &ExpandedConfig,
+        reuse: Option<(&FrontierSet, &[bool])>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<FrontierSet, AssignError> {
+        let mut stack = FrontierStack::new(prep, cfg, cancel);
+        for s in 0..prep.n_satellites() as usize {
+            match reuse {
+                Some((old, dirty)) if !dirty[s] => stack.push_copy(old.colour(s)),
+                _ => stack.push_colour(s)?,
             }
-            point_starts.push(sigma.len() as u32);
         }
-        self.point_starts = point_starts;
-        self.sigma = sigma;
-        self.beta = beta;
-        self.edge_starts = edge_starts;
-        self.edges = edges;
+        Ok(stack.finish())
     }
+}
 
-    /// Re-derives the threshold set and composite count from the current
-    /// arenas — the one place that logic lives, shared by the from-scratch
-    /// and incremental paths.
-    fn rederive(&mut self) {
-        self.composites = self.beta.len() as u64;
-        self.thetas.clear();
-        self.thetas.extend_from_slice(&self.beta);
-        self.thetas.sort();
-        self.thetas.dedup();
-    }
-
-    /// Assembles the λ-independent preparation from per-colour frontiers.
-    fn from_frontiers(frontiers: Vec<Frontier>) -> FrontierSet {
-        let n = frontiers.len();
-        let mut fs = FrontierSet {
-            point_starts: vec![0; n + 1],
-            sigma: Vec::new(),
-            beta: Vec::new(),
-            edge_starts: vec![0],
-            edges: Vec::new(),
-            thetas: Vec::new(),
-            composites: 0,
-        };
-        fs.splice_arenas(&frontiers, &vec![true; n]);
-        fs.rederive();
-        fs
-    }
+fn assemble(
+    prep: &Prepared<'_>,
+    cut: Cut,
+    lambda: Lambda,
+    stats: SolveStats,
+) -> Result<Solution, AssignError> {
+    EvalScratch::with_thread_local(|es| Solution::from_cut_in(prep, cut, lambda, stats, es))
 }
 
 /// Solves one λ query from a prepared [`FrontierSet`]: the threshold sweep
@@ -534,40 +809,19 @@ pub fn solve_with_frontiers(
     fs: &FrontierSet,
     lambda: Lambda,
 ) -> Result<Solution, AssignError> {
-    // Allocation-light scan for the winning threshold; the per-colour
-    // picks are only materialised once, for the winner. Candidate order,
-    // the strict `<` and the per-θ pick rule match the one-pass
-    // formulation exactly, so the chosen cut is byte-identical. The inner
-    // loop binary-searches each colour's dense β array and reads the
-    // matching σ by index — two contiguous streams, no pointer chasing.
-    let cols: Vec<ColourFrontier<'_>> = fs.colours().collect();
+    // The first θ with the smallest objective wins (strict `<`); only its
+    // picks are materialised.
     let mut best: Option<(u128, Cost)> = None;
-    let mut evaluated = 0u64;
-    'theta: for &theta in &fs.thetas {
-        let mut s = Cost::ZERO;
-        let mut b = Cost::ZERO;
-        for f in &cols {
-            let idx = f.beta.partition_point(|&pb| pb <= theta);
-            if idx == 0 {
-                continue 'theta; // infeasible θ for this colour
-            }
-            s += f.sigma[idx - 1];
-            // The *actual* B may be below θ; use it.
-            b = b.max(f.beta[idx - 1]);
-        }
-        evaluated += 1;
-        let obj = lambda.ssb_scaled(s, b);
-        if best.map(|(o, _)| obj < o).unwrap_or(true) {
+    let evaluated = sweep_thresholds(fs, |theta, s| {
+        let obj = lambda.ssb_scaled(s, theta);
+        if best.is_none_or(|(o, _)| obj < o) {
             best = Some((obj, theta));
         }
-    }
+    });
     let (_, theta) = best.ok_or(AssignError::NoFeasibleAssignment)?;
-    let picks =
-        pick_for_threshold(fs, theta).expect("the winning threshold was feasible during the scan");
     assemble(
         prep,
-        fs,
-        &picks,
+        threshold_cut(prep, fs, theta),
         lambda,
         SolveStats {
             composites: fs.composites,
@@ -618,31 +872,17 @@ pub fn solve_sb_expanded(
     config: &ExpandedConfig,
 ) -> Result<(Solution, Cost), AssignError> {
     let fs = FrontierSet::prepare(prep, config)?;
-    let mut best: Option<(Cost, Vec<usize>)> = None;
-    for &theta in &fs.thetas {
-        let Some(picks) = pick_for_threshold(&fs, theta) else {
-            continue;
-        };
-        let s: Cost = picks
-            .iter()
-            .zip(fs.colours())
-            .map(|(&i, f)| f.sigma[i])
-            .sum();
-        let b: Cost = picks
-            .iter()
-            .zip(fs.colours())
-            .map(|(&i, f)| f.beta[i])
-            .fold(Cost::ZERO, Cost::max);
-        let sb = s.max(b);
-        if best.as_ref().map(|(o, _)| sb < *o).unwrap_or(true) {
-            best = Some((sb, picks));
+    let mut best: Option<(Cost, Cost)> = None;
+    sweep_thresholds(&fs, |theta, s| {
+        let sb = s.max(theta);
+        if best.is_none_or(|(o, _)| sb < o) {
+            best = Some((sb, theta));
         }
-    }
-    let (sb, picks) = best.ok_or(AssignError::NoFeasibleAssignment)?;
+    });
+    let (sb, theta) = best.ok_or(AssignError::NoFeasibleAssignment)?;
     let sol = assemble(
         prep,
-        &fs,
-        &picks,
+        threshold_cut(prep, &fs, theta),
         // Report with λ=½ so `objective` is the S+B delay of the SB-optimal
         // partition — what T3 compares.
         Lambda::HALF,

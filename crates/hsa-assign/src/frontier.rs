@@ -16,12 +16,13 @@
 //! independent per-λ solves is property-tested at λ = 0, ½, 1 and at every
 //! segment midpoint (`tests/` of the `hsa-engine` crate).
 
+use crate::expanded::{sweep_thresholds, threshold_cut};
 use crate::{
     AssignError, EvalScratch, ExpandedConfig, FrontierSet, Prepared, Solution, SolveStats,
 };
 use hsa_graph::envelope::{lower_envelope, EnvelopeSegment, LambdaEnvelope, LambdaQ};
 use hsa_graph::{Cost, Lambda, ScaledSsb};
-use hsa_tree::{Cut, TreeEdge};
+use hsa_tree::Cut;
 use serde::{Deserialize, Serialize};
 
 /// The piecewise-linear lower envelope of optimal cuts over λ ∈ [0, 1].
@@ -92,43 +93,23 @@ pub fn lambda_frontier(
 
 /// Computes the λ-frontier from an already-prepared [`FrontierSet`] (the
 /// batch-engine path: the expensive per-instance DP is cached, the envelope
-/// is rebuilt from it in O(#thetas · #colours)).
+/// is rebuilt from it in one θ walk, O(#thetas · #colours)).
 pub fn lambda_frontier_with(
     prep: &Prepared<'_>,
     fs: &FrontierSet,
 ) -> Result<LambdaFrontier, AssignError> {
-    // Candidates carry only the per-colour picks; full cuts are built just
-    // for the few hull-surviving segments afterwards. The pick rule is the
-    // full-expansion solver's own (`pick_for_threshold`), so both sweeps
-    // choose identically by construction.
-    let mut candidates: Vec<(Cost, Cost, Vec<usize>)> = Vec::new();
-    let mut evaluated = 0u64;
-    for &theta in &fs.thetas {
-        let Some(picks) = crate::expanded::pick_for_threshold(fs, theta) else {
-            continue;
-        };
-        evaluated += 1;
-        let mut s = Cost::ZERO;
-        let mut b = Cost::ZERO;
-        for (f, &i) in fs.colours().zip(&picks) {
-            s += f.sigma[i];
-            b = b.max(f.beta[i]);
-        }
-        candidates.push((s, b, picks));
-    }
-    // Candidates are pushed in θ-ascending order; the envelope's stable
-    // Pareto keeps the earliest θ among identical (S, B) pairs, so the
-    // frontier is fully deterministic.
+    // Candidates carry only their threshold: the shared θ walk yields
+    // (S, B = θ) per feasible θ, in ascending order, and full cuts are
+    // built just for the few hull-surviving segments afterwards, by the
+    // full-expansion solver's own pick rule — so both sweeps choose
+    // identically by construction.
+    let mut candidates: Vec<(Cost, Cost, Cost)> = Vec::new();
+    let evaluated = sweep_thresholds(fs, |theta, s| candidates.push((s, theta, theta)));
+    // The envelope's stable Pareto keeps the earliest θ among identical
+    // (S, B) pairs, so the frontier is fully deterministic.
     let envelope = lower_envelope(candidates).ok_or(AssignError::NoFeasibleAssignment)?;
-    let envelope = envelope.try_map(|picks| {
-        let mut edges: Vec<TreeEdge> = Vec::new();
-        for (f, &i) in fs.colours().zip(&picks) {
-            edges.extend_from_slice(f.point_edges(i));
-        }
-        // Frontier picks form valid cuts by construction (see `assemble`);
-        // skip the O(n) re-validation on this hot path.
-        Ok::<_, hsa_tree::TreeError>(Cut::trusted(&prep.tree, edges))
-    })?;
+    let envelope =
+        envelope.try_map(|theta| Ok::<_, AssignError>(threshold_cut(prep, fs, theta)))?;
     Ok(LambdaFrontier {
         envelope,
         stats: SolveStats {

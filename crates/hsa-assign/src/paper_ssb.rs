@@ -180,14 +180,15 @@ struct SearchGraph {
 
 impl SearchGraph {
     fn from_prepared(prep: &Prepared<'_>) -> SearchGraph {
-        let k = prep.graph.n_leaves;
+        let graph = prep.graph();
+        let k = graph.n_leaves;
         let mut g = SearchGraph {
             n_gaps: k,
-            edges: Vec::with_capacity(prep.graph.edges.len()),
+            edges: Vec::with_capacity(graph.edges.len()),
             out: vec![Vec::new(); k + 1],
             expanded: BTreeSet::new(),
         };
-        for meta in &prep.graph.edges {
+        for meta in &graph.edges {
             g.push_edge(SearchEdge {
                 from: meta.from_gap,
                 to: meta.to_gap,

@@ -3,6 +3,7 @@
 use crate::{AssignError, AssignmentGraph};
 use hsa_tree::{BetaLabels, Colour, Colouring, CostModel, CruId, CruTree, SigmaLabels};
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// The **top nodes** of every colour in CSR form: uniformly coloured nodes
 /// whose parent is conflicted (or absent), colour-major, pre-order within
@@ -103,8 +104,12 @@ impl EvalIndex {
 }
 
 /// Everything the solvers need, computed once per instance:
-/// colouring (§5.1), σ/β labels (§5.3) and the coloured assignment graph
-/// (§5.2).
+/// colouring (§5.1), σ/β labels (§5.3), the colour regions and the
+/// pre-order index — plus the coloured assignment graph (§5.2), which is
+/// built on the first [`Prepared::graph`] call: only the paper's own
+/// solver ([`crate::PaperSsb`]) and the graph figures walk it, so the
+/// frontier solvers, the batch engine and drifting sessions never pay
+/// for it.
 ///
 /// The tree and cost model are held as [`Cow`]s: [`Prepared::new`] borrows
 /// the caller's instance (zero-copy, the common one-shot case), while
@@ -123,68 +128,55 @@ pub struct Prepared<'a> {
     pub sigma: SigmaLabels,
     /// The §5.3 β labelling.
     pub beta: BetaLabels,
-    /// The coloured assignment graph (dual of the closed tree).
-    pub graph: AssignmentGraph,
     /// The per-colour region roots (CSR), fed to every frontier build.
     pub tops: ColourTops,
     /// The pre-order index powering the walk-free answer path.
     pub eval: EvalIndex,
+    /// The coloured assignment graph, once [`Prepared::graph`] built it for
+    /// the current labels.
+    graph: OnceLock<AssignmentGraph>,
 }
 
-/// The derived (λ-independent) parts of an instance.
-type Derived = (
-    Colouring,
-    SigmaLabels,
-    BetaLabels,
-    AssignmentGraph,
-    ColourTops,
-    EvalIndex,
-);
+/// The cost-dependent derived parts of an instance (everything but the
+/// tree-only [`EvalIndex`] and the on-demand graph).
+type Labels = (Colouring, SigmaLabels, BetaLabels, ColourTops);
 
-fn derive(tree: &CruTree, costs: &CostModel) -> Result<Derived, AssignError> {
+fn derive_labels(tree: &CruTree, costs: &CostModel) -> Result<Labels, AssignError> {
     tree.validate()?;
     costs.validate(tree)?;
     let colouring = Colouring::compute(tree, costs)?;
     let sigma = SigmaLabels::compute(tree, costs)?;
     let beta = BetaLabels::compute(tree, costs)?;
-    let graph = AssignmentGraph::build(tree, &colouring, &sigma, &beta)?;
     let tops = ColourTops::compute(tree, &colouring, costs.n_satellites());
-    let eval = EvalIndex::compute(tree);
-    Ok((colouring, sigma, beta, graph, tops, eval))
+    Ok((colouring, sigma, beta, tops))
 }
 
 impl<'a> Prepared<'a> {
     /// Prepares an instance borrowed from the caller: validates the cost
-    /// model, colours the tree, labels the edges, and builds the dual
-    /// graph.
+    /// model, colours the tree and labels the edges.
     pub fn new(tree: &'a CruTree, costs: &'a CostModel) -> Result<Self, AssignError> {
-        let (colouring, sigma, beta, graph, tops, eval) = derive(tree, costs)?;
-        Ok(Prepared {
-            tree: Cow::Borrowed(tree),
-            costs: Cow::Borrowed(costs),
-            colouring,
-            sigma,
-            beta,
-            graph,
-            tops,
-            eval,
-        })
+        Prepared::from_cows(Cow::Borrowed(tree), Cow::Borrowed(costs))
     }
 
     /// Prepares an instance that *owns* its tree and cost model, severing
     /// every borrow: the result can be stored, cached, and shared across
     /// threads for repeated solving.
     pub fn new_owned(tree: CruTree, costs: CostModel) -> Result<Prepared<'static>, AssignError> {
-        let (colouring, sigma, beta, graph, tops, eval) = derive(&tree, &costs)?;
+        Prepared::from_cows(Cow::Owned(tree), Cow::Owned(costs))
+    }
+
+    fn from_cows(tree: Cow<'a, CruTree>, costs: Cow<'a, CostModel>) -> Result<Self, AssignError> {
+        let (colouring, sigma, beta, tops) = derive_labels(&tree, &costs)?;
+        let eval = EvalIndex::compute(&tree);
         Ok(Prepared {
-            tree: Cow::Owned(tree),
-            costs: Cow::Owned(costs),
+            tree,
+            costs,
             colouring,
             sigma,
             beta,
-            graph,
             tops,
             eval,
+            graph: OnceLock::new(),
         })
     }
 
@@ -197,10 +189,20 @@ impl<'a> Prepared<'a> {
             colouring: self.colouring,
             sigma: self.sigma,
             beta: self.beta,
-            graph: self.graph,
             tops: self.tops,
             eval: self.eval,
+            graph: self.graph,
         }
+    }
+
+    /// The coloured assignment graph (dual of the closed tree) for the
+    /// current labels, built on the first call and kept until
+    /// [`Prepared::update_costs`] re-labels the instance.
+    pub fn graph(&self) -> &AssignmentGraph {
+        self.graph.get_or_init(|| {
+            AssignmentGraph::build(&self.tree, &self.colouring, &self.sigma, &self.beta)
+                .expect("the labels of a prepared instance always span its tree")
+        })
     }
 
     /// Number of satellites in the platform.
@@ -209,8 +211,10 @@ impl<'a> Prepared<'a> {
     }
 
     /// Re-costs this prepared instance **in place**: re-derives colouring,
-    /// σ/β labels and the dual graph for `costs` (the tree is reused, not
-    /// cloned — this is the incremental re-solve hot path) and reports
+    /// σ/β labels and colour regions for `costs` (the tree is reused, not
+    /// cloned, and so is its pre-order index — this is the incremental
+    /// re-solve hot path), drops any dual graph built for the old labels
+    /// (the next [`Prepared::graph`] call builds it afresh) and reports
     /// which colours' frontier regions the change dirtied
     /// ([`crate::dirty_colours_of_labels`]).
     ///
@@ -223,7 +227,7 @@ impl<'a> Prepared<'a> {
         &mut self,
         costs: CostModel,
     ) -> Result<(ReplacedParts<'a>, crate::DirtyColours), AssignError> {
-        let (colouring, sigma, beta, graph, tops, eval) = derive(&self.tree, &costs)?;
+        let (colouring, sigma, beta, tops) = derive_labels(&self.tree, &costs)?;
         // A platform-size change invalidates every colour of the new
         // platform; otherwise the single-pass label diff decides.
         let dirty = if costs.n_satellites() != self.costs.n_satellites() {
@@ -243,23 +247,21 @@ impl<'a> Prepared<'a> {
             colouring: std::mem::replace(&mut self.colouring, colouring),
             sigma: std::mem::replace(&mut self.sigma, sigma),
             beta: std::mem::replace(&mut self.beta, beta),
-            graph: std::mem::replace(&mut self.graph, graph),
             tops: std::mem::replace(&mut self.tops, tops),
-            eval: std::mem::replace(&mut self.eval, eval),
+            graph: std::mem::take(&mut self.graph),
         };
         Ok((replaced, dirty))
     }
 
     /// Undoes an [`Prepared::update_costs`], restoring the displaced cost
-    /// model and derived labels.
+    /// model and derived labels (and the graph, if one was built for them).
     pub fn restore(&mut self, parts: ReplacedParts<'a>) {
         self.costs = parts.costs;
         self.colouring = parts.colouring;
         self.sigma = parts.sigma;
         self.beta = parts.beta;
-        self.graph = parts.graph;
         self.tops = parts.tops;
-        self.eval = parts.eval;
+        self.graph = parts.graph;
     }
 }
 
@@ -270,9 +272,8 @@ pub struct ReplacedParts<'a> {
     colouring: Colouring,
     sigma: SigmaLabels,
     beta: BetaLabels,
-    graph: AssignmentGraph,
     tops: ColourTops,
-    eval: EvalIndex,
+    graph: OnceLock<AssignmentGraph>,
 }
 
 #[cfg(test)]
@@ -286,7 +287,7 @@ mod tests {
         let prep = Prepared::new(&t, &m).unwrap();
         assert_eq!(prep.n_satellites(), 4);
         assert_eq!(prep.colouring.host_forced.len(), 3);
-        assert!(prep.graph.dwg.num_edges() > 0);
+        assert!(prep.graph().dwg.num_edges() > 0);
     }
 
     #[test]
@@ -299,10 +300,43 @@ mod tests {
             owned.colouring.host_forced, borrowed.colouring.host_forced,
             "derived data must be identical"
         );
-        assert_eq!(owned.graph.n_edges(), borrowed.graph.n_edges());
+        assert_eq!(owned.graph().n_edges(), borrowed.graph().n_edges());
         // into_owned moves derived data without recomputation.
         let converted = borrowed.into_owned();
-        assert_eq!(converted.graph.n_edges(), owned.graph.n_edges());
+        assert_eq!(converted.graph().n_edges(), owned.graph().n_edges());
         assert_eq!(&*converted.tree, &t);
+    }
+
+    /// The dual graph's leaf count and labelled edges (the σ/β a re-cost
+    /// changes); the DWG is built from exactly these.
+    fn graph_parts(g: &AssignmentGraph) -> (usize, Vec<crate::DualEdge>) {
+        (g.n_leaves, g.edges.clone())
+    }
+
+    fn graph_of_labels(p: &Prepared<'_>) -> (usize, Vec<crate::DualEdge>) {
+        graph_parts(&AssignmentGraph::build(&p.tree, &p.colouring, &p.sigma, &p.beta).unwrap())
+    }
+
+    #[test]
+    fn graph_built_before_a_recost_does_not_survive_it() {
+        let (t, m) = fig2_tree();
+        let mut prep = Prepared::new_owned(t.clone(), m.clone()).unwrap();
+        let before = graph_parts(prep.graph());
+        // The root's host time reaches the leftmost leaf's sensor σ; a raw
+        // transfer cost is a sensor β.
+        let mut recost = m.clone();
+        let leaf = t.leaves_in_order()[0];
+        recost.set_host_time(t.root(), m.h(t.root()) + hsa_graph::Cost::new(5));
+        recost.set_comm_raw(leaf, m.c_raw(leaf) + hsa_graph::Cost::new(3));
+        let (parts, _dirty) = prep.update_costs(recost).unwrap();
+        assert_ne!(
+            graph_of_labels(&prep),
+            before,
+            "the re-cost changes dual labels"
+        );
+        assert_eq!(graph_parts(prep.graph()), graph_of_labels(&prep));
+        prep.restore(parts);
+        assert_eq!(graph_parts(prep.graph()), graph_of_labels(&prep));
+        assert_eq!(graph_parts(prep.graph()), before);
     }
 }

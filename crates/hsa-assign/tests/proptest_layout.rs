@@ -1,18 +1,25 @@
-//! Layout-equivalence oracle for the flat-arena [`FrontierSet`].
+//! Oracles for the flat cover DP and the threshold sweep over a
+//! [`FrontierSet`].
 //!
-//! The arena encoding (CSR point/edge arrays, DESIGN.md §11) is a pure
-//! re-layout: it must hold *bit-identical* frontiers to the nested
-//! `Vec<Frontier>` the cover DP emits — same points, same order, same
-//! edges, same derived thetas — on every instance, including interleaved
-//! colourings and along incremental `refresh_in_place` trajectories. The
-//! reference implementation is [`colour_frontiers`], which still builds
-//! the nested form directly; these properties pin the arena to it.
+//! The arena encoding (CSR point/edge arrays, DESIGN.md §11) and the flat
+//! cover-DP kernel that fills it must hold *bit-identical* frontiers to
+//! the nested `Vec<Frontier>` DP — same points, same order, same edges,
+//! same derived thetas — on every instance, including interleaved
+//! colourings, tie-heavy costs (where the edge-list rule picks each
+//! witness) and along incremental `refresh_in_place` trajectories. The
+//! reference is [`colour_frontiers`], an independent nested
+//! `minkowski`/`pareto_prune` DP; these properties pin every prepare path
+//! to it. The sweep properties pin the one-cursor θ walk behind
+//! `solve_with_frontiers` and `lambda_frontier_with` to a test-local
+//! per-θ binary-search scan.
 
 use hsa_assign::{
-    colour_frontiers, dirty_colours, ExpandedConfig, Frontier, FrontierSet, Prepared,
+    colour_frontiers, dirty_colours, lambda_frontier_with, solve_with_frontiers, AssignError,
+    CancelToken, ExpandedConfig, Frontier, FrontierSet, Prepared, Solution, SolveStats,
 };
-use hsa_graph::Cost;
-use hsa_tree::{CostModel, CruId, CruNode, CruTree, SatelliteId};
+use hsa_graph::envelope::lower_envelope;
+use hsa_graph::{Cost, Lambda};
+use hsa_tree::{CostModel, CruId, CruNode, CruTree, Cut, SatelliteId, TreeBuilder};
 use hsa_workloads::{drift_trace, random_scenario, DriftConfig, RandomTreeParams};
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -24,11 +31,40 @@ struct Instance {
 }
 
 fn arb_instance(max_nodes: usize, max_sats: u32) -> impl Strategy<Value = Instance> {
+    arb_instance_with(max_nodes, max_sats, [50, 50, 25, 25], false)
+}
+
+/// Every cost drawn from `0..3`, so many Minkowski candidates tie on
+/// (β, σ) and the edge-list tie-break decides which witness survives; node
+/// ids are shuffled, so a node's id may be above its descendants' and the
+/// tie-break meets edge lists in every relative order.
+fn arb_tie_instance(max_nodes: usize, max_sats: u32) -> impl Strategy<Value = Instance> {
+    arb_instance_with(max_nodes, max_sats, [3; 4], true)
+}
+
+/// Random trees with host, satellite, up-link and raw-transfer costs drawn
+/// from `0..bound` per field. Without `shuffle_ids`, ids follow generation
+/// order (every parent's id is below its children's).
+fn arb_instance_with(
+    max_nodes: usize,
+    max_sats: u32,
+    [h, s, up, raw]: [u64; 4],
+    shuffle_ids: bool,
+) -> impl Strategy<Value = Instance> {
     (2usize..=max_nodes, 1u32..=max_sats).prop_flat_map(move |(n, k)| {
         let parents = proptest::collection::vec(0usize..n, n - 1);
-        let costs = proptest::collection::vec((0u64..50, 0u64..50, 0u64..25, 0u64..25), n);
+        let costs = proptest::collection::vec((0u64..h, 0u64..s, 0u64..up, 0u64..raw), n);
         let sats = proptest::collection::vec(0u32..k, n);
-        (parents, costs, sats).prop_map(move |(parents, costvec, sats)| {
+        let keys = proptest::collection::vec(0u32..u32::MAX, if shuffle_ids { n } else { 0 });
+        (parents, costs, sats, keys).prop_map(move |(parents, costvec, sats, keys)| {
+            // Generated node `i` gets id `id_of[i]`: the rank of its key
+            // (the identity when there are no keys; the sort is stable).
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| keys.get(i).copied().unwrap_or(0));
+            let mut id_of = vec![CruId(0); n];
+            for (id, &i) in order.iter().enumerate() {
+                id_of[i] = CruId(id as u32);
+            }
             let mut nodes: Vec<CruNode> = (0..n)
                 .map(|i| CruNode {
                     parent: None,
@@ -38,13 +74,13 @@ fn arb_instance(max_nodes: usize, max_sats: u32) -> impl Strategy<Value = Instan
                 .collect();
             for i in 1..n {
                 let p = parents[i - 1] % i;
-                nodes[i].parent = Some(CruId(p as u32));
-                nodes[p].children.push(CruId(i as u32));
+                nodes[id_of[i].index()].parent = Some(id_of[p]);
+                nodes[id_of[p].index()].children.push(id_of[i]);
             }
-            let tree = CruTree::from_parts(nodes, CruId(0)).unwrap();
+            let tree = CruTree::from_parts(nodes, id_of[0]).unwrap();
             let mut m = CostModel::zeroed(&tree, k);
             for i in 0..n {
-                let id = CruId(i as u32);
+                let id = id_of[i];
                 let (h, s, cu, cr) = costvec[i];
                 m.set_host_time(id, Cost::new(h));
                 m.set_satellite_time(id, Cost::new(s));
@@ -98,6 +134,97 @@ fn assert_arena_matches(fs: &FrontierSet, nested: &[Frontier]) -> Result<(), Tes
     thetas.dedup();
     prop_assert_eq!(&fs.thetas, &thetas, "theta ladder");
     prop_assert_eq!(fs.composites, composites, "composite count");
+    Ok(())
+}
+
+/// Asserts every prepare path builds the reference frontiers: `prepare`,
+/// an uncancelled `prepare_cancellable`, and a pre-cancelled one fails
+/// with `Cancelled`.
+fn assert_prepare_paths_match(prep: &Prepared<'_>) -> Result<(), TestCaseError> {
+    let cfg = ExpandedConfig::default();
+    let nested = colour_frontiers(prep, &cfg).unwrap();
+    let fs = FrontierSet::prepare(prep, &cfg).unwrap();
+    assert_arena_matches(&fs, &nested)?;
+    let token = CancelToken::new();
+    let uncancelled = FrontierSet::prepare_cancellable(prep, &cfg, &token).unwrap();
+    prop_assert_eq!(&uncancelled, &fs, "uncancelled prepare_cancellable");
+    token.cancel();
+    prop_assert!(matches!(
+        FrontierSet::prepare_cancellable(prep, &cfg, &token),
+        Err(AssignError::Cancelled)
+    ));
+    Ok(())
+}
+
+/// The per-θ scan the sweep replaced: for each colour, a binary search for
+/// the last point with β ≤ θ.
+fn reference_picks(fs: &FrontierSet, theta: Cost) -> Option<Vec<usize>> {
+    fs.colours()
+        .map(|f| f.beta.partition_point(|&b| b <= theta).checked_sub(1))
+        .collect()
+}
+
+/// One `(S, B, picks)` candidate per feasible θ, in θ order, with S the
+/// saturating Σσ and B the largest picked β.
+fn reference_candidates(fs: &FrontierSet) -> Vec<(Cost, Cost, Vec<usize>)> {
+    fs.thetas
+        .iter()
+        .filter_map(|&theta| {
+            let picks = reference_picks(fs, theta)?;
+            let (mut s, mut b) = (Cost::ZERO, Cost::ZERO);
+            for (f, &i) in fs.colours().zip(&picks) {
+                s += f.sigma[i];
+                b = b.max(f.beta[i]);
+            }
+            Some((s, b, picks))
+        })
+        .collect()
+}
+
+fn reference_cut(prep: &Prepared<'_>, fs: &FrontierSet, picks: &[usize]) -> Cut {
+    let mut edges = Vec::new();
+    for (f, &i) in fs.colours().zip(picks) {
+        edges.extend_from_slice(f.point_edges(i));
+    }
+    Cut::new(&prep.tree, edges).unwrap()
+}
+
+/// Asserts `solve_with_frontiers` at λ = k/8 and `lambda_frontier_with`
+/// agree with the reference scan: objective, cut and `evaluated` per λ;
+/// breakpoints, segment weights and cuts for the envelope.
+fn assert_sweep_matches(prep: &Prepared<'_>) -> Result<(), TestCaseError> {
+    let fs = FrontierSet::prepare(prep, &ExpandedConfig::default()).unwrap();
+    let candidates = reference_candidates(&fs);
+    for k in 0..=8 {
+        let lambda = Lambda::new(k, 8).unwrap();
+        let sol = solve_with_frontiers(prep, &fs, lambda).unwrap();
+        let mut best: Option<(u128, &[usize])> = None;
+        for (s, b, picks) in &candidates {
+            let obj = lambda.ssb_scaled(*s, *b);
+            if best.map(|(o, _)| obj < o).unwrap_or(true) {
+                best = Some((obj, picks));
+            }
+        }
+        let (_, picks) = best.expect("every generated instance is feasible");
+        let expected = Solution::from_cut(
+            prep,
+            reference_cut(prep, &fs, picks),
+            lambda,
+            SolveStats::default(),
+        )
+        .unwrap();
+        prop_assert_eq!(sol.objective, expected.objective, "λ = {}/8 objective", k);
+        prop_assert_eq!(&sol.cut, &expected.cut, "λ = {}/8 cut", k);
+        prop_assert_eq!(sol.stats.evaluated, candidates.len() as u64, "λ = {}/8", k);
+    }
+    let fr = lambda_frontier_with(prep, &fs).unwrap();
+    let envelope = lower_envelope(candidates.clone()).unwrap();
+    prop_assert_eq!(fr.breakpoints(), envelope.breakpoints());
+    prop_assert_eq!(fr.stats.evaluated, candidates.len() as u64);
+    for (seg, want) in fr.segments().iter().zip(envelope.segments()) {
+        prop_assert_eq!((seg.s, seg.b), (want.s, want.b));
+        prop_assert_eq!(&seg.payload, &reference_cut(prep, &fs, &want.payload));
+    }
     Ok(())
 }
 
@@ -170,4 +297,144 @@ proptest! {
         }
         prop_assert_eq!(&costs, &drift.final_costs, "trace replay must land on final_costs");
     }
+    /// Tie-heavy costs: every prepare path still builds the reference
+    /// frontiers, witness edges included.
+    #[test]
+    fn prepare_paths_match_reference_on_tie_heavy_instances(inst in arb_tie_instance(14, 4)) {
+        let prep = Prepared::new(&inst.tree, &inst.costs).unwrap();
+        assert_prepare_paths_match(&prep)?;
+    }
+
+    /// The cancellable prepare builds the reference frontiers when not
+    /// cancelled, and stops when it is.
+    #[test]
+    fn cancellable_prepare_matches_reference(inst in arb_instance(14, 4)) {
+        let prep = Prepared::new(&inst.tree, &inst.costs).unwrap();
+        assert_prepare_paths_match(&prep)?;
+    }
+
+    /// A tie-heavy drift trace — costs redrawn from `0..3`, leaves re-pinned
+    /// across satellites — applied through `update_costs`: the patched
+    /// arenas match the reference and a scratch prepare at every step.
+    #[test]
+    fn refresh_in_place_matches_reference_along_tie_heavy_drift(
+        inst in arb_tie_instance(14, 3),
+        edits in proptest::collection::vec((0usize..14, 0u8..5, 0u64..3), 16),
+    ) {
+        let cfg = ExpandedConfig::default();
+        let n = inst.tree.len();
+        let k = inst.costs.n_satellites();
+        let mut costs = inst.costs.clone();
+        let mut prep = Prepared::new_owned(inst.tree.clone(), costs.clone()).unwrap();
+        let mut fs = FrontierSet::prepare(&prep, &cfg).unwrap();
+        for (step, chunk) in edits.chunks(2).enumerate() {
+            for &(i, field, v) in chunk {
+                let id = CruId((i % n) as u32);
+                let v = Cost::new(v);
+                match field {
+                    0 => { costs.set_host_time(id, v); }
+                    1 => { costs.set_satellite_time(id, v); }
+                    2 if id != inst.tree.root() => { costs.set_comm_up(id, v); }
+                    3 if inst.tree.is_leaf(id) => { costs.set_comm_raw(id, v); }
+                    4 if inst.tree.is_leaf(id) => {
+                        costs.set_pinning(id, Some(SatelliteId(v.ticks() as u32 % k)));
+                    }
+                    _ => {}
+                }
+            }
+            let (_, dirty) = prep.update_costs(costs.clone()).unwrap();
+            fs.refresh_in_place(&prep, &cfg, &dirty.dirty).unwrap();
+            let scratch = FrontierSet::prepare(&prep, &cfg).unwrap();
+            prop_assert_eq!(&fs, &scratch, "step {}: refreshed arenas must equal scratch", step);
+            assert_arena_matches(&fs, &colour_frontiers(&prep, &cfg).unwrap())?;
+        }
+    }
+
+    /// The one-cursor θ walk answers every λ = k/8 and the λ-frontier
+    /// exactly as the per-θ scan does.
+    #[test]
+    fn sweep_matches_per_threshold_reference(inst in arb_instance(14, 4)) {
+        let prep = Prepared::new(&inst.tree, &inst.costs).unwrap();
+        assert_sweep_matches(&prep)?;
+    }
+
+    /// Same sweep oracle on interleaved colourings (several regions per
+    /// colour, so a colour's frontier is itself a Minkowski fold).
+    #[test]
+    fn sweep_matches_reference_on_interleaved_instances(inst in arb_instance(14, 3)) {
+        let prep = Prepared::new(&inst.tree, &inst.costs).unwrap();
+        prop_assume!(!prep.colouring.is_contiguous());
+        assert_sweep_matches(&prep)?;
+    }
+
+    /// Same sweep oracle with tie-heavy costs: many thresholds give equal
+    /// objectives, so the first-θ-wins rule decides the cut.
+    #[test]
+    fn sweep_matches_reference_on_tie_heavy_instances(inst in arb_tie_instance(14, 4)) {
+        let prep = Prepared::new(&inst.tree, &inst.costs).unwrap();
+        assert_sweep_matches(&prep)?;
+    }
+}
+
+/// Two sensors on two satellites whose host times sum past `u64::MAX`:
+/// at the lowest threshold both colours pick their sensor edge, so the
+/// reference's saturating Σσ reads `Cost::MAX`, which the sweep's exact
+/// `u128` sum must reproduce by clamping.
+#[test]
+fn sweep_matches_reference_when_sigma_saturates() {
+    let mut b = TreeBuilder::new("root");
+    let root = b.root();
+    let left = b.add_child(root, "left");
+    let right = b.add_child(root, "right");
+    let tree = b.build();
+    let mut costs = CostModel::zeroed(&tree, 2);
+    costs.set_host_time(left, Cost::new(u64::MAX - 5));
+    costs.set_host_time(right, Cost::new(u64::MAX - 7));
+    for (leaf, sat) in [(left, 0), (right, 1)] {
+        costs.set_satellite_time(leaf, Cost::new(10));
+        costs.set_comm_up(leaf, Cost::new(10));
+        costs.pin_leaf(leaf, SatelliteId(sat), Cost::new(1));
+    }
+    let prep = Prepared::new(&tree, &costs).unwrap();
+    let fs = FrontierSet::prepare(&prep, &ExpandedConfig::default()).unwrap();
+    assert!(
+        reference_candidates(&fs)
+            .iter()
+            .any(|(s, _, _)| *s == Cost::MAX),
+        "the instance must saturate Σσ"
+    );
+    assert_sweep_matches(&prep).unwrap();
+}
+
+/// Sums that saturate `Cost::MAX` inside the cover DP. Colour 0 has two
+/// regions, the leaves `x` and `y`. `x`'s frontier has two points, and
+/// `y`'s single point carries a β so large that both sums saturate to the
+/// same β, so one of them prunes the other. A sort-free shift would keep
+/// both; the flat kernel must build the reference's single point.
+#[test]
+fn flat_dp_matches_reference_when_sums_saturate() {
+    let mut b = TreeBuilder::new("root");
+    let root = b.root();
+    let x = b.add_child(root, "x");
+    let z = b.add_child(root, "z");
+    let y = b.add_child(root, "y");
+    let tree = b.build();
+    let mut costs = CostModel::zeroed(&tree, 2);
+    costs.set_host_time(x, Cost::new(7));
+    costs.set_satellite_time(x, Cost::new(4));
+    costs.set_comm_up(x, Cost::new(4));
+    costs.pin_leaf(x, SatelliteId(0), Cost::new(5));
+    costs.pin_leaf(z, SatelliteId(1), Cost::new(1));
+    costs.set_satellite_time(y, Cost::new(u64::MAX - 1));
+    costs.pin_leaf(y, SatelliteId(0), Cost::new(u64::MAX - 3));
+    let prep = Prepared::new(&tree, &costs).unwrap();
+    let nested = colour_frontiers(&prep, &ExpandedConfig::default()).unwrap();
+    let betas: Vec<Cost> = nested[0].iter().map(|p| p.beta).collect();
+    assert_eq!(
+        betas,
+        [Cost::MAX],
+        "both sums saturate and one prunes the other"
+    );
+    assert_prepare_paths_match(&prep).unwrap();
+    assert_sweep_matches(&prep).unwrap();
 }

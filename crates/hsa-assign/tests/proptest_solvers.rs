@@ -140,14 +140,15 @@ proptest! {
     #[test]
     fn path_cut_bijection(inst in arb_instance(10, 3)) {
         let prep = Prepared::new(&inst.tree, &inst.costs).unwrap();
+        let graph = prep.graph();
         hsa_tree::for_each_cut(&inst.tree, &|e| prep.colouring.cuttable(e), &mut |cut| {
-            let path = prep.graph.cut_to_path(cut).unwrap();
-            path.validate(&prep.graph.dwg, prep.graph.source, prep.graph.target).unwrap();
-            let back = prep.graph.path_to_cut(&inst.tree, &path).unwrap();
+            let path = graph.cut_to_path(cut).unwrap();
+            path.validate(&graph.dwg, graph.source, graph.target).unwrap();
+            let back = graph.path_to_cut(&inst.tree, &path).unwrap();
             assert_eq!(&back, cut);
             // The coloured measure of the path equals the direct evaluation.
             let mea = hsa_assign::ColouredMeasure::of_edges(
-                &prep.graph, &path.edges, inst.costs.n_satellites());
+                graph, &path.edges, inst.costs.n_satellites());
             let (_a, rep) = hsa_assign::evaluate_cut(&prep, cut).unwrap();
             assert_eq!(mea.s, rep.host_time);
             assert_eq!(mea.b, rep.bottleneck);

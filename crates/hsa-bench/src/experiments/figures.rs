@@ -116,7 +116,7 @@ pub(super) fn f5(ctx: &ExpCtx) {
 pub(super) fn f6(ctx: &ExpCtx) {
     let (tree, costs) = fig2_tree();
     let prep = Prepared::new(&tree, &costs).unwrap();
-    let g = &prep.graph;
+    let g = prep.graph();
     println!(
         "assignment graph: {} nodes (S, {} gaps, T), {} coloured edges",
         g.dwg.num_nodes(),

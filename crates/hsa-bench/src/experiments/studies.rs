@@ -371,7 +371,7 @@ pub(super) fn t5(ctx: &ExpCtx) {
             std::hint::black_box(s.objective);
         });
         let prep_ns = time_median_ns(reps, || {
-            std::hint::black_box(Prepared::new(&tree, &costs).unwrap().graph.n_edges());
+            std::hint::black_box(Prepared::new(&tree, &costs).unwrap().graph().n_edges());
         });
         table.row(&[
             n.to_string(),

@@ -14,7 +14,7 @@
 //!   contend when their content hashes land in the same shard, and
 //!   lookups take a read lock other lookups never block on;
 //! * insertion is *build-outside-the-lock*: the expensive preparation
-//!   (colouring, labelling, dual graph, frontier DP) runs with **no**
+//!   (colouring, labelling, frontier DP) runs with **no**
 //!   lock held; only the final map insert takes the shard's write lock.
 //!   If two threads race to prepare the same new instance, both build,
 //!   one inserts, and the loser adopts the winner's entry — wasted work
@@ -34,7 +34,8 @@ pub(crate) const SHARDS: usize = 16;
 /// frontier preparation of the full-expansion solver. Shared out as
 /// `Arc<CachedInstance>`; immutable after construction.
 pub struct CachedInstance {
-    /// The fully prepared instance (tree, costs, labels, dual graph).
+    /// The fully prepared instance (tree, costs, labels; the dual graph
+    /// only once something asks for it).
     pub prepared: Prepared<'static>,
     /// The λ-independent per-colour Pareto frontiers.
     pub frontiers: FrontierSet,

@@ -15,8 +15,8 @@
 //! * [`Engine::prepare`] caches fully prepared instances
 //!   ([`Prepared`]`<'static>` + the λ-independent [`FrontierSet`]) keyed by
 //!   a content hash of the tree and cost model — preparing twice is a
-//!   cache hit, and every later query reuses the colouring, σ/β labels,
-//!   dual graph and Pareto frontiers without rebuilding anything.
+//!   cache hit, and every later query reuses the colouring, σ/β labels
+//!   and Pareto frontiers without rebuilding anything.
 //! * [`Engine::solve`] answers one `(instance, λ)` query on the calling
 //!   thread from the cached frontiers, **byte-identically** to a fresh
 //!   [`Expanded`](hsa_assign::Expanded)`::solve` — same cut, same
@@ -326,8 +326,9 @@ impl Engine {
     /// Prepares (or re-finds) an instance and returns its id.
     ///
     /// First preparation pays the full pipeline — validation, colouring,
-    /// σ/β labelling, dual-graph construction and the per-colour Pareto
-    /// frontier DP — all of it **outside any lock**, so concurrent
+    /// σ/β labelling and the per-colour Pareto frontier DP (the dual graph
+    /// is left to the first [`Prepared::graph`] call, which no engine path
+    /// makes) — all of it **outside any lock**, so concurrent
     /// prepares never serialise on each other's DP. Subsequent calls with
     /// an equal instance are cache hits costing one allocation-free
     /// structural hash plus an equality check of the instance (so distinct

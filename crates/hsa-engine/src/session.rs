@@ -121,8 +121,8 @@ pub struct Session {
 
 impl Session {
     /// Opens a session on an instance: full preparation (validation,
-    /// colouring, σ/β labels, dual graph) plus the λ-independent frontier
-    /// DP — the last time either is paid in full while drift stays local.
+    /// colouring, σ/β labels) plus the λ-independent frontier DP — the
+    /// last time either is paid in full while drift stays local.
     pub fn new(
         tree: &CruTree,
         costs: &CostModel,
@@ -222,7 +222,7 @@ impl Session {
         lambda_frontier_with(&self.prepared, &self.frontiers)
     }
 
-    /// The current prepared instance (tree, drifted costs, labels, graph).
+    /// The current prepared instance (tree, drifted costs, labels).
     pub fn prepared(&self) -> &Prepared<'static> {
         &self.prepared
     }

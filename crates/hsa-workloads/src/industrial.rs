@@ -112,11 +112,11 @@ mod tests {
         let sc = industrial_scenario(&p);
         let prep = Prepared::new(&sc.tree, &sc.costs).unwrap();
         // Each line: 4 chain edges + 1 sensor edge between the same gaps.
-        assert_eq!(prep.graph.n_leaves, 2);
-        assert_eq!(prep.graph.n_edges(), 2 * 5);
+        assert_eq!(prep.graph().n_leaves, 2);
+        assert_eq!(prep.graph().n_edges(), 2 * 5);
         // All 5 edges of line 0 connect gap 0 to gap 1.
         let between_0_1 = prep
-            .graph
+            .graph()
             .edges
             .iter()
             .filter(|e| e.from_gap == 0 && e.to_gap == 1)

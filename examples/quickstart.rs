@@ -46,7 +46,8 @@ fn main() {
     costs.pin_leaf(ecg, SatelliteId(0), us(12_000)); // raw ECG is bulky
     costs.pin_leaf(accel, SatelliteId(1), us(7_000));
 
-    // Prepare: colouring, σ/β labels, coloured assignment graph.
+    // Prepare: colouring and σ/β labels (the paper's solver below builds
+    // the coloured assignment graph from them on first use).
     let prep = Prepared::new(&tree, &costs).expect("valid instance");
     println!("The CRU tree (colours propagated from the pinned sensors):\n");
     println!(

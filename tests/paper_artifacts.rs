@@ -40,9 +40,9 @@ fn figure5_host_forced() {
 fn figure6_assignment_graph() {
     let (tree, costs) = fig2_tree();
     let prep = Prepared::new(&tree, &costs).unwrap();
-    assert_eq!(prep.graph.dwg.num_nodes(), 8);
-    assert_eq!(prep.graph.n_edges(), 17);
-    assert!(!prep.graph.edges.iter().any(
+    assert_eq!(prep.graph().dwg.num_nodes(), 8);
+    assert_eq!(prep.graph().n_edges(), 17);
+    assert!(!prep.graph().edges.iter().any(
         |m| m.tree_edge == TreeEdge::Parent(cru(2)) || m.tree_edge == TreeEdge::Parent(cru(3))
     ));
 }
