@@ -499,33 +499,18 @@ impl<'p> FrontierStack<'p> {
     }
 }
 
-/// For each colour, the index of the cheapest-σ point with β ≤ θ (i.e. the
-/// last frontier point with β ≤ θ, frontiers being β-sorted/σ-descending).
-/// The sweeps call it only for the thresholds they pick.
-///
-/// Equivalence with the nested formulation: `pareto_prune` emits strictly
-/// increasing β (an equal-β later point has σ ≥ its predecessor's and is
-/// dropped as dominated), so a binary search over the `beta` arena alone
-/// finds the same index a search over full points would.
-fn pick_for_threshold(fs: &FrontierSet, theta: Cost) -> Option<Vec<usize>> {
-    let mut picks = Vec::with_capacity(fs.n_colours());
-    for f in fs.colours() {
-        let idx = f.beta.partition_point(|&b| b <= theta);
-        if idx == 0 {
-            return None; // infeasible θ for this colour
-        }
-        picks.push(idx - 1);
-    }
-    Some(picks)
-}
-
-/// The cut that takes, per colour, the point [`pick_for_threshold`] picks
-/// at a threshold the sweep found feasible.
-pub(crate) fn threshold_cut(prep: &Prepared<'_>, fs: &FrontierSet, theta: Cost) -> Cut {
-    let picks = pick_for_threshold(fs, theta).expect("the sweep found this threshold feasible");
+/// Materialises the picks at a threshold the sweep found feasible, as a
+/// cut: per colour, the cheapest-σ point with β ≤ θ, which is the last
+/// point with β ≤ θ (β strictly ascends, σ strictly descends), found by a
+/// binary search over the colour's `beta` run. The sweeps call it only
+/// for the thresholds they pick.
+pub(crate) fn pick_for_threshold(prep: &Prepared<'_>, fs: &FrontierSet, theta: Cost) -> Cut {
     let mut edges: Vec<TreeEdge> = Vec::new();
-    for (f, &i) in fs.colours().zip(&picks) {
-        edges.extend_from_slice(f.point_edges(i));
+    for f in fs.colours() {
+        let picked = f.beta.partition_point(|&b| b <= theta).checked_sub(1);
+        edges.extend_from_slice(
+            f.point_edges(picked.expect("the sweep found this threshold feasible")),
+        );
     }
     // Frontier points are valid per-colour partial cuts and colours'
     // regions are disjoint, so their union is a valid cut by construction:
@@ -821,7 +806,7 @@ pub fn solve_with_frontiers(
     let (_, theta) = best.ok_or(AssignError::NoFeasibleAssignment)?;
     assemble(
         prep,
-        threshold_cut(prep, fs, theta),
+        pick_for_threshold(prep, fs, theta),
         lambda,
         SolveStats {
             composites: fs.composites,
@@ -882,7 +867,7 @@ pub fn solve_sb_expanded(
     let (sb, theta) = best.ok_or(AssignError::NoFeasibleAssignment)?;
     let sol = assemble(
         prep,
-        threshold_cut(prep, &fs, theta),
+        pick_for_threshold(prep, &fs, theta),
         // Report with λ=½ so `objective` is the S+B delay of the SB-optimal
         // partition — what T3 compares.
         Lambda::HALF,

@@ -16,7 +16,7 @@
 //! independent per-λ solves is property-tested at λ = 0, ½, 1 and at every
 //! segment midpoint (`tests/` of the `hsa-engine` crate).
 
-use crate::expanded::{sweep_thresholds, threshold_cut};
+use crate::expanded::{pick_for_threshold, sweep_thresholds};
 use crate::{
     AssignError, EvalScratch, ExpandedConfig, FrontierSet, Prepared, Solution, SolveStats,
 };
@@ -109,7 +109,7 @@ pub fn lambda_frontier_with(
     // (S, B) pairs, so the frontier is fully deterministic.
     let envelope = lower_envelope(candidates).ok_or(AssignError::NoFeasibleAssignment)?;
     let envelope =
-        envelope.try_map(|theta| Ok::<_, AssignError>(threshold_cut(prep, fs, theta)))?;
+        envelope.try_map(|theta| Ok::<_, AssignError>(pick_for_threshold(prep, fs, theta)))?;
     Ok(LambdaFrontier {
         envelope,
         stats: SolveStats {
