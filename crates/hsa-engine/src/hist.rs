@@ -154,11 +154,6 @@ impl HistogramSnapshot {
         self.count == 0
     }
 
-    /// Mean recorded value, nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-
     /// Adds another snapshot's samples into this one.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
@@ -290,7 +285,6 @@ mod tests {
         assert_eq!(snap.percentile(90.0), 45);
         assert_eq!(snap.percentile(98.0), 49);
         assert_eq!(snap.percentile(100.0), 50);
-        assert_eq!(snap.mean_ns(), (1 + 50) * 50 / 2 / 50);
         let stats = snap.stats();
         assert_eq!((stats.p50_ns, stats.p90_ns, stats.p99_ns), (25, 45, 50));
     }

@@ -198,10 +198,12 @@ pub struct EngineStats {
     pub queries: u64,
     /// Queries that failed (unknown instance or solver error).
     pub failed: u64,
-    /// `prepare` calls that found the instance already cached.
+    /// `prepare` and [`Portfolio::solve_anytime`] calls that found the
+    /// instance already cached.
     pub cache_hits: u64,
     /// `prepare` calls that built a new cached instance (including the
-    /// losers of a concurrent build race — they paid the preparation).
+    /// losers of a concurrent build race — they paid the preparation),
+    /// and anytime races whose exact arm donated its frontiers.
     pub cache_misses: u64,
     /// Per-query solver counters, merged via [`SolveStats::merge`].
     pub solve: SolveStats,
@@ -264,23 +266,6 @@ impl EngineCounters {
         }
     }
 
-    fn reset(&self) {
-        for c in [
-            &self.queries,
-            &self.failed,
-            &self.cache_hits,
-            &self.cache_misses,
-            &self.iterations,
-            &self.edges_removed,
-            &self.expansions,
-            &self.composites,
-            &self.branches,
-            &self.evaluated,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
     fn record_solve(&self, s: &SolveStats) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.iterations.fetch_add(s.iterations, Ordering::Relaxed);
@@ -338,31 +323,57 @@ impl Engine {
     /// *new* instance both build; one inserts and the other adopts the
     /// incumbent (both count as misses — both paid the work).
     pub fn prepare(&self, tree: &CruTree, costs: &CostModel) -> Result<InstanceId, EngineError> {
-        let id = InstanceId(instance_hash(tree, costs));
-        if let Some(cached) = self.cache.get(id.0) {
-            if &*cached.prepared.tree != tree || &*cached.prepared.costs != costs {
-                return Err(EngineError::HashCollision { id });
-            }
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(id);
+        let (id, hit) = self.check_hit(tree, costs)?;
+        if !hit {
+            // Build with no lock held; insert (or adopt the race winner) after.
+            let prepared = Prepared::new_owned(tree.clone(), costs.clone())?;
+            let frontiers = FrontierSet::prepare(&prepared, &self.cfg.expanded)?;
+            let built = CachedInstance {
+                prepared,
+                frontiers,
+            };
+            self.insert_or_adopt(id, tree, costs, built)?;
         }
-        // Build with no lock held; insert (or adopt the race winner) after.
-        let prepared = Prepared::new_owned(tree.clone(), costs.clone())?;
-        let frontiers = FrontierSet::prepare(&prepared, &self.cfg.expanded)?;
-        let entry = CachedInstance {
-            prepared,
-            frontiers,
+        Ok(id)
+    }
+
+    /// The hit half of [`Engine::prepare`], shared with the portfolio:
+    /// hashes the instance and reports whether the cache holds it, counting
+    /// a hit when it does. An entry under the same hash that holds a
+    /// different instance is a [`EngineError::HashCollision`], never an
+    /// alias.
+    fn check_hit(
+        &self,
+        tree: &CruTree,
+        costs: &CostModel,
+    ) -> Result<(InstanceId, bool), EngineError> {
+        let id = InstanceId(instance_hash(tree, costs));
+        let Some(cached) = self.cache.get(id.0) else {
+            return Ok((id, false));
         };
-        let inserted = self.cache.insert_or_adopt(id.0, entry);
+        check_same(&cached, id, tree, costs)?;
+        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        Ok((id, true))
+    }
+
+    /// The miss half of [`Engine::prepare`], shared with the portfolio:
+    /// caches `built`, the entry for `(tree, costs)`, under `id`, or adopts
+    /// the entry a racing build inserted first once it is checked to hold
+    /// the same instance (same hash does not prove that). Counted as a miss
+    /// either way: this call paid for the build.
+    fn insert_or_adopt(
+        &self,
+        id: InstanceId,
+        tree: &CruTree,
+        costs: &CostModel,
+        built: CachedInstance,
+    ) -> Result<(), EngineError> {
+        let inserted = self.cache.insert_or_adopt(id.0, built);
         if inserted.adopted {
-            // Same hash does not prove same instance, even on a race.
-            let incumbent = &inserted.entry;
-            if &*incumbent.prepared.tree != tree || &*incumbent.prepared.costs != costs {
-                return Err(EngineError::HashCollision { id });
-            }
+            check_same(&inserted.entry, id, tree, costs)?;
         }
         self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        Ok(id)
+        Ok(())
     }
 
     /// The cached instance, if `id` is known: a shared handle to the
@@ -400,7 +411,7 @@ impl Engine {
             solve_with_frontiers(&entry.prepared, &entry.frontiers, lambda)
                 .map_err(EngineError::from)
         });
-        self.record(&out);
+        self.record(out.as_ref());
         out
     }
 
@@ -438,7 +449,7 @@ impl Engine {
                         .solve_in(&entry.prepared, lambda, ws)
                         .map_err(EngineError::from)
                 });
-                self.record(&out);
+                self.record(out.as_ref());
                 out
             },
         )
@@ -458,18 +469,12 @@ impl Engine {
         self.stats.snapshot()
     }
 
-    /// Resets the aggregated counters (e.g. between measured phases of a
-    /// benchmark), leaving the instance cache intact.
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
     /// The configuration this engine was built with.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
     }
 
-    fn record(&self, result: &Result<Solution, EngineError>) {
+    fn record(&self, result: Result<&Solution, &EngineError>) {
         match result {
             Ok(sol) => self.stats.record_solve(&sol.stats),
             Err(_) => {
@@ -491,6 +496,20 @@ fn instance_hash(tree: &CruTree, costs: &CostModel) -> u64 {
     h.write_u64(tree.content_hash());
     h.write_u64(costs.content_hash());
     h.finish()
+}
+
+/// The equality check behind every cache hit and adoption: `cached` must
+/// hold exactly `(tree, costs)`, or `id` is a [`EngineError::HashCollision`].
+fn check_same(
+    cached: &CachedInstance,
+    id: InstanceId,
+    tree: &CruTree,
+    costs: &CostModel,
+) -> Result<(), EngineError> {
+    if &*cached.prepared.tree != tree || &*cached.prepared.costs != costs {
+        return Err(EngineError::HashCollision { id });
+    }
+    Ok(())
 }
 
 /// Commonly used items, for glob import in examples and tests.
@@ -549,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_expose_hit_rate_and_reset() {
+    fn stats_expose_hit_rate() {
         let sc = paper_scenario();
         let engine = Engine::new(EngineConfig::default());
         engine.prepare(&sc.tree, &sc.costs).unwrap();
@@ -558,12 +577,6 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.prepares(), 3);
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        engine.reset_stats();
-        let stats = engine.stats();
-        assert_eq!(stats.prepares(), 0);
-        assert_eq!(stats.hit_rate(), 0.0);
-        // The cache itself survives a stats reset.
-        assert_eq!(engine.len(), 1);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> CachePadded<T> {
         CachePadded(value)
     }
-
-    /// Unwraps the inner value.
-    pub fn into_inner(self) -> T {
-        self.0
-    }
 }
 
 impl<T> std::ops::Deref for CachePadded<T> {
@@ -68,6 +63,5 @@ mod tests {
         let c = CachePadded::new(AtomicU64::new(41));
         c.fetch_add(1, Ordering::Relaxed);
         assert_eq!(c.load(Ordering::Relaxed), 42);
-        assert_eq!(CachePadded::new(7u64).into_inner(), 7);
     }
 }

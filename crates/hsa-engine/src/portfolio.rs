@@ -27,14 +27,16 @@
 //! When the exact arm finishes inside the budget its λ-independent
 //! [`FrontierSet`] is inserted into the owning engine's instance cache, so
 //! the *next* `solve_anytime` (or `prepare`) of the same instance is a
-//! cache hit answered tight and instantly.
+//! cache hit answered tight and instantly. The hit check and the insert
+//! are the two halves of [`Engine::prepare`], equality checks and hit and
+//! miss counts included, and a hit is answered by [`Engine::solve`].
 
 use crate::cache::CachedInstance;
 use crate::pool::WorkerPool;
-use crate::{instance_hash, Engine, EngineError, InstanceId};
+use crate::{Engine, EngineError};
 use hsa_assign::{
-    solve_with_frontiers, structural_lower_bound, AssignError, CancelToken, ExpandedConfig,
-    FrontierSet, GapCertificate, Prepared, Solution, SolveScratch, Solver,
+    solve_with_frontiers, structural_lower_bound, AssignError, CancelToken, FrontierSet,
+    GapCertificate, Prepared, Solution, SolveScratch, Solver,
 };
 use hsa_graph::{Lambda, ScaledSsb};
 use hsa_heuristics::{BnbConfig, CutAnnealing, CutBranchBound, CutGenetic, GaConfig, SaConfig};
@@ -170,18 +172,22 @@ pub struct PortfolioConfig {
     pub bnb: BnbConfig,
 }
 
+/// What an arm reports: its answer, with the frontier set it built if it
+/// is the exact arm, or the error it stopped on.
+type ArmResult = Result<(Solution, Option<FrontierSet>), AssignError>;
+
 /// Shared state of one race, guarded by a mutex; arms report here and the
 /// caller waits on the condvar.
+#[derive(Default)]
 struct RaceState {
     /// Set by the caller once it has extracted an answer: late stragglers
     /// then only decrement `arms_left` and notify.
     finished: bool,
     /// Arms that have not yet reported (answer, error or panic).
     arms_left: usize,
-    /// Feasible answers from heuristic arms, in arrival order.
-    answers: Vec<(ArmKind, Solution)>,
-    /// The exact arm's answer and its reusable frontier set.
-    exact: Option<(Solution, FrontierSet)>,
+    /// Feasible answers in arrival order, each with its arm and, from the
+    /// exact arm, the reusable frontier set.
+    answers: Vec<(ArmKind, Solution, Option<FrontierSet>)>,
     /// The current certificate (None until the first answer).
     cert: Option<GapCertificate>,
     /// Certificate after each tightening.
@@ -204,56 +210,38 @@ struct Race {
 }
 
 impl Race {
-    /// Folds a feasible answer into the race: first-answer bookkeeping,
-    /// monotone certificate tightening, upgrade counting.
-    fn absorb(&self, st: &mut RaceState, kind: ArmKind, sol: &Solution, tight: bool) {
-        if st.first.is_none() {
-            st.first = Some((kind, self.start.elapsed()));
-        }
-        let next = match (st.cert, tight) {
-            (Some(c), true) => c.tightened(sol.objective, sol.objective),
-            (Some(c), false) => c.tightened(self.lower, sol.objective),
-            (None, true) => GapCertificate::tight(sol.objective, self.lambda),
-            (None, false) => GapCertificate::new(self.lower, sol.objective, self.lambda),
-        };
-        if st.cert != Some(next) {
-            if st.cert.is_some() {
-                st.upgrades += 1;
-            }
-            st.cert = Some(next);
-            st.history.push(next);
-        }
-    }
-
-    /// A heuristic arm reporting its result (best incumbent or error).
-    fn arm_done(&self, kind: ArmKind, result: Result<Solution, AssignError>) {
-        let mut st = self.state.lock().unwrap();
+    /// An arm reporting its result: an answer, or the error it stopped on
+    /// (typically [`AssignError::Cancelled`] after losing). An answer that
+    /// arrives before the race is decided gets the first-answer
+    /// bookkeeping and tightens the certificate monotonically, to zero gap
+    /// when it is the exact arm's; each later change counts as an upgrade.
+    fn report(&self, kind: ArmKind, result: ArmResult) {
+        let mut st = self.state.lock().expect("race state poisoned");
         st.arms_left = st.arms_left.saturating_sub(1);
-        if !st.finished {
-            match result {
-                Ok(sol) => {
-                    self.absorb(&mut st, kind, &sol, false);
-                    st.answers.push((kind, sol));
+        match result {
+            _ if st.finished => {}
+            Err(e) => st.last_err = Some(e),
+            Ok((sol, frontiers)) => {
+                if st.first.is_none() {
+                    st.first = Some((kind, self.start.elapsed()));
                 }
-                Err(e) => st.last_err = Some(e),
-            }
-        }
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// The exact arm reporting: a tight answer plus its frontier set, or
-    /// an error (typically [`AssignError::Cancelled`] after losing).
-    fn exact_done(&self, result: Result<(Solution, FrontierSet), AssignError>) {
-        let mut st = self.state.lock().unwrap();
-        st.arms_left = st.arms_left.saturating_sub(1);
-        if !st.finished {
-            match result {
-                Ok((sol, fs)) => {
-                    self.absorb(&mut st, ArmKind::Exact, &sol, true);
-                    st.exact = Some((sol, fs));
+                let lower = if kind == ArmKind::Exact {
+                    sol.objective
+                } else {
+                    self.lower
+                };
+                let next = match st.cert {
+                    Some(c) => c.tightened(lower, sol.objective),
+                    None => GapCertificate::new(lower, sol.objective, self.lambda),
+                };
+                if st.cert != Some(next) {
+                    if st.cert.is_some() {
+                        st.upgrades += 1;
+                    }
+                    st.cert = Some(next);
+                    st.history.push(next);
                 }
-                Err(e) => st.last_err = Some(e),
+                st.answers.push((kind, sol, frontiers));
             }
         }
         drop(st);
@@ -271,27 +259,12 @@ struct ArmGuard {
     reported: bool,
 }
 
-impl ArmGuard {
-    fn new(race: Arc<Race>, pending: Arc<AtomicUsize>, kind: ArmKind) -> ArmGuard {
-        ArmGuard {
-            race,
-            pending,
-            kind,
-            reported: false,
-        }
-    }
-}
-
 impl Drop for ArmGuard {
     fn drop(&mut self) {
         if !self.reported {
             // Panicked before reporting: count the arm out so the race
             // cannot wait on it forever.
-            if self.kind == ArmKind::Exact {
-                self.race.exact_done(Err(AssignError::Cancelled));
-            } else {
-                self.race.arm_done(self.kind, Err(AssignError::Cancelled));
-            }
+            self.race.report(self.kind, Err(AssignError::Cancelled));
         }
         self.pending.fetch_sub(1, Ordering::AcqRel);
     }
@@ -361,18 +334,13 @@ impl Portfolio {
         budget: Duration,
     ) -> Result<AnytimeOutcome, EngineError> {
         let start = Instant::now();
-        let id = InstanceId::from_raw(instance_hash(tree, costs));
-        if let Some(cached) = self.engine.instance(id) {
-            if &*cached.prepared.tree != tree || &*cached.prepared.costs != costs {
-                return Err(EngineError::HashCollision { id });
-            }
-            self.engine.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let sol = solve_with_frontiers(&cached.prepared, &cached.frontiers, lambda)?;
-            self.engine.stats.record_solve(&sol.stats);
-            let cert = GapCertificate::tight(sol.objective, lambda);
+        let (id, hit) = self.engine.check_hit(tree, costs)?;
+        if hit {
+            let solution = self.engine.solve(id, lambda)?;
+            let cert = GapCertificate::tight(solution.objective, lambda);
             return Ok(AnytimeOutcome {
                 answer: AnytimeAnswer {
-                    solution: sol,
+                    solution,
                     certificate: cert,
                     winner: ArmKind::Exact,
                     exact_finished: true,
@@ -391,15 +359,8 @@ impl Portfolio {
         let token = CancelToken::new();
         let race = Arc::new(Race {
             state: Mutex::new(RaceState {
-                finished: false,
                 arms_left: ARMS,
-                answers: Vec::new(),
-                exact: None,
-                cert: None,
-                history: Vec::new(),
-                first: None,
-                upgrades: 0,
-                last_err: None,
+                ..RaceState::default()
             }),
             cv: Condvar::new(),
             lower,
@@ -407,116 +368,96 @@ impl Portfolio {
             start,
         });
 
-        self.launch_exact(&prep, lambda, &token, &race, self.engine.config().expanded);
+        let (p, t) = (Arc::clone(&prep), token.clone());
+        let expanded = self.engine.config().expanded;
+        self.launch(&race, ArmKind::Exact, move || {
+            let fs = FrontierSet::prepare_cancellable(&p, &expanded, &t)?;
+            Ok((solve_with_frontiers(&p, &fs, lambda)?, Some(fs)))
+        });
         let soft = token.until(deadline);
-        self.launch_heuristic(
-            Arc::new(CutGenetic {
-                config: self.cfg.ga,
-            }),
-            ArmKind::Genetic,
-            &prep,
-            lambda,
-            &soft,
-            &race,
-        );
-        self.launch_heuristic(
-            Arc::new(CutAnnealing {
-                config: self.cfg.sa,
-            }),
-            ArmKind::Annealing,
-            &prep,
-            lambda,
-            &soft,
-            &race,
-        );
-        self.launch_heuristic(
-            Arc::new(CutBranchBound {
-                config: self.cfg.bnb,
-            }),
-            ArmKind::BranchBound,
-            &prep,
-            lambda,
-            &soft,
-            &race,
-        );
+        let cfg = self.cfg;
+        let heuristics: [(ArmKind, Box<dyn Solver + Send>); 3] = [
+            (ArmKind::Genetic, Box::new(CutGenetic { config: cfg.ga })),
+            (
+                ArmKind::Annealing,
+                Box::new(CutAnnealing { config: cfg.sa }),
+            ),
+            (
+                ArmKind::BranchBound,
+                Box::new(CutBranchBound { config: cfg.bnb }),
+            ),
+        ];
+        for (kind, solver) in heuristics {
+            let (p, t) = (Arc::clone(&prep), soft.clone());
+            self.launch(&race, kind, move || {
+                let sol = solver.solve_cancellable(&p, lambda, &mut SolveScratch::new(), &t)?;
+                Ok((sol, None))
+            });
+        }
 
         // Wait until the race is decided: exact finished, every arm
         // reported, or the budget expired with at least one answer in
         // hand. (Past the deadline with *no* answer yet we keep waiting in
         // short slices — the heuristic arms' soft deadline makes them
         // report their incumbents promptly.)
-        let decided = {
-            let mut st = race.state.lock().unwrap();
-            loop {
-                if st.exact.is_some() || st.arms_left == 0 {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline && (!st.answers.is_empty() || st.exact.is_some()) {
-                    break;
-                }
-                let slice = if now < deadline {
-                    deadline - now
-                } else {
-                    Duration::from_millis(10)
-                };
-                let (guard, _) = race.cv.wait_timeout(st, slice).unwrap();
-                st = guard;
+        let mut st = race.state.lock().expect("race state poisoned");
+        loop {
+            let exact_finished = st.answers.iter().any(|(k, ..)| *k == ArmKind::Exact);
+            if exact_finished || st.arms_left == 0 {
+                break;
             }
-            st.finished = true;
-            let exact = st.exact.take();
-            let exact_finished = exact.is_some();
-            let picked = if let Some((sol, fs)) = exact {
-                Some((ArmKind::Exact, sol, Some(fs)))
+            let now = Instant::now();
+            if now >= deadline && !st.answers.is_empty() {
+                break;
+            }
+            let slice = if now < deadline {
+                deadline - now
             } else {
-                // Best heuristic incumbent; objective ties broken by the
-                // fixed arm ranking so the pick is order-independent.
-                let mut best: Option<(ArmKind, Solution)> = None;
-                for (kind, sol) in st.answers.drain(..) {
-                    let better = match &best {
-                        None => true,
-                        Some((bk, bs)) => (sol.objective, kind.rank()) < (bs.objective, bk.rank()),
-                    };
-                    if better {
-                        best = Some((kind, sol));
-                    }
-                }
-                best.map(|(k, s)| (k, s, None))
+                Duration::from_millis(10)
             };
-            match picked {
-                Some(p) => Ok((
-                    p,
-                    st.cert,
-                    std::mem::take(&mut st.history),
-                    st.first,
-                    st.upgrades,
-                    exact_finished,
-                )),
-                None => Err(st.last_err.take().unwrap_or(AssignError::Cancelled)),
-            }
-        };
+            let (guard, _) = race
+                .cv
+                .wait_timeout(st, slice)
+                .expect("race state poisoned");
+            st = guard;
+        }
+        st.finished = true;
+        // The exact answer whenever it arrived, otherwise the best
+        // heuristic incumbent; objective ties broken by the fixed arm
+        // ranking so the pick is order-independent.
+        let best = st
+            .answers
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, (kind, sol, _))| (*kind != ArmKind::Exact, sol.objective, kind.rank()))
+            .map(|(i, _)| i);
+        let picked = best.map(|i| st.answers.swap_remove(i));
+        let (cert, history, first, upgrades) = (
+            st.cert,
+            std::mem::take(&mut st.history),
+            st.first,
+            st.upgrades,
+        );
+        let last_err = st.last_err.take();
+        drop(st);
         // Decided (either way): stop every still-running arm.
         token.cancel();
 
-        let ((winner, solution, frontiers), cert, history, first, upgrades, exact_finished) =
-            decided.map_err(EngineError::from)?;
-
-        if let Some(fs) = frontiers {
+        let Some((winner, solution, frontiers)) = picked else {
+            return Err(last_err.unwrap_or(AssignError::Cancelled).into());
+        };
+        if let Some(frontiers) = frontiers {
             // The exact arm finished: donate its λ-independent frontier
             // set to the engine's cache so the next query over this
             // instance — anytime or batch — is a hit. Counted as a miss:
             // the preparation work was paid here.
-            let entry = CachedInstance {
+            let built = CachedInstance {
                 prepared: (*prep).clone(),
-                frontiers: fs,
+                frontiers,
             };
-            self.engine.cache.insert_or_adopt(id.raw(), entry);
-            self.engine
-                .stats
-                .cache_misses
-                .fetch_add(1, Ordering::Relaxed);
+            self.engine.insert_or_adopt(id, tree, costs, built)?;
         }
-        self.engine.stats.record_solve(&solution.stats);
+        self.engine.record(Ok(&solution));
 
         // The winner's objective is the certified upper bound by
         // construction; the certificate always exists once any arm
@@ -528,7 +469,7 @@ impl Portfolio {
                 solution,
                 certificate,
                 winner,
-                exact_finished,
+                exact_finished: winner == ArmKind::Exact,
             },
             first_arm,
             time_to_first_ns: first_at.as_nanos() as u64,
@@ -537,50 +478,28 @@ impl Portfolio {
         })
     }
 
-    fn launch_exact(
+    /// Submits one arm to the portfolio's workers: `run` computes the
+    /// arm's result for [`Race::report`], and the arm's guard reports a
+    /// loss instead if `run` panics.
+    fn launch(
         &self,
-        prep: &Arc<Prepared<'static>>,
-        lambda: Lambda,
-        token: &CancelToken,
         race: &Arc<Race>,
-        expanded: ExpandedConfig,
-    ) {
-        let prep = Arc::clone(prep);
-        let token = token.clone();
-        let race = Arc::clone(race);
-        let pending = Arc::clone(&self.pending);
-        pending.fetch_add(1, Ordering::AcqRel);
-        self.pool.submit(move || {
-            let mut guard = ArmGuard::new(Arc::clone(&race), pending, ArmKind::Exact);
-            let out = FrontierSet::prepare_cancellable(&prep, &expanded, &token).and_then(|fs| {
-                let sol = solve_with_frontiers(&prep, &fs, lambda)?;
-                Ok((sol, fs))
-            });
-            guard.reported = true;
-            race.exact_done(out);
-        });
-    }
-
-    fn launch_heuristic(
-        &self,
-        solver: Arc<dyn Solver + Send + Sync>,
         kind: ArmKind,
-        prep: &Arc<Prepared<'static>>,
-        lambda: Lambda,
-        token: &CancelToken,
-        race: &Arc<Race>,
+        run: impl FnOnce() -> ArmResult + Send + 'static,
     ) {
-        let prep = Arc::clone(prep);
-        let token = token.clone();
         let race = Arc::clone(race);
         let pending = Arc::clone(&self.pending);
         pending.fetch_add(1, Ordering::AcqRel);
         self.pool.submit(move || {
-            let mut guard = ArmGuard::new(Arc::clone(&race), pending, kind);
-            let mut scratch = SolveScratch::new();
-            let out = solver.solve_cancellable(&prep, lambda, &mut scratch, &token);
+            let mut guard = ArmGuard {
+                race: Arc::clone(&race),
+                pending,
+                kind,
+                reported: false,
+            };
+            let out = run();
             guard.reported = true;
-            race.arm_done(kind, out);
+            race.report(kind, out);
         });
     }
 }

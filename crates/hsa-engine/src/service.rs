@@ -852,18 +852,6 @@ impl Service {
         Ok(stats)
     }
 
-    /// A tenant's session counters, if it is open.
-    pub fn tenant_stats(&self, tenant: TenantId) -> Option<SessionStats> {
-        let t = self
-            .tenants
-            .read()
-            .expect("tenant registry poisoned")
-            .get(&tenant)
-            .cloned()?;
-        let stats = t.session.lock().expect("tenant session poisoned").stats();
-        Some(stats)
-    }
-
     /// A snapshot of a tenant's current (drifted) cost model, if it is
     /// open — what a replay asserts its delta stream drifted into.
     pub fn tenant_costs(&self, tenant: TenantId) -> Option<CostModel> {
@@ -880,11 +868,6 @@ impl Service {
             .costs()
             .clone();
         Some(costs)
-    }
-
-    /// Open tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.read().expect("tenant registry poisoned").len()
     }
 
     /// A snapshot of the request counters.
@@ -1425,12 +1408,9 @@ mod tests {
                 panic!("expected an apply outcome");
             };
         }
-        let stats = svc.tenant_stats(tenant).unwrap();
-        assert_eq!(stats.applies, 6);
         assert_eq!(svc.stats().deltas, 6);
         let closed = svc.close_tenant(tenant).unwrap();
         assert_eq!(closed.applies, 6);
-        assert_eq!(svc.tenant_count(), 0);
     }
 
     #[test]

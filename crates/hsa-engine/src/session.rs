@@ -232,19 +232,9 @@ impl Session {
         &self.prepared.costs
     }
 
-    /// The maintained λ-independent frontier preparation.
-    pub fn frontier_set(&self) -> &FrontierSet {
-        &self.frontiers
-    }
-
-    /// Counters since the session opened (or the last reset).
+    /// Counters since the session opened.
     pub fn stats(&self) -> SessionStats {
         self.stats
-    }
-
-    /// Resets the counters, keeping the instance and frontiers.
-    pub fn reset_stats(&mut self) {
-        self.stats = SessionStats::default();
     }
 
     /// The configuration this session was opened with.

@@ -26,8 +26,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A budget no small instance can exhaust: the differential property is
-/// about *finishable* instances, so the race must always end by
-/// `exact_done`, never by deadline.
+/// about *finishable* instances, so the race must always end by the exact
+/// arm's report, never by deadline.
 const GENEROUS: Duration = Duration::from_secs(120);
 
 fn small_instance(seed: u64, n: usize) -> (hsa_tree::CruTree, hsa_tree::CostModel) {
@@ -75,6 +75,14 @@ fn check_differential(
     prop_assert!(again.answer.exact_finished);
     prop_assert_eq!(&again.answer.solution.cut, &want.cut);
     prop_assert_eq!(again.answer.solution.objective, want.objective);
+
+    // Both answers counted as queries; the race's donation as the one
+    // miss and the re-ask as the one hit.
+    let stats = engine.stats();
+    prop_assert_eq!(stats.queries, 2);
+    prop_assert_eq!(stats.failed, 0);
+    prop_assert_eq!(stats.cache_misses, 1);
+    prop_assert_eq!(stats.cache_hits, 1);
     Ok(())
 }
 

@@ -1,5 +1,9 @@
-//! Cut-space heuristic arms: the bnb/ga/sa search bodies retargeted at the
+//! Cut-space heuristic arms: the bnb/ga/sa searches retargeted at the
 //! paper's *tree-cut* problem behind the [`hsa_assign::Solver`] trait.
+//! The GA and the annealer have no loop of their own: they run
+//! [`crate::ga`]'s generation loop and [`crate::sa`]'s annealing loop, the
+//! same ones [`crate::genetic`] and [`crate::simulated_annealing`] run,
+//! supplying only the start, the fitness and the gene move (a bit flip).
 //!
 //! The DAG-model heuristics in this crate ([`crate::genetic`],
 //! [`crate::simulated_annealing`], [`crate::branch_and_bound`]) optimise
@@ -22,14 +26,13 @@
 //!   the racing portfolio's deadline semantics. An uncancelled run is
 //!   deterministic per seed.
 
-use crate::ga::tournament;
-use crate::sa::metropolis;
+use crate::ga::evolve;
+use crate::sa::anneal;
 use crate::{BnbConfig, GaConfig, SaConfig};
 use hsa_assign::{AssignError, CancelToken, EvalScratch, Prepared, Solution, SolveStats, Solver};
 use hsa_graph::{Cost, Lambda, ScaledSsb, SolveScratch};
 use hsa_tree::{Cut, TreeEdge};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Reusable per-run buffers for genome evaluation.
 struct GenomeEval {
@@ -146,75 +149,27 @@ impl Solver for CutGenetic {
         _scratch: &mut SolveScratch,
         cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
-        let cfg = &self.config;
         let n = prep.tree.len();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let pop_size = cfg.population.max(2);
         let mut eval = GenomeEval::new(prep);
         let mut evaluated = 0u64;
-
-        // Seed with the two trivial feasible extremes, then random genomes.
-        let mut population: Vec<Vec<bool>> = Vec::with_capacity(pop_size);
-        population.push(vec![false; n]);
-        population.push(vec![true; n]);
-        while population.len() < pop_size {
-            population.push((0..n).map(|_| rng.random_bool(0.5)).collect());
-        }
-        let mut fitness: Vec<ScaledSsb> = population
-            .iter()
-            .map(|g| {
+        let (best, _, _) = evolve(
+            &self.config,
+            // The two trivial feasible extremes, then random genomes.
+            |size, rng| {
+                let mut population = vec![vec![false; n], vec![true; n]];
+                population.resize_with(size, || (0..n).map(|_| rng.random_bool(0.5)).collect());
+                population
+            },
+            |g| {
                 evaluated += 1;
                 eval.objective(prep, g, lambda)
-            })
-            .collect();
-
-        for _gen in 0..cfg.generations {
-            if cancel.is_cancelled() {
-                break;
-            }
-            let mut idx: Vec<usize> = (0..pop_size).collect();
-            idx.sort_by_key(|&i| (fitness[i], i));
-            let mut next: Vec<Vec<bool>> = Vec::with_capacity(pop_size);
-            for &e in idx.iter().take(cfg.elites.min(pop_size)) {
-                next.push(population[e].clone());
-            }
-            while next.len() < pop_size {
-                let a = tournament(&fitness, cfg.tournament, &mut rng);
-                let b = tournament(&fitness, cfg.tournament, &mut rng);
-                let mut child: Vec<bool> = (0..n)
-                    .map(|i| {
-                        if rng.random_bool(0.5) {
-                            population[a][i]
-                        } else {
-                            population[b][i]
-                        }
-                    })
-                    .collect();
-                for gene in child.iter_mut() {
-                    if rng.random_range(0..1000) < cfg.mutation_permille {
-                        *gene = !*gene;
-                    }
-                }
-                next.push(child);
-            }
-            population = next;
-            fitness = population
-                .iter()
-                .map(|g| {
-                    evaluated += 1;
-                    eval.objective(prep, g, lambda)
-                })
-                .collect();
-        }
-
-        let (best_i, _) = fitness
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &f)| (f, i))
-            .expect("non-empty population");
+            },
+            |_, bit, _| !bit,
+            || cancel.is_cancelled(),
+        );
         genome_solution(
             prep,
-            &population[best_i],
+            &best,
             lambda,
             SolveStats {
                 evaluated,
@@ -254,41 +209,20 @@ impl Solver for CutAnnealing {
         _scratch: &mut SolveScratch,
         cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
-        let cfg = &self.config;
         let n = prep.tree.len();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut eval = GenomeEval::new(prep);
-
-        let mut current = vec![false; n];
-        let mut cur_obj = eval.objective(prep, &current, lambda);
-        let mut best = current.clone();
-        let mut best_obj = cur_obj;
-        let mut evaluated = 1u64;
-        let mut temp = cfg.t0.max(1e-9);
-
-        for it in 0..cfg.iterations {
-            // Poll in small batches: the per-iteration work is O(n), so a
-            // 32-iteration stride still bounds cancellation latency tightly.
-            if it % 32 == 0 && cancel.is_cancelled() {
-                break;
-            }
-            let flip = rng.random_range(0..n);
-            current[flip] = !current[flip];
-            let cand_obj = eval.objective(prep, &current, lambda);
-            evaluated += 1;
-            let delta = cand_obj as f64 - cur_obj as f64;
-            if metropolis(delta, temp, &mut rng) {
-                cur_obj = cand_obj;
-                if cur_obj < best_obj {
-                    best_obj = cur_obj;
-                    best.copy_from_slice(&current);
-                }
-            } else {
-                current[flip] = !current[flip]; // revert
-            }
-            temp *= cfg.cooling;
-        }
-
+        let mut evaluated = 0u64;
+        let (best, _, _) = anneal(
+            &self.config,
+            vec![false; n],
+            &(0..n).collect::<Vec<_>>(),
+            |g| {
+                evaluated += 1;
+                eval.objective(prep, g, lambda)
+            },
+            |_, bit, _| !bit,
+            || cancel.is_cancelled(),
+        );
         genome_solution(
             prep,
             &best,
@@ -541,23 +475,53 @@ mod tests {
         }
     }
 
-    /// Pins one regression value per seeded heuristic under the *default*
-    /// seeds, so a portfolio race replayed from a report reproduces the
-    /// same arms bit-for-bit. If a deliberate algorithm change moves these
-    /// numbers, update them consciously — never delete the pin.
+    /// Pins each seeded heuristic's run under the *default* seeds, so a
+    /// portfolio race replayed from a report reproduces the same arms
+    /// bit-for-bit. An objective alone can survive a reordered RNG draw,
+    /// so the pins also cover the cut arms' winning cuts and evaluation
+    /// counts, the DAG GA's best makespan per generation and the DAG
+    /// annealer's accepted moves. If a deliberate algorithm change moves
+    /// these numbers, update them consciously — never delete the pin.
     #[test]
     fn default_seeds_pin_regression_values() {
         let (t, m) = prep_fig2();
         let prep = Prepared::new(&t, &m).unwrap();
+        let cut = [3, 4, 6, 7, 12].map(|c| TreeEdge::Parent(hsa_tree::CruId(c)));
         let ga = CutGenetic::default().solve(&prep, Lambda::HALF).unwrap();
         assert_eq!(ga.objective, 242, "cut-ga drifted under the default seed");
+        assert_eq!(ga.cut.edges(), cut, "cut-ga drifted");
+        assert_eq!(ga.stats.evaluated, 7260, "cut-ga drifted");
         let sa = CutAnnealing::default().solve(&prep, Lambda::HALF).unwrap();
         assert_eq!(sa.objective, 242, "cut-sa drifted under the default seed");
+        assert_eq!(sa.cut.edges(), cut, "cut-sa drifted");
+        assert_eq!(sa.stats.evaluated, 4001, "cut-sa drifted");
         let dag = crate::TaskDag::from_tree(&t, &m);
         let dga = crate::genetic(&dag, &crate::GaConfig::default()).unwrap();
         assert_eq!(dga.makespan.ticks(), 148, "dag-ga drifted");
+        // The whole history, run-length encoded as (makespan, generations).
+        let mut runs: Vec<(u64, usize)> = Vec::new();
+        for c in &dga.history {
+            match runs.last_mut() {
+                Some((v, k)) if *v == c.ticks() => *k += 1,
+                _ => runs.push((c.ticks(), 1)),
+            }
+        }
+        let want = [
+            (259, 1),
+            (207, 2),
+            (202, 2),
+            (189, 1),
+            (186, 1),
+            (174, 1),
+            (167, 4),
+            (160, 2),
+            (157, 6),
+            (148, 101),
+        ];
+        assert_eq!(runs, want, "dag-ga history drifted");
         let dsa = crate::simulated_annealing(&dag, &crate::SaConfig::default()).unwrap();
         assert_eq!(dsa.makespan.ticks(), 193, "dag-sa drifted");
+        assert_eq!(dsa.accepted, 3146, "dag-sa drifted");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Chromosome: one [`Location`] gene per task (pinned genes frozen).
 //! Fitness: the list-scheduling makespan (lower is better). Selection:
 //! tournament; uniform crossover; per-gene mutation; elitism. Fully seeded
-//! and deterministic.
+//! and deterministic. The generation loop, [`evolve`], is generic over the
+//! gene and fitness types; the cut-space GA runs it too.
 
 use crate::{list_makespan, DagAssignment, Location, TaskDag};
 use hsa_graph::Cost;
@@ -53,7 +54,9 @@ pub struct GaResult {
     pub history: Vec<Cost>,
 }
 
-fn random_location(dag: &TaskDag, i: usize, rng: &mut StdRng) -> Location {
+/// A uniformly drawn location for task `i`; a pinned task keeps its
+/// satellite without a draw.
+pub(crate) fn random_location(dag: &TaskDag, i: usize, rng: &mut StdRng) -> Location {
     match dag.tasks[i].pinned {
         Some(s) => Location::Satellite(s),
         None => {
@@ -71,32 +74,67 @@ fn random_location(dag: &TaskDag, i: usize, rng: &mut StdRng) -> Location {
 pub fn genetic(dag: &TaskDag, cfg: &GaConfig) -> Result<GaResult, String> {
     dag.validate()?;
     let n = dag.len();
+    let (assignment, makespan, history) = evolve(
+        cfg,
+        |size, rng| {
+            (0..size)
+                .map(|_| (0..n).map(|i| random_location(dag, i, rng)).collect())
+                .collect()
+        },
+        |a| list_makespan(dag, a).expect("generated assignments are feasible"),
+        |i, _, rng| random_location(dag, i, rng),
+        || false,
+    );
+    Ok(GaResult {
+        assignment,
+        makespan,
+        history,
+    })
+}
+
+/// The generation loop of both GAs ([`genetic`] and the cut-space
+/// [`crate::CutGenetic`]), over any gene type. `start` draws the first
+/// population of the given size, `fitness_of` scores a genome (lower is
+/// better) and `mutate` draws the replacement for gene `i`. `stop` is
+/// polled before each generation; once it returns true the run ends with
+/// what it has bred. Each generation keeps the `elites` fittest and fills
+/// up with children of two tournament winners: uniform crossover, then
+/// per-gene mutation.
+///
+/// Returns the fittest genome of the last population (the earliest on a
+/// tie), its fitness, and the best fitness of each generation followed by
+/// that final one.
+pub(crate) fn evolve<G: Copy, F: Copy + Ord>(
+    cfg: &GaConfig,
+    start: impl FnOnce(usize, &mut StdRng) -> Vec<Vec<G>>,
+    mut fitness_of: impl FnMut(&Vec<G>) -> F,
+    mut mutate: impl FnMut(usize, G, &mut StdRng) -> G,
+    stop: impl Fn() -> bool,
+) -> (Vec<G>, F, Vec<F>) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let pop_size = cfg.population.max(2);
+    let mut population = start(pop_size, &mut rng);
+    let n = population[0].len();
+    let mut fitness: Vec<F> = population.iter().map(&mut fitness_of).collect();
 
-    let mut population: Vec<DagAssignment> = (0..pop_size)
-        .map(|_| (0..n).map(|i| random_location(dag, i, &mut rng)).collect())
-        .collect();
-    let mut fitness: Vec<Cost> = population
-        .iter()
-        .map(|a| list_makespan(dag, a).expect("generated assignments are feasible"))
-        .collect();
-
-    let mut history = Vec::with_capacity(cfg.generations);
+    let mut history = Vec::with_capacity(cfg.generations + 1);
     for _gen in 0..cfg.generations {
+        if stop() {
+            break;
+        }
         // Rank for elitism.
         let mut idx: Vec<usize> = (0..pop_size).collect();
         idx.sort_by_key(|&i| (fitness[i], i));
         history.push(fitness[idx[0]]);
 
-        let mut next: Vec<DagAssignment> = Vec::with_capacity(pop_size);
+        let mut next: Vec<Vec<G>> = Vec::with_capacity(pop_size);
         for &e in idx.iter().take(cfg.elites.min(pop_size)) {
             next.push(population[e].clone());
         }
         while next.len() < pop_size {
             let a = tournament(&fitness, cfg.tournament, &mut rng);
             let b = tournament(&fitness, cfg.tournament, &mut rng);
-            let mut child: DagAssignment = (0..n)
+            let mut child: Vec<G> = (0..n)
                 .map(|i| {
                     if rng.random_bool(0.5) {
                         population[a][i]
@@ -107,35 +145,27 @@ pub fn genetic(dag: &TaskDag, cfg: &GaConfig) -> Result<GaResult, String> {
                 .collect();
             for (i, gene) in child.iter_mut().enumerate() {
                 if rng.random_range(0..1000) < cfg.mutation_permille {
-                    *gene = random_location(dag, i, &mut rng);
+                    *gene = mutate(i, *gene, &mut rng);
                 }
             }
             next.push(child);
         }
         population = next;
-        fitness = population
-            .iter()
-            .map(|a| list_makespan(dag, a).expect("feasible"))
-            .collect();
+        fitness = population.iter().map(&mut fitness_of).collect();
     }
 
-    let (best_i, &makespan) = fitness
+    let (best_i, &best) = fitness
         .iter()
         .enumerate()
         .min_by_key(|&(i, &f)| (f, i))
         .expect("non-empty population");
-    history.push(makespan);
-    Ok(GaResult {
-        assignment: population[best_i].clone(),
-        makespan,
-        history,
-    })
+    history.push(best);
+    (population.swap_remove(best_i), best, history)
 }
 
-/// Tournament selection, shared with the cut-space GA: draws `k`
-/// individuals uniformly and returns the fittest (lowest) of them, the
-/// earliest draw winning a tie.
-pub(crate) fn tournament<F: PartialOrd>(fitness: &[F], k: usize, rng: &mut StdRng) -> usize {
+/// Tournament selection: draws `k` individuals uniformly and returns the
+/// fittest (lowest) of them, the earliest draw winning a tie.
+fn tournament<F: PartialOrd>(fitness: &[F], k: usize, rng: &mut StdRng) -> usize {
     let mut best = rng.random_range(0..fitness.len());
     for _ in 1..k.max(1) {
         let c = rng.random_range(0..fitness.len());

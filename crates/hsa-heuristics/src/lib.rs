@@ -15,10 +15,13 @@
 //!   bounds (validated against [`exhaustive_optimum`]);
 //! * [`genetic`] and [`simulated_annealing`] — seeded metaheuristics,
 //!   compared against the exact optimum in experiment T7;
-//! * [`CutGenetic`], [`CutAnnealing`], [`CutBranchBound`] — the same
-//!   search bodies retargeted at the paper's tree-cut problem behind the
+//! * [`CutGenetic`], [`CutAnnealing`], [`CutBranchBound`] — the searches
+//!   retargeted at the paper's tree-cut problem behind the
 //!   [`hsa_assign::Solver`] trait, so they race the exact solvers on one
-//!   objective scoreboard (the anytime portfolio's heuristic arms).
+//!   objective scoreboard (the anytime portfolio's heuristic arms). The
+//!   cut GA and annealer run the very generation and annealing loops of
+//!   [`genetic`] and [`simulated_annealing`], over cut bits instead of
+//!   locations; only the genome, the fitness and the gene move differ.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

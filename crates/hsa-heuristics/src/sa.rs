@@ -1,10 +1,12 @@
 //! Simulated annealing — a second heuristic baseline for the future-work
 //! general assignment problem (complementing the GA; both are compared
-//! against B&B and the tree-exact solvers in experiment T7).
+//! against B&B and the tree-exact solvers in experiment T7). The annealing
+//! loop, [`anneal`], is generic over the gene and fitness types; the
+//! cut-space annealer runs it too.
 
+use crate::ga::random_location;
 use crate::{list_makespan, DagAssignment, Location, TaskDag};
 use hsa_graph::Cost;
-use hsa_tree::SatelliteId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,67 +50,98 @@ pub struct SaResult {
 pub fn simulated_annealing(dag: &TaskDag, cfg: &SaConfig) -> Result<SaResult, String> {
     dag.validate()?;
     let n = dag.len();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut current: DagAssignment = (0..n)
+    let start: DagAssignment = (0..n)
         .map(|i| match dag.tasks[i].pinned {
             Some(s) => Location::Satellite(s),
             None => Location::Host,
         })
         .collect();
-    let mut cur_mk = list_makespan(dag, &current)?;
-    let mut best = current.clone();
-    let mut best_mk = cur_mk;
-    let mut temp = cfg.t0.max(1e-9);
-    let mut accepted = 0usize;
-
     // Mutable (unpinned) gene indexes.
     let free: Vec<usize> = (0..n).filter(|&i| dag.tasks[i].pinned.is_none()).collect();
-    if free.is_empty() {
-        return Ok(SaResult {
-            assignment: current,
-            makespan: cur_mk,
-            accepted: 0,
-        });
+    let (assignment, makespan, accepted) = anneal(
+        cfg,
+        start,
+        &free,
+        |a| {
+            list_makespan(dag, a)
+                .expect("moves keep the assignment feasible")
+                .ticks()
+        },
+        |i, _, rng| random_location(dag, i, rng),
+        || false,
+    );
+    Ok(SaResult {
+        assignment,
+        makespan: Cost::new(makespan),
+        accepted,
+    })
+}
+
+/// The annealing loop of both annealers ([`simulated_annealing`] and the
+/// cut-space [`crate::CutAnnealing`]), over any gene type, from the state
+/// `current`. Each iteration proposes one move: a gene drawn uniformly
+/// from `movable` takes the value `mutate` draws for it. A move that
+/// leaves the gene as it was is skipped, with no evaluation and no
+/// cooling. Any other move is taken or refused by [`metropolis`] on the
+/// change in `fitness_of` (lower is better) and undone when refused; the
+/// temperature then cools geometrically. `stop` is polled every 32
+/// iterations; once it returns true the run ends with its best state.
+///
+/// Returns the best state seen, its fitness and the number of moves taken.
+pub(crate) fn anneal<G: Copy + PartialEq, F: Copy + Ord>(
+    cfg: &SaConfig,
+    mut current: Vec<G>,
+    movable: &[usize],
+    mut fitness_of: impl FnMut(&Vec<G>) -> F,
+    mut mutate: impl FnMut(usize, G, &mut StdRng) -> G,
+    stop: impl Fn() -> bool,
+) -> (Vec<G>, F, usize)
+where
+    u128: From<F>,
+{
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut cur = fitness_of(&current);
+    let mut best = current.clone();
+    let mut best_fitness = cur;
+    let mut temp = cfg.t0.max(1e-9);
+    let mut accepted = 0usize;
+    if movable.is_empty() {
+        return (best, best_fitness, accepted);
     }
 
-    for _ in 0..cfg.iterations {
-        let gi = free[rng.random_range(0..free.len())];
+    for it in 0..cfg.iterations {
+        // Poll in small batches: the per-iteration work is O(n), so a
+        // 32-iteration stride still bounds cancellation latency tightly.
+        if it % 32 == 0 && stop() {
+            break;
+        }
+        let gi = movable[rng.random_range(0..movable.len())];
         let old = current[gi];
-        let pick = rng.random_range(0..=dag.n_satellites);
-        current[gi] = if pick == 0 {
-            Location::Host
-        } else {
-            Location::Satellite(SatelliteId(pick - 1))
-        };
+        current[gi] = mutate(gi, old, &mut rng);
         if current[gi] == old {
             continue;
         }
-        let mk = list_makespan(dag, &current)?;
-        let delta = mk.ticks() as f64 - cur_mk.ticks() as f64;
+        let cand = fitness_of(&current);
+        let delta = u128::from(cand) as f64 - u128::from(cur) as f64;
         if metropolis(delta, temp, &mut rng) {
-            cur_mk = mk;
+            cur = cand;
             accepted += 1;
-            if mk < best_mk {
-                best_mk = mk;
-                best = current.clone();
+            if cand < best_fitness {
+                best_fitness = cand;
+                best.copy_from_slice(&current);
             }
         } else {
             current[gi] = old;
         }
         temp *= cfg.cooling;
     }
-    Ok(SaResult {
-        assignment: best,
-        makespan: best_mk,
-        accepted,
-    })
+    (best, best_fitness, accepted)
 }
 
-/// Metropolis acceptance, shared with the cut-space annealer: a move that
-/// does not worsen the objective (`delta <= 0`) is always taken, without
-/// drawing from `rng`; a worsening one with probability
-/// `exp(-delta / temp)`.
-pub(crate) fn metropolis(delta: f64, temp: f64, rng: &mut StdRng) -> bool {
+/// Metropolis acceptance: a move that does not worsen the objective
+/// (`delta <= 0`) is always taken, without drawing from `rng`; a worsening
+/// one with probability `exp(-delta / temp)`.
+fn metropolis(delta: f64, temp: f64, rng: &mut StdRng) -> bool {
     delta <= 0.0 || rng.random_bool((-delta / temp).exp().clamp(0.0, 1.0))
 }
 
