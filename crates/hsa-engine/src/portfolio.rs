@@ -43,6 +43,7 @@ use hsa_heuristics::{BnbConfig, CutAnnealing, CutBranchBound, CutGenetic, GaConf
 use hsa_tree::{CostModel, CruTree};
 use serde::{DeError, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -246,27 +247,6 @@ impl Race {
         }
         drop(st);
         self.cv.notify_all();
-    }
-}
-
-/// Drop guard an arm holds for its whole run: decrements the portfolio's
-/// pending-arm gauge and — if the arm never reported (a panic unwound
-/// through it) — reports a loss so the caller's wait can still terminate.
-struct ArmGuard {
-    race: Arc<Race>,
-    pending: Arc<AtomicUsize>,
-    kind: ArmKind,
-    reported: bool,
-}
-
-impl Drop for ArmGuard {
-    fn drop(&mut self) {
-        if !self.reported {
-            // Panicked before reporting: count the arm out so the race
-            // cannot wait on it forever.
-            self.race.report(self.kind, Err(AssignError::Cancelled));
-        }
-        self.pending.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -479,8 +459,8 @@ impl Portfolio {
     }
 
     /// Submits one arm to the portfolio's workers: `run` computes the
-    /// arm's result for [`Race::report`], and the arm's guard reports a
-    /// loss instead if `run` panics.
+    /// arm's result for [`Race::report`], and the pending-arm gauge counts
+    /// the arm until it has reported.
     fn launch(
         &self,
         race: &Arc<Race>,
@@ -491,15 +471,47 @@ impl Portfolio {
         let pending = Arc::clone(&self.pending);
         pending.fetch_add(1, Ordering::AcqRel);
         self.pool.submit(move || {
-            let mut guard = ArmGuard {
-                race: Arc::clone(&race),
-                pending,
-                kind,
-                reported: false,
-            };
-            let out = run();
-            guard.reported = true;
+            // A panicking arm reports a loss, so the race never waits on it.
+            let out = catch_unwind(AssertUnwindSafe(run)).unwrap_or(Err(AssignError::Cancelled));
             race.report(kind, out);
+            pending.fetch_sub(1, Ordering::AcqRel);
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::EngineConfig;
+
+    #[test]
+    fn a_panicking_arm_reports_a_loss_and_drains() {
+        let engine = Arc::new(Engine::new(EngineConfig::default()));
+        let portfolio = Portfolio::new(engine, PortfolioConfig::default());
+        let race = Arc::new(Race {
+            state: Mutex::new(RaceState {
+                arms_left: 1,
+                ..RaceState::default()
+            }),
+            cv: Condvar::new(),
+            lower: 0,
+            lambda: Lambda::HALF,
+            start: Instant::now(),
+        });
+        portfolio.launch(&race, ArmKind::Genetic, || panic!("arm failure"));
+        let (st, _) = race
+            .cv
+            .wait_timeout_while(race.state.lock().unwrap(), Duration::from_secs(20), |st| {
+                st.arms_left > 0
+            })
+            .unwrap();
+        assert_eq!(st.arms_left, 0, "the panicked arm never reported");
+        assert!(st.answers.is_empty());
+        assert!(matches!(st.last_err, Some(AssignError::Cancelled)));
+        drop(st);
+        // The gauge drops right after the report.
+        while portfolio.pending_arms() != 0 {
+            std::thread::yield_now();
+        }
     }
 }
