@@ -128,11 +128,10 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// Runs `f` with this thread's shared scratch — the zero-plumbing way
-    /// for a solver to reach the walk-free path without threading a
-    /// scratch through its own signature. Worker threads (the engine
-    /// pool) each keep their own warm instance.
-    pub fn with_thread_local<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
+    /// Runs `f` with this thread's shared scratch — the one
+    /// [`crate::Solution::from_cut_in`] evaluates in. Every thread keeps
+    /// its own warm instance.
+    pub(crate) fn with_thread_local<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
         thread_local! {
             static SCRATCH: std::cell::RefCell<EvalScratch> =
                 std::cell::RefCell::new(EvalScratch::new());

@@ -3,10 +3,10 @@
 //! objective differs from Bokhari's (T3).
 
 use crate::{
-    evaluate_cut, solve_sb_expanded, AssignError, EvalScratch, ExpandedConfig, Prepared, Solution,
+    evaluate_cut, solve_sb_expanded, AssignError, CancelToken, ExpandedConfig, Prepared, Solution,
     SolveStats, Solver,
 };
-use hsa_graph::{Cost, Lambda, SolveScratch};
+use hsa_graph::{Cost, Lambda};
 use hsa_tree::{Cut, TreeEdge};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,21 +20,18 @@ impl Solver for AllOnHost {
         "all-on-host"
     }
 
-    fn solve_in(
+    fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        _scratch: &mut SolveScratch,
+        _cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
-        EvalScratch::with_thread_local(|es| {
-            Solution::from_cut_in(
-                prep,
-                Cut::all_on_host(&prep.tree),
-                lambda,
-                SolveStats::default(),
-                es,
-            )
-        })
+        Solution::from_cut_in(
+            prep,
+            Cut::all_on_host(&prep.tree),
+            lambda,
+            SolveStats::default(),
+        )
     }
 }
 
@@ -48,21 +45,18 @@ impl Solver for MaxOffload {
         "max-offload"
     }
 
-    fn solve_in(
+    fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        _scratch: &mut SolveScratch,
+        _cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
-        EvalScratch::with_thread_local(|es| {
-            Solution::from_cut_in(
-                prep,
-                Cut::max_offload(&prep.tree, &prep.colouring),
-                lambda,
-                SolveStats::default(),
-                es,
-            )
-        })
+        Solution::from_cut_in(
+            prep,
+            Cut::max_offload(&prep.tree, &prep.colouring),
+            lambda,
+            SolveStats::default(),
+        )
     }
 }
 
@@ -79,11 +73,11 @@ impl Solver for GreedyDescent {
         "greedy-descent"
     }
 
-    fn solve_in(
+    fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        _scratch: &mut SolveScratch,
+        _cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
         let mut current = Cut::max_offload(&prep.tree, &prep.colouring);
         let (_, rep) = evaluate_cut(prep, &current)?;
@@ -116,19 +110,16 @@ impl Solver for GreedyDescent {
                 None => break,
             }
         }
-        EvalScratch::with_thread_local(|es| {
-            Solution::from_cut_in(
-                prep,
-                current,
-                lambda,
-                SolveStats {
-                    iterations,
-                    evaluated,
-                    ..SolveStats::default()
-                },
-                es,
-            )
-        })
+        Solution::from_cut_in(
+            prep,
+            current,
+            lambda,
+            SolveStats {
+                iterations,
+                evaluated,
+                ..SolveStats::default()
+            },
+        )
     }
 }
 
@@ -177,11 +168,11 @@ impl Solver for RandomCut {
         "random-cut"
     }
 
-    fn solve_in(
+    fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        _scratch: &mut SolveScratch,
+        _cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut edges = Vec::new();
@@ -200,15 +191,12 @@ impl Solver for RandomCut {
                 }
             }
         }
-        EvalScratch::with_thread_local(|es| {
-            Solution::from_cut_in(
-                prep,
-                Cut::new(&prep.tree, edges)?,
-                lambda,
-                SolveStats::default(),
-                es,
-            )
-        })
+        Solution::from_cut_in(
+            prep,
+            Cut::new(&prep.tree, edges)?,
+            lambda,
+            SolveStats::default(),
+        )
     }
 }
 
@@ -226,11 +214,11 @@ impl Solver for SbObjective {
         "sb-objective"
     }
 
-    fn solve_in(
+    fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        _scratch: &mut SolveScratch,
+        _cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
         let (mut sol, _sb) = solve_sb_expanded(prep, &self.config)?;
         // Re-report the objective under the requested λ for comparability.

@@ -2,8 +2,8 @@
 //! optimum. Exponential — guarded by a cut-count cap — and used as the
 //! ground truth the polynomial solvers are property-tested against.
 
-use crate::{AssignError, EvalScratch, Prepared, Solution, SolveStats, Solver};
-use hsa_graph::{Lambda, SolveScratch};
+use crate::{AssignError, CancelToken, Prepared, Solution, SolveStats, Solver};
+use hsa_graph::Lambda;
 use hsa_tree::{bottleneck_of_cut, count_cuts, for_each_cut, host_time_of_cut, Cut, TreeEdge};
 
 /// Exhaustive enumeration solver.
@@ -26,11 +26,11 @@ impl Solver for BruteForce {
         "brute-force"
     }
 
-    fn solve_in(
+    fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        _scratch: &mut SolveScratch,
+        _cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
         let cuttable = |e: TreeEdge| prep.colouring.cuttable(e);
         let total = count_cuts(&prep.tree, &cuttable);
@@ -56,18 +56,15 @@ impl Solver for BruteForce {
             }
         });
         let (cut, _) = best.ok_or(AssignError::NoFeasibleAssignment)?;
-        EvalScratch::with_thread_local(|es| {
-            Solution::from_cut_in(
-                prep,
-                cut,
-                lambda,
-                SolveStats {
-                    evaluated,
-                    ..SolveStats::default()
-                },
-                es,
-            )
-        })
+        Solution::from_cut_in(
+            prep,
+            cut,
+            lambda,
+            SolveStats {
+                evaluated,
+                ..SolveStats::default()
+            },
+        )
     }
 }
 

@@ -52,11 +52,6 @@ impl DirtyColours {
             self.count() as f64 / self.dirty.len() as f64
         }
     }
-
-    /// True when no frontier needs rebuilding.
-    pub fn is_clean(&self) -> bool {
-        self.count() == 0
-    }
 }
 
 /// Compares two label sets over the **same tree** and returns, per colour,
@@ -163,7 +158,6 @@ mod tests {
     fn identical_instances_are_clean() {
         let (old, new) = prepare_pair(&Delta::new());
         let d = dirty_colours(&old, &new);
-        assert!(d.is_clean());
         assert_eq!(d.fraction(), 0.0);
     }
 

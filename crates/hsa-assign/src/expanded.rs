@@ -29,8 +29,8 @@
 //! frontier size and fails loudly ([`AssignError::FrontierOverflow`])
 //! rather than degrade silently.
 
-use crate::{AssignError, CancelToken, EvalScratch, Prepared, Solution, SolveStats, Solver};
-use hsa_graph::{Cost, Lambda, SolveScratch};
+use crate::{AssignError, CancelToken, Prepared, Solution, SolveStats, Solver};
+use hsa_graph::{Cost, Lambda};
 #[cfg(test)]
 use hsa_tree::SatelliteId;
 use hsa_tree::{CruId, Cut, TreeEdge};
@@ -777,15 +777,6 @@ impl FrontierSet {
     }
 }
 
-fn assemble(
-    prep: &Prepared<'_>,
-    cut: Cut,
-    lambda: Lambda,
-    stats: SolveStats,
-) -> Result<Solution, AssignError> {
-    EvalScratch::with_thread_local(|es| Solution::from_cut_in(prep, cut, lambda, stats, es))
-}
-
 /// Solves one λ query from a prepared [`FrontierSet`]: the threshold sweep
 /// half of the full-expansion solver. Produces exactly the answer (cut,
 /// objective, stats) that [`Expanded::solve`] computes from scratch.
@@ -804,7 +795,7 @@ pub fn solve_with_frontiers(
         }
     });
     let (_, theta) = best.ok_or(AssignError::NoFeasibleAssignment)?;
-    assemble(
+    Solution::from_cut_in(
         prep,
         pick_for_threshold(prep, fs, theta),
         lambda,
@@ -828,21 +819,10 @@ impl Solver for Expanded {
         "expanded"
     }
 
-    fn solve_in(
-        &self,
-        prep: &Prepared<'_>,
-        lambda: Lambda,
-        _scratch: &mut SolveScratch,
-    ) -> Result<Solution, AssignError> {
-        let fs = FrontierSet::prepare(prep, &self.config)?;
-        solve_with_frontiers(prep, &fs, lambda)
-    }
-
     fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        _scratch: &mut SolveScratch,
         cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
         let fs = FrontierSet::prepare_cancellable(prep, &self.config, cancel)?;
@@ -865,7 +845,7 @@ pub fn solve_sb_expanded(
         }
     });
     let (sb, theta) = best.ok_or(AssignError::NoFeasibleAssignment)?;
-    let sol = assemble(
+    let sol = Solution::from_cut_in(
         prep,
         pick_for_threshold(prep, &fs, theta),
         // Report with λ=½ so `objective` is the S+B delay of the SB-optimal

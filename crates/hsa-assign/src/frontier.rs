@@ -17,9 +17,7 @@
 //! segment midpoint (`tests/` of the `hsa-engine` crate).
 
 use crate::expanded::{pick_for_threshold, sweep_thresholds};
-use crate::{
-    AssignError, EvalScratch, ExpandedConfig, FrontierSet, Prepared, Solution, SolveStats,
-};
+use crate::{AssignError, ExpandedConfig, FrontierSet, Prepared, Solution, SolveStats};
 use hsa_graph::envelope::{lower_envelope, EnvelopeSegment, LambdaEnvelope, LambdaQ};
 use hsa_graph::{Cost, Lambda, ScaledSsb};
 use hsa_tree::Cut;
@@ -76,9 +74,7 @@ impl LambdaFrontier {
         prep: &Prepared<'_>,
         lambda: Lambda,
     ) -> Result<Solution, AssignError> {
-        EvalScratch::with_thread_local(|es| {
-            Solution::from_cut_in(prep, self.cut_at(lambda).clone(), lambda, self.stats, es)
-        })
+        Solution::from_cut_in(prep, self.cut_at(lambda).clone(), lambda, self.stats)
     }
 }
 

@@ -53,19 +53,15 @@ pub use expanded::{
     ExpandedConfig, Frontier, FrontierPoint, FrontierSet,
 };
 pub use frontier::{lambda_frontier, lambda_frontier_with, LambdaFrontier};
-pub use paper_ssb::{solve_with_trace, solve_with_trace_in, PaperSsb, PaperSsbConfig, SsbEvent};
+pub use paper_ssb::{solve_with_trace, PaperSsb, PaperSsbConfig, SsbEvent};
 pub use prepared::{ColourTops, EvalIndex, Prepared, ReplacedParts};
 pub use solver::{Solution, SolveStats, Solver};
-
-// Re-exported so downstream crates name the workspace type without a direct
-// hsa-graph dependency.
-pub use hsa_graph::SolveScratch;
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
         evaluate_cut, lambda_frontier, AllOnHost, AssignError, Assignment, BruteForce, CancelToken,
         DelayReport, Expanded, GapCertificate, GreedyDescent, LambdaFrontier, MaxOffload, PaperSsb,
-        Prepared, SbObjective, Solution, SolveScratch, Solver,
+        Prepared, SbObjective, Solution, Solver,
     };
 }

@@ -32,7 +32,7 @@
 //! Exactness is property-tested against brute force and the full-expansion
 //! solver over thousands of random instances (see `tests/`).
 
-use crate::{AssignError, EvalScratch, Prepared, Solution, SolveStats, Solver};
+use crate::{AssignError, CancelToken, Prepared, Solution, SolveStats, Solver};
 use hsa_graph::{Cost, Lambda, ScaledSsb, SolveScratch, SSB_INFINITY};
 use hsa_tree::{Band, Cut, SatelliteId, TreeEdge};
 use std::collections::BTreeSet;
@@ -104,34 +104,24 @@ impl Solver for PaperSsb {
         "paper-ssb"
     }
 
-    fn solve_in(
+    fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        scratch: &mut SolveScratch,
+        _cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
-        let (sol, _trace) = solve_with_trace_in(prep, lambda, &self.config, scratch)?;
+        let (sol, _trace) = solve_with_trace(prep, lambda, &self.config)?;
         Ok(sol)
     }
 }
 
 /// Runs the adapted algorithm and returns the solution together with its
-/// event trace (empty unless `record_trace`).
+/// event trace (empty unless `record_trace`). The per-iteration min-S DP
+/// and the per-colour load sums share one workspace across the search.
 pub fn solve_with_trace(
     prep: &Prepared<'_>,
     lambda: Lambda,
     config: &PaperSsbConfig,
-) -> Result<(Solution, Vec<SsbEvent>), AssignError> {
-    solve_with_trace_in(prep, lambda, config, &mut SolveScratch::new())
-}
-
-/// [`solve_with_trace`] running in a reusable workspace: the per-iteration
-/// min-S DP and the per-colour load sums reuse the scratch buffers.
-pub fn solve_with_trace_in(
-    prep: &Prepared<'_>,
-    lambda: Lambda,
-    config: &PaperSsbConfig,
-    ws: &mut SolveScratch,
 ) -> Result<(Solution, Vec<SsbEvent>), AssignError> {
     let graph = SearchGraph::from_prepared(prep);
     let mut ctx = Ctx {
@@ -143,12 +133,10 @@ pub fn solve_with_trace_in(
         stats: SolveStats::default(),
         trace: Vec::new(),
     };
-    search(&mut ctx, graph, &BTreeSet::new(), ws)?;
+    search(&mut ctx, graph, &BTreeSet::new(), &mut SolveScratch::new())?;
     let best = ctx.best.ok_or(AssignError::NoFeasibleAssignment)?;
     let cut = Cut::new(&prep.tree, best)?;
-    let sol = EvalScratch::with_thread_local(|es| {
-        Solution::from_cut_in(prep, cut, lambda, ctx.stats, es)
-    })?;
+    let sol = Solution::from_cut_in(prep, cut, lambda, ctx.stats)?;
     Ok((sol, ctx.trace))
 }
 

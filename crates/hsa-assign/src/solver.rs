@@ -4,7 +4,7 @@ use crate::{
     evaluate_cut, evaluate_cut_in, AssignError, Assignment, CancelToken, DelayReport, EvalScratch,
     Prepared,
 };
-use hsa_graph::{Cost, Lambda, ScaledSsb, SolveScratch};
+use hsa_graph::{Cost, Lambda, ScaledSsb};
 use hsa_tree::Cut;
 use serde::{Deserialize, Serialize};
 
@@ -82,17 +82,18 @@ impl Solution {
 
     /// Walk-free twin of [`Solution::from_cut`]: evaluates through the
     /// σ/β labels and the pre-order index ([`crate::evaluate_cut_in`]),
-    /// reusing `scratch`'s buffers. Byte-identical to [`Solution::from_cut`]
-    /// for any cut the solvers produce — that identity is what the
-    /// engine's verify mode and the `proptest_eval` suite pin down.
+    /// reusing this thread's [`EvalScratch`] buffers. Byte-identical to
+    /// [`Solution::from_cut`] for any cut the solvers produce — that
+    /// identity is what the engine's verify mode and the `proptest_eval`
+    /// suite pin down.
     pub fn from_cut_in(
         prep: &Prepared<'_>,
         cut: Cut,
         lambda: Lambda,
         stats: SolveStats,
-        scratch: &mut EvalScratch,
     ) -> Result<Solution, AssignError> {
-        let (assignment, report) = evaluate_cut_in(prep, &cut, scratch)?;
+        let (assignment, report) =
+            EvalScratch::with_thread_local(|es| evaluate_cut_in(prep, &cut, es))?;
         let objective = report.ssb_scaled(lambda);
         Ok(Solution {
             cut,
@@ -112,43 +113,28 @@ impl Solution {
 
 /// A solver of the coloured assignment problem.
 ///
-/// The workspace-based entry point [`Solver::solve_in`] is the one
-/// implementations provide; [`Solver::solve`] is a convenience wrapper that
-/// allocates a throwaway [`SolveScratch`]. Batch services keep one scratch
-/// per worker and call `solve_in` so steady-state solving allocates only
-/// for the returned [`Solution`].
+/// Implementations provide one method, [`Solver::solve_cancellable`];
+/// [`Solver::solve`] calls it with a token that never fires.
 pub trait Solver {
     /// Short stable name used in benches and reports.
     fn name(&self) -> &'static str;
 
-    /// Solves the prepared instance for the given λ inside a reusable
-    /// workspace. Solvers that need no search buffers simply ignore it.
-    fn solve_in(
-        &self,
-        prep: &Prepared<'_>,
-        lambda: Lambda,
-        scratch: &mut SolveScratch,
-    ) -> Result<Solution, AssignError>;
-
-    /// Solves the prepared instance for the given λ (fresh workspace).
-    fn solve(&self, prep: &Prepared<'_>, lambda: Lambda) -> Result<Solution, AssignError> {
-        self.solve_in(prep, lambda, &mut SolveScratch::new())
-    }
-
-    /// Cancellation-aware solve for racing portfolios. Implementations
-    /// that can observe the token poll it at loop boundaries: exact
-    /// solvers abort with [`AssignError::Cancelled`], anytime heuristics
-    /// return their best incumbent instead. The default ignores the token
-    /// and solves to completion — correct, just not promptly cancellable.
+    /// Solves the prepared instance for the given λ, observing `cancel`
+    /// for racing portfolios. Solvers that can observe the token poll it
+    /// at loop boundaries: exact solvers abort with
+    /// [`AssignError::Cancelled`], anytime heuristics return their best
+    /// incumbent instead. The others ignore it and solve to completion —
+    /// correct, just not promptly cancellable.
     fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        scratch: &mut SolveScratch,
         cancel: &CancelToken,
-    ) -> Result<Solution, AssignError> {
-        let _ = cancel;
-        self.solve_in(prep, lambda, scratch)
+    ) -> Result<Solution, AssignError>;
+
+    /// Solves the prepared instance for the given λ to completion.
+    fn solve(&self, prep: &Prepared<'_>, lambda: Lambda) -> Result<Solution, AssignError> {
+        self.solve_cancellable(prep, lambda, &CancelToken::new())
     }
 }
 

@@ -85,14 +85,12 @@ proptest! {
     ) {
         let prep = Prepared::new(&inst.tree, &inst.costs).unwrap();
         let lambda = Lambda::new(num, 4).unwrap();
-        let mut scratch = EvalScratch::new();
         for cut in [
             hsa_tree::Cut::all_on_host(&inst.tree),
             hsa_tree::Cut::max_offload(&inst.tree, &prep.colouring),
         ] {
             let a = Solution::from_cut(&prep, cut.clone(), lambda, SolveStats::default()).unwrap();
-            let b = Solution::from_cut_in(&prep, cut, lambda, SolveStats::default(), &mut scratch)
-                .unwrap();
+            let b = Solution::from_cut_in(&prep, cut, lambda, SolveStats::default()).unwrap();
             prop_assert_eq!(a.objective, b.objective);
             prop_assert_eq!(a.report, b.report);
             prop_assert_eq!(a.assignment, b.assignment);

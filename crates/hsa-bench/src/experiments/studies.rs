@@ -1102,9 +1102,9 @@ pub(super) fn t12(ctx: &ExpCtx) {
             estats.cache_misses.to_string(),
             estats.cache_hits.to_string(),
             sstats.backpressure_waits.to_string(),
-            sstats.solves.to_string(),
-            sstats.frontiers.to_string(),
-            sstats.deltas.to_string(),
+            lat.solve.count.to_string(),
+            lat.frontier.count.to_string(),
+            lat.delta.count.to_string(),
             us(lat.solve.p50_ns),
             us(lat.solve.p99_ns),
             us(lat.delta.p99_ns),
@@ -1505,9 +1505,9 @@ pub(super) fn t13(ctx: &ExpCtx) {
             nstats.saturation_parks.to_string(),
             nstats.writes.to_string(),
             nstats.frames_out.to_string(),
-            sstats.solves.to_string(),
-            sstats.frontiers.to_string(),
-            sstats.deltas.to_string(),
+            lat.solve.count.to_string(),
+            lat.frontier.count.to_string(),
+            lat.delta.count.to_string(),
             us(lat.solve.p50_ns),
             us(lat.solve.p99_ns),
             us(lat.frontier.p99_ns),

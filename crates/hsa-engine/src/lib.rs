@@ -23,10 +23,7 @@
 //!   objective, same stats semantics. The engine owns no thread.
 //! * [`Engine::solve_batch`] answers a slice of queries the same way,
 //!   fanned across scoped threads that live only as long as the call
-//!   ([`EngineConfig::threads`] sets how many).
-//! * [`Engine::solve_batch_with`] runs any [`Solver`] instead, each
-//!   thread reusing one [`hsa_graph::SolveScratch`] workspace across its
-//!   share of the batch.
+//!   ([`parallel_map`]; [`EngineConfig::threads`] sets how many).
 //! * [`Engine::frontier`] exposes the full **λ-frontier** — the
 //!   piecewise-linear lower envelope of optimal cuts over λ ∈ [0, 1] with
 //!   exact rational breakpoints — so a λ-sweep costs one envelope pass
@@ -76,7 +73,7 @@
 
 use hsa_assign::{
     lambda_frontier_with, solve_with_frontiers, AssignError, ExpandedConfig, FrontierSet,
-    LambdaFrontier, Prepared, Solution, SolveScratch, SolveStats, Solver,
+    LambdaFrontier, Prepared, Solution, SolveStats,
 };
 use hsa_graph::Lambda;
 use hsa_tree::{CostModel, CruTree};
@@ -179,10 +176,9 @@ impl From<AssignError> for EngineError {
 /// Engine configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
-    /// How many threads one [`Engine::solve_batch`] or
-    /// [`Engine::solve_batch_with`] call fans out across (0, the default,
-    /// means one per available core). The engine keeps no thread between
-    /// calls.
+    /// How many threads one [`Engine::solve_batch`] call fans out across
+    /// (0, the default, means one per available core). The engine keeps no
+    /// thread between calls.
     pub threads: usize,
     /// Frontier caps for the cached full-expansion preparation.
     pub expanded: ExpandedConfig,
@@ -210,10 +206,10 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Fraction of `prepare` calls answered from the cache (0.0 when no
-    /// call was made yet).
+    /// Fraction of the counted cache events that were hits,
+    /// `cache_hits` over [`EngineStats::prepares`] (0.0 before the first).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
+        let total = self.prepares();
         if total == 0 {
             0.0
         } else {
@@ -221,7 +217,9 @@ impl EngineStats {
         }
     }
 
-    /// Total `prepare` calls observed.
+    /// Counted cache events, `cache_hits + cache_misses`: every `prepare`
+    /// call, plus each [`Portfolio::solve_anytime`] that hit the cache or
+    /// donated its exact arm's frontiers.
     pub fn prepares(&self) -> u64 {
         self.cache_hits + self.cache_misses
     }
@@ -423,36 +421,9 @@ impl Engine {
         &self,
         queries: &[(InstanceId, Lambda)],
     ) -> Vec<Result<Solution, EngineError>> {
-        pool::fan_out(
-            queries.iter().copied(),
-            self.threads,
-            || (),
-            |_, (id, lambda)| self.solve(id, lambda),
-        )
-    }
-
-    /// Answers a batch of queries with an arbitrary [`Solver`], fanned out
-    /// as [`Engine::solve_batch`] is; each thread reuses one
-    /// [`hsa_graph::SolveScratch`] workspace for its share of the batch.
-    pub fn solve_batch_with(
-        &self,
-        queries: &[(InstanceId, Lambda)],
-        solver: Arc<dyn Solver + Send + Sync>,
-    ) -> Vec<Result<Solution, EngineError>> {
-        pool::fan_out(
-            queries.iter().copied(),
-            self.threads,
-            SolveScratch::default,
-            |ws, (id, lambda)| {
-                let out = self.lookup(id).and_then(|entry| {
-                    solver
-                        .solve_in(&entry.prepared, lambda, ws)
-                        .map_err(EngineError::from)
-                });
-                self.record(out.as_ref());
-                out
-            },
-        )
+        parallel_map(queries.iter().copied(), self.threads, |(id, lambda)| {
+            self.solve(id, lambda)
+        })
     }
 
     /// The λ-frontier of a cached instance: every optimal cut over
@@ -525,7 +496,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsa_assign::{Expanded, PaperSsb};
+    use hsa_assign::{Expanded, Solver};
     use hsa_workloads::paper_scenario;
 
     #[test]
@@ -594,23 +565,6 @@ mod tests {
             assert_eq!(got.cut, want.cut);
         }
         assert_eq!(engine.stats().queries, 9);
-    }
-
-    #[test]
-    fn custom_solver_batch_matches_fresh_solves() {
-        let sc = paper_scenario();
-        let engine = Engine::new(EngineConfig::default());
-        let id = engine.prepare(&sc.tree, &sc.costs).unwrap();
-        let queries = vec![(id, Lambda::HALF); 4];
-        let batch = engine.solve_batch_with(&queries, Arc::new(PaperSsb::default()));
-        let prep = Prepared::new(&sc.tree, &sc.costs).unwrap();
-        let want = PaperSsb::default().solve(&prep, Lambda::HALF).unwrap();
-        for got in &batch {
-            let got = got.as_ref().unwrap();
-            assert_eq!(got.objective, want.objective);
-            assert_eq!(got.cut, want.cut);
-        }
-        assert!(engine.stats().solve.iterations >= 4);
     }
 
     #[test]

@@ -211,8 +211,6 @@ impl Client {
         }
     }
 
-    /// Receives until the frame answering `corr` arrives. Used by the
-    /// sequential typed methods; strict because they never pipeline.
     /// Pops the next complete frame, filling the reused decode buffer
     /// from the socket as needed (flushing queued sends first — a recv
     /// must never deadlock behind our own unsent requests).
@@ -244,6 +242,9 @@ impl Client {
         }
     }
 
+    /// Receives the next frame, which must answer `corr`. Used by the
+    /// sequential typed methods; strict because they never pipeline, so
+    /// any other correlation id is a protocol error.
     fn recv_matching(&mut self, corr: u64) -> Result<NetReply, ClientError> {
         let frame = self.recv_frame()?;
         if frame.corr != corr {

@@ -1,14 +1,13 @@
 //! Thread fan-out for batch calls, and the job queue behind the service.
 //!
-//! * [`parallel_map`] — and, inside the crate, the engine's batch entry
-//!   points — deal a batch round-robin across scoped threads that live
-//!   only as long as the call: thread `t` of `w` takes items `t`, `t + w`,
-//!   `t + 2w`, …, and the results come back in input order. A panic inside
-//!   the job is re-raised on the calling thread once every thread has
-//!   joined, so a batch behaves like a plain loop. Each thread may build
-//!   one piece of state (a solver workspace) that every job it runs
-//!   reuses. A width of 1, or a batch of at most one item, runs in place
-//!   on the calling thread.
+//! * [`parallel_map`] — the one scoped fan-out, behind
+//!   [`Engine::solve_batch`](crate::Engine::solve_batch) too — deals a
+//!   batch round-robin across scoped threads that live only as long as
+//!   the call: thread `t` of `w` takes items `t`, `t + w`, `t + 2w`, …,
+//!   and the results come back in input order. A panic inside the job is
+//!   re-raised on the calling thread once every thread has joined, so a
+//!   batch behaves like a plain loop. A width of 1, or a batch of at most
+//!   one item, runs in place on the calling thread.
 //! * `WorkerPool` — N **persistent** workers fed through one shared
 //!   injector queue, for a stream of independent jobs. Only the
 //!   [`Service`](crate::Service) and the [`Portfolio`](crate::Portfolio)
@@ -159,41 +158,19 @@ impl Drop for WorkerPool {
 /// the caller. If `job` panics, the panic is re-raised here once every
 /// thread has joined. A width of 1, or a batch of at most one item, runs
 /// as a plain in-order loop on the calling thread.
-pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, job: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    fan_out(
-        items,
-        effective_threads(threads),
-        || (),
-        |_, item| job(item),
-    )
-}
-
-/// The one fan-out behind [`parallel_map`] and the engine's batch calls
-/// (see the module docs). `width` is an already resolved thread count;
-/// `init` builds the per-thread state every job on that thread reuses.
-pub(crate) fn fan_out<I, S, R>(
-    items: I,
-    width: usize,
-    init: impl Fn() -> S + Sync,
-    job: impl Fn(&mut S, I::Item) -> R + Sync,
-) -> Vec<R>
+pub fn parallel_map<I, R, F>(items: I, threads: usize, job: F) -> Vec<R>
 where
     I: IntoIterator,
     I::IntoIter: ExactSizeIterator,
     I::Item: Send,
     R: Send,
+    F: Fn(I::Item) -> R + Sync,
 {
     let items = items.into_iter();
     let n = items.len();
-    let width = width.min(n);
+    let width = effective_threads(threads).min(n);
     if width <= 1 {
-        let mut state = init();
-        return items.map(|item| job(&mut state, item)).collect();
+        return items.map(job).collect();
     }
     let mut lanes: Vec<Vec<I::Item>> = (0..width)
         .map(|_| Vec::with_capacity(n.div_ceil(width)))
@@ -201,18 +178,11 @@ where
     for (i, item) in items.enumerate() {
         lanes[i % width].push(item);
     }
-    let (init, job) = (&init, &job);
+    let job = &job;
     std::thread::scope(|s| {
         let handles: Vec<_> = lanes
             .into_iter()
-            .map(|lane| {
-                s.spawn(move || {
-                    let mut state = init();
-                    lane.into_iter()
-                        .map(|item| job(&mut state, item))
-                        .collect::<Vec<R>>()
-                })
-            })
+            .map(|lane| s.spawn(move || lane.into_iter().map(job).collect::<Vec<R>>()))
             .collect();
         // A lane's panic unwinds out of this closure; `scope` joins the
         // other lanes before it re-raises that panic on the caller.
@@ -229,7 +199,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -248,28 +217,6 @@ mod tests {
         assert_eq!(out, vec![6, 7]);
         let out = parallel_map(vec![5u32, 6], 1, |x| x + 1);
         assert_eq!(out, vec![6, 7]);
-    }
-
-    #[test]
-    fn fan_out_keeps_one_state_per_thread() {
-        let inits = AtomicUsize::new(0);
-        // Each thread's state counts the items it has seen; dealing is
-        // round-robin, so item i is the (i / 3)-th item of its thread.
-        let out = fan_out(
-            0..50usize,
-            3,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |seen: &mut usize, x| {
-                *seen += 1;
-                (x, *seen)
-            },
-        );
-        assert_eq!(inits.load(Ordering::Relaxed), 3);
-        let want: Vec<_> = (0..50).map(|x| (x, x / 3 + 1)).collect();
-        assert_eq!(out, want);
     }
 
     #[test]

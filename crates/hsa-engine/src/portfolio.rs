@@ -36,7 +36,7 @@ use crate::pool::WorkerPool;
 use crate::{Engine, EngineError};
 use hsa_assign::{
     solve_with_frontiers, structural_lower_bound, AssignError, CancelToken, FrontierSet,
-    GapCertificate, Prepared, Solution, SolveScratch, Solver,
+    GapCertificate, Prepared, Solution, Solver,
 };
 use hsa_graph::{Lambda, ScaledSsb};
 use hsa_heuristics::{BnbConfig, CutAnnealing, CutBranchBound, CutGenetic, GaConfig, SaConfig};
@@ -370,7 +370,7 @@ impl Portfolio {
         for (kind, solver) in heuristics {
             let (p, t) = (Arc::clone(&prep), soft.clone());
             self.launch(&race, kind, move || {
-                let sol = solver.solve_cancellable(&p, lambda, &mut SolveScratch::new(), &t)?;
+                let sol = solver.solve_cancellable(&p, lambda, &t)?;
                 Ok((sol, None))
             });
         }

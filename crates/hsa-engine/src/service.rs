@@ -615,8 +615,8 @@ impl Gate {
     }
 }
 
-/// The request kinds the service tracks separately — counter and
-/// latency-histogram selector.
+/// The request kinds the service tracks separately: selects the latency
+/// histogram, whose count is that kind's request count.
 #[derive(Clone, Copy)]
 enum ReqKind {
     Solve,
@@ -634,10 +634,6 @@ struct ServiceCounters {
     submitted: CachePadded<AtomicU64>,
     completed: CachePadded<AtomicU64>,
     failed: CachePadded<AtomicU64>,
-    solves: CachePadded<AtomicU64>,
-    frontiers: CachePadded<AtomicU64>,
-    deltas: CachePadded<AtomicU64>,
-    anytimes: CachePadded<AtomicU64>,
 }
 
 /// A snapshot of the service's counters.
@@ -649,17 +645,11 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Requests answered with an error.
     pub failed: u64,
-    /// Solve requests answered (success or failure).
-    pub solves: u64,
-    /// Frontier requests answered.
-    pub frontiers: u64,
-    /// Delta requests answered.
-    pub deltas: u64,
-    /// Anytime (portfolio race) requests answered.
-    pub anytimes: u64,
     /// `submit` calls that had to block on a full queue (backpressure).
     pub backpressure_waits: u64,
-    /// Per-request-kind latency percentiles (accepted → answered).
+    /// Per-request-kind latency percentiles (accepted → answered). Each
+    /// kind's `count` is the number of its requests answered, success or
+    /// failure.
     pub latency: RequestLatency,
 }
 
@@ -725,15 +715,6 @@ impl Shared {
             ReqKind::Frontier => &self.lat_frontier,
             ReqKind::Delta => &self.lat_delta,
             ReqKind::Anytime => &self.lat_anytime,
-        }
-    }
-
-    fn counter_of(&self, kind: ReqKind) -> &AtomicU64 {
-        match kind {
-            ReqKind::Solve => &self.counters.solves,
-            ReqKind::Frontier => &self.counters.frontiers,
-            ReqKind::Delta => &self.counters.deltas,
-            ReqKind::Anytime => &self.counters.anytimes,
         }
     }
 }
@@ -878,10 +859,6 @@ impl Service {
             submitted: load(&c.submitted),
             completed: load(&c.completed),
             failed: load(&c.failed),
-            solves: load(&c.solves),
-            frontiers: load(&c.frontiers),
-            deltas: load(&c.deltas),
-            anytimes: load(&c.anytimes),
             backpressure_waits: self.shared.gate.waits.load(Ordering::Relaxed),
             latency: RequestLatency {
                 solve: self.shared.lat_solve.snapshot().stats(),
@@ -1076,7 +1053,6 @@ fn finish(
     slot: &ReplySlot,
     result: Result<Reply, ServiceError>,
 ) {
-    shared.counter_of(kind).fetch_add(1, Ordering::Relaxed);
     let bucket = if result.is_ok() {
         &shared.counters.completed
     } else {
@@ -1329,7 +1305,11 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, 2);
-        assert_eq!((stats.solves, stats.frontiers, stats.failed), (1, 1, 0));
+        let lat = stats.latency;
+        assert_eq!(
+            (lat.solve.count, lat.frontier.count, stats.failed),
+            (1, 1, 0)
+        );
     }
 
     #[test]
@@ -1408,7 +1388,7 @@ mod tests {
                 panic!("expected an apply outcome");
             };
         }
-        assert_eq!(svc.stats().deltas, 6);
+        assert_eq!(svc.stats().latency.delta.count, 6);
         let closed = svc.close_tenant(tenant).unwrap();
         assert_eq!(closed.applies, 6);
     }
@@ -1519,9 +1499,6 @@ mod tests {
         let stats = svc.stats();
         let lat = stats.latency;
         // Every answered request of each kind was recorded…
-        assert_eq!(lat.solve.count, stats.solves);
-        assert_eq!(lat.frontier.count, stats.frontiers);
-        assert_eq!(lat.delta.count, stats.deltas);
         assert_eq!(
             (lat.solve.count, lat.frontier.count, lat.delta.count),
             (4, 4, 4)
@@ -1578,7 +1555,10 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.submitted, stats.completed + stats.failed);
         assert_eq!((stats.submitted, stats.failed), (2, 2));
-        assert_eq!((stats.solves, stats.frontiers), (1, 1));
+        assert_eq!(
+            (stats.latency.solve.count, stats.latency.frontier.count),
+            (1, 1)
+        );
         // Neither the calling thread nor the pool's workers were lost.
         let id = svc
             .submit(Request::solve(&sc.tree, &sc.costs, Lambda::HALF))

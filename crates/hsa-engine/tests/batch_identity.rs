@@ -2,7 +2,7 @@
 //! mixed workload must be **byte-identical** — objective and cut — to
 //! sequential per-call `Solver::solve` on freshly prepared instances.
 
-use hsa_assign::{Expanded, PaperSsb, Prepared, Solver};
+use hsa_assign::{Expanded, Prepared, Solver};
 use hsa_engine::{Engine, EngineConfig, InstanceId};
 use hsa_graph::Lambda;
 use hsa_workloads::{catalog, random_instance, Placement, RandomTreeParams, Scenario};
@@ -85,34 +85,6 @@ fn solve_batch_is_byte_identical_to_sequential_solves() {
     }
     assert_eq!(q, queries.len());
     assert_eq!(engine.stats().queries, queries.len() as u64);
-}
-
-#[test]
-fn generic_solver_batch_is_byte_identical_too() {
-    // The scratch-pool path (arbitrary Solver) must be just as exact; the
-    // paper's own algorithm is the interesting one to pin.
-    let (scenarios, _) = workload();
-    let lambdas = [Lambda::ZERO, Lambda::HALF, Lambda::ONE];
-    let engine = Engine::new(EngineConfig::default());
-    let mut queries = Vec::new();
-    for sc in &scenarios {
-        let id = engine.prepare(&sc.tree, &sc.costs).unwrap();
-        for &lambda in &lambdas {
-            queries.push((id, lambda));
-        }
-    }
-    let batch = engine.solve_batch_with(&queries, std::sync::Arc::new(PaperSsb::default()));
-    let mut q = 0;
-    for sc in &scenarios {
-        let prep = Prepared::new(&sc.tree, &sc.costs).unwrap();
-        for &lambda in &lambdas {
-            let want = PaperSsb::default().solve(&prep, lambda).unwrap();
-            let got = batch[q].as_ref().unwrap();
-            assert_eq!(got.objective, want.objective, "{} λ={lambda}", sc.name);
-            assert_eq!(got.cut, want.cut, "{} λ={lambda}", sc.name);
-            q += 1;
-        }
-    }
 }
 
 #[test]

@@ -412,9 +412,8 @@ fn pool_and_inline_answers_share_one_connection_in_submission_order() {
             },
         }
     }
-    let stats = local.stats();
-    assert_eq!(stats.latency.solve.count, stats.solves);
-    assert_eq!(stats.latency.frontier.count, stats.frontiers);
+    let lat = local.stats().latency;
+    assert_eq!((lat.solve.count, lat.frontier.count), (5, 2));
     let remote = server.service().stats();
     assert_eq!(remote.submitted, remote.completed + remote.failed);
     assert_eq!(remote.failed, 1, "only the unknown id fails");

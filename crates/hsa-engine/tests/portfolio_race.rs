@@ -132,7 +132,7 @@ fn service_tickets_balance_across_anytime_races() {
     }
 
     let stats = service.stats();
-    assert_eq!(stats.anytimes, 6);
+    assert_eq!(stats.latency.anytime.count, 6);
     assert_eq!(stats.submitted, 6);
     assert_eq!(
         stats.completed + stats.failed,

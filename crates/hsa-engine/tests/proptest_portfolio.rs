@@ -125,7 +125,7 @@ fn check_certificates(
     let token = CancelToken::new();
     token.cancel();
     let sol = CutGenetic::default()
-        .solve_cancellable(&prep, lambda, &mut hsa_assign::SolveScratch::new(), &token)
+        .solve_cancellable(&prep, lambda, &token)
         .unwrap();
     prop_assert!(sol.objective >= optimum);
     Ok(())

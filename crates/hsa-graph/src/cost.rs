@@ -44,20 +44,6 @@ impl Cost {
         self.0
     }
 
-    /// Creates a cost from (fractional) milliseconds, at microsecond
-    /// resolution. Negative or non-finite inputs clamp to zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        if !ms.is_finite() || ms <= 0.0 {
-            return Cost::ZERO;
-        }
-        Cost((ms * 1000.0).round() as u64)
-    }
-
-    /// The cost expressed in fractional milliseconds (1 tick = 1 µs).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1000.0
-    }
-
     /// Saturating addition.
     #[inline]
     pub const fn saturating_add(self, rhs: Cost) -> Cost {
@@ -243,15 +229,6 @@ mod tests {
         assert_eq!(total, Cost::new(6));
         assert!(Cost::new(2) < Cost::new(3));
         assert_eq!(Cost::new(7).max(Cost::new(4)), Cost::new(7));
-    }
-
-    #[test]
-    fn cost_millis_round_trip() {
-        let c = Cost::from_millis_f64(1.5);
-        assert_eq!(c, Cost::new(1500));
-        assert!((c.as_millis_f64() - 1.5).abs() < 1e-9);
-        assert_eq!(Cost::from_millis_f64(-3.0), Cost::ZERO);
-        assert_eq!(Cost::from_millis_f64(f64::NAN), Cost::ZERO);
     }
 
     #[test]

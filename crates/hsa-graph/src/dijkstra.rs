@@ -5,10 +5,9 @@
 //! canonical choice). Only *alive* edges participate, so the elimination
 //! loop never rebuilds the graph.
 //!
-//! Both variants run inside a caller-provided [`SolveScratch`]
-//! ([`shortest_path_in`], [`distances_from_in`]) so repeated searches on
-//! the same graph allocate nothing; the scratch-free entry points remain
-//! as convenience wrappers.
+//! [`shortest_path_in`] runs inside a caller-provided [`SolveScratch`], so
+//! the repeated searches of one SSB/SB search or sweep share one workspace;
+//! [`shortest_path`] and [`distances_from`] build their own.
 //!
 //! Determinism: ties are broken first on distance, then on node id, and the
 //! predecessor of a node is only replaced by a *strictly* shorter distance,
@@ -90,20 +89,10 @@ pub fn shortest_path_in(
 }
 
 /// All-targets σ distances from `source` (alive edges only); `Cost::MAX`
-/// marks unreachable nodes. Convenience wrapper over
-/// [`distances_from_in`].
+/// marks unreachable nodes.
 pub fn distances_from(g: &Dwg, source: NodeId) -> Vec<Cost> {
-    let mut out = Vec::new();
-    distances_from_in(g, source, &mut SolveScratch::new(), &mut out);
-    out
-}
-
-/// [`distances_from`] running in a reusable workspace; the result is
-/// written into `out` (cleared first) so steady-state callers allocate
-/// nothing.
-pub fn distances_from_in(g: &Dwg, source: NodeId, ws: &mut SolveScratch, out: &mut Vec<Cost>) {
     let n = g.num_nodes();
-    ws.begin(n);
+    let mut ws = SolveScratch::with_capacity(n);
     ws.seed(source.index(), Cost::ZERO);
     ws.push(Cost::ZERO, source.0);
     while let Some((d, u)) = ws.pop() {
@@ -120,8 +109,7 @@ pub fn distances_from_in(g: &Dwg, source: NodeId, ws: &mut SolveScratch, out: &m
             }
         }
     }
-    out.clear();
-    out.extend((0..n).map(|i| ws.dist(i)));
+    (0..n).map(|i| ws.dist(i)).collect()
 }
 
 #[cfg(test)]
@@ -237,16 +225,6 @@ mod tests {
             // Stale state from the 6-node run must not leak into this one.
             assert!(shortest_path_in(&small, NodeId(1), NodeId(0), &mut ws).is_none());
         }
-    }
-
-    #[test]
-    fn distances_from_in_reuses_output_buffer() {
-        let mut g = Dwg::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), c(2), c(0));
-        let mut ws = SolveScratch::new();
-        let mut out = vec![c(99); 17]; // stale, oversized
-        distances_from_in(&g, NodeId(0), &mut ws, &mut out);
-        assert_eq!(out, vec![c(0), c(2), Cost::MAX]);
     }
 
     #[test]

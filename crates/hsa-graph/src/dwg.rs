@@ -300,14 +300,6 @@ impl Dwg {
             .map(move |e| (e, &self.edges[e.index()]))
     }
 
-    /// Iterates *all* out-edges of a node, including eliminated ones.
-    pub fn out_edges_all(&self, n: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
-        self.adj[n.index()]
-            .iter()
-            .copied()
-            .map(move |e| (e, &self.edges[e.index()]))
-    }
-
     /// Iterates every alive edge in id order.
     pub fn alive_edges(&self) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
         self.edges

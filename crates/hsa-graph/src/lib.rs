@@ -49,13 +49,12 @@ pub use dwg::{AliveSnapshot, Dwg, Edge, EdgeId, NodeId};
 pub use envelope::{lower_envelope, EnvelopeSegment, LambdaEnvelope, LambdaQ};
 pub use error::GraphError;
 pub use path::Path;
-pub use sb::{sb_search, sb_search_in, SbOutcome};
+pub use sb::{sb_search, SbOutcome};
 pub use scratch::SolveScratch;
 pub use ssb::{
-    ssb_search, ssb_search_in, EliminationRule, SsbBest, SsbConfig, SsbIteration, SsbOutcome,
-    Termination,
+    ssb_search, EliminationRule, SsbBest, SsbConfig, SsbIteration, SsbOutcome, Termination,
 };
-pub use sweep::{sb_search_sweep, ssb_frontier, ssb_frontier_in, ssb_search_sweep, SweepOutcome};
+pub use sweep::{sb_search_sweep, ssb_frontier, ssb_search_sweep, SweepOutcome};
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {

@@ -22,20 +22,10 @@ pub struct SbOutcome {
 
 /// Runs Bokhari's SB algorithm between `source` and `target`.
 ///
-/// Like [`crate::ssb_search`], the search consumes edge liveness.
-/// Convenience wrapper over [`sb_search_in`] with a throwaway workspace.
+/// Like [`crate::ssb_search`], the search consumes edge liveness. Its
+/// Dijkstra runs and elimination sweeps share one workspace.
 pub fn sb_search(g: &mut Dwg, source: NodeId, target: NodeId) -> SbOutcome {
-    sb_search_in(g, source, target, &mut SolveScratch::new())
-}
-
-/// [`sb_search`] running in a reusable [`SolveScratch`]; repeated solves
-/// reuse the Dijkstra and elimination buffers.
-pub fn sb_search_in(
-    g: &mut Dwg,
-    source: NodeId,
-    target: NodeId,
-    ws: &mut SolveScratch,
-) -> SbOutcome {
+    let ws = &mut SolveScratch::new();
     let mut best: Option<(Path, Cost)> = None;
     let mut best_sb = Cost::MAX;
     let mut iterations = 0usize;

@@ -8,12 +8,11 @@
 //! stamp differs from the current epoch as "unset". Resetting the workspace
 //! is therefore O(1) regardless of how large previous problems were.
 //!
-//! The same buffers serve every search in the workspace family: the generic
-//! Dijkstra variants ([`crate::dijkstra::shortest_path_in`]), the SSB/SB
-//! candidate-eliminate loops ([`crate::ssb_search_in`],
-//! [`crate::sb_search_in`]), and the gap-DAG DP of the coloured solver in
-//! `hsa-assign`. A scratch is cheap to create, `Send`, and intended to live
-//! one-per-worker-thread in batch services (see the `hsa-engine` crate).
+//! One search builds one scratch and reuses it across its inner runs: the
+//! Dijkstra runs ([`crate::dijkstra::shortest_path_in`]) of an SSB/SB
+//! candidate-eliminate loop ([`crate::ssb_search`], [`crate::sb_search`])
+//! or a threshold sweep, and the per-iteration gap-DAG DP of the coloured
+//! solver in `hsa-assign`.
 
 use crate::Cost;
 use std::cmp::Reverse;

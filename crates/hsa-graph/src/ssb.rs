@@ -128,24 +128,10 @@ pub struct SsbOutcome {
 /// callers who need the graph back take a [`Dwg::snapshot`] first, or call
 /// [`Dwg::revive_all`] afterwards (O(1)) when the graph started fully
 /// alive. This mirrors the paper's formulation, where each iteration works
-/// on the reduced graph `Gᵢ`.
-///
-/// Convenience wrapper over [`ssb_search_in`] with a throwaway workspace.
+/// on the reduced graph `Gᵢ`. The per-iteration Dijkstra runs and the
+/// elimination sweeps share one workspace.
 pub fn ssb_search(g: &mut Dwg, source: NodeId, target: NodeId, cfg: &SsbConfig) -> SsbOutcome {
-    ssb_search_in(g, source, target, cfg, &mut SolveScratch::new())
-}
-
-/// [`ssb_search`] running in a reusable [`SolveScratch`]: the per-iteration
-/// Dijkstra runs and the elimination sweeps reuse the workspace buffers, so
-/// a steady-state caller allocates only for the returned best path (and the
-/// trace, when requested).
-pub fn ssb_search_in(
-    g: &mut Dwg,
-    source: NodeId,
-    target: NodeId,
-    cfg: &SsbConfig,
-    ws: &mut SolveScratch,
-) -> SsbOutcome {
+    let ws = &mut SolveScratch::new();
     let mut best: Option<SsbBest> = None;
     let mut best_ssb: ScaledSsb = SSB_INFINITY;
     let mut iterations = 0usize;
@@ -370,14 +356,13 @@ mod tests {
 
     #[test]
     fn repeated_solves_with_revive_and_scratch_are_identical() {
-        // One graph, one workspace, many solves: revive_all() (O(1)) between
-        // runs must reproduce the fresh-graph answer bit for bit.
+        // One graph, many solves: revive_all() (O(1)) between runs must
+        // reproduce the fresh-graph answer bit for bit.
         let mut g = diamond();
-        let mut ws = SolveScratch::new();
         let fresh = ssb_search(&mut diamond(), NodeId(0), NodeId(3), &SsbConfig::default());
         let expect = fresh.best.unwrap();
         for _ in 0..5 {
-            let out = ssb_search_in(&mut g, NodeId(0), NodeId(3), &SsbConfig::default(), &mut ws);
+            let out = ssb_search(&mut g, NodeId(0), NodeId(3), &SsbConfig::default());
             let best = out.best.unwrap();
             assert_eq!(best.ssb, expect.ssb);
             assert_eq!(best.path.edges, expect.path.edges);

@@ -39,9 +39,8 @@ pub fn ssb_search_sweep(
     target: NodeId,
     lambda: Lambda,
 ) -> SweepOutcome {
-    let mut ws = SolveScratch::new();
     let mut best: Option<(Path, Cost, Cost, ScaledSsb)> = None;
-    let probes = sweep_thresholds(g, source, target, &mut ws, |path, s, b| {
+    let probes = sweep_thresholds(g, source, target, |path, s, b| {
         let obj = lambda.ssb_scaled(s, b);
         if best.as_ref().map(|(_, _, _, o)| obj < *o).unwrap_or(true) {
             best = Some((path, s, b, obj));
@@ -58,9 +57,9 @@ fn sweep_thresholds<F: FnMut(Path, Cost, Cost)>(
     g: &mut Dwg,
     source: NodeId,
     target: NodeId,
-    ws: &mut SolveScratch,
     mut visit: F,
 ) -> usize {
+    let ws = &mut SolveScratch::new();
     let snapshot = g.snapshot();
     // One β-sorted (β, edge) table, built once. Scanning θ in ascending
     // order, the edges to kill (β > θ) are exactly a suffix of this table,
@@ -101,18 +100,8 @@ fn sweep_thresholds<F: FnMut(Path, Cost, Cost)>(
 ///
 /// Returns `None` when S and T are disconnected. Leaves liveness untouched.
 pub fn ssb_frontier(g: &mut Dwg, source: NodeId, target: NodeId) -> Option<LambdaEnvelope<Path>> {
-    ssb_frontier_in(g, source, target, &mut SolveScratch::new())
-}
-
-/// [`ssb_frontier`] running in a reusable workspace.
-pub fn ssb_frontier_in(
-    g: &mut Dwg,
-    source: NodeId,
-    target: NodeId,
-    ws: &mut SolveScratch,
-) -> Option<LambdaEnvelope<Path>> {
     let mut candidates: Vec<(Cost, Cost, Path)> = Vec::new();
-    sweep_thresholds(g, source, target, ws, |path, s, b| {
+    sweep_thresholds(g, source, target, |path, s, b| {
         candidates.push((s, b, path));
     });
     lower_envelope(candidates)
@@ -122,9 +111,8 @@ pub fn ssb_frontier_in(
 /// untouched. (No pruning over θ: S(θ) shrinks as θ grows, so every probe
 /// can still improve; |thetas| ≤ |E| anyway.)
 pub fn sb_search_sweep(g: &mut Dwg, source: NodeId, target: NodeId) -> SweepOutcome {
-    let mut ws = SolveScratch::new();
     let mut best: Option<(Path, Cost, Cost, ScaledSsb)> = None;
-    let probes = sweep_thresholds(g, source, target, &mut ws, |path, s, b| {
+    let probes = sweep_thresholds(g, source, target, |path, s, b| {
         let obj = s.max(b).ticks() as ScaledSsb;
         if best.as_ref().map(|(_, _, _, o)| obj < *o).unwrap_or(true) {
             best = Some((path, s, b, obj));

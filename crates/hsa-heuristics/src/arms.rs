@@ -29,10 +29,34 @@
 use crate::ga::evolve;
 use crate::sa::anneal;
 use crate::{BnbConfig, GaConfig, SaConfig};
-use hsa_assign::{AssignError, CancelToken, EvalScratch, Prepared, Solution, SolveStats, Solver};
-use hsa_graph::{Cost, Lambda, ScaledSsb, SolveScratch};
+use hsa_assign::{AssignError, CancelToken, Prepared, Solution, SolveStats, Solver};
+use hsa_graph::{Cost, Lambda, ScaledSsb};
 use hsa_tree::{Cut, TreeEdge};
 use rand::Rng;
+
+/// The top-down repair walk: hands `take` every edge of the cut `genome`
+/// repairs to, in preorder. A set bit on a cuttable parent edge closes the
+/// node's subtree, which the subtree-size index skips; a leaf reached uncut
+/// contributes its sensor edge. The walk covers every leaf exactly once
+/// with non-conflicted edges, so the edges form a valid cut.
+fn repair_walk(prep: &Prepared<'_>, genome: &[bool], mut take: impl FnMut(TreeEdge)) {
+    let tree = prep.tree.as_ref();
+    let root = tree.root();
+    let mut i = 0usize;
+    while i < prep.eval.preorder.len() {
+        let c = prep.eval.preorder[i];
+        let e = TreeEdge::Parent(c);
+        if c != root && genome[c.index()] && prep.colouring.cuttable(e) {
+            take(e);
+            i += prep.eval.size[c.index()] as usize;
+            continue;
+        }
+        if tree.is_leaf(c) {
+            take(TreeEdge::Sensor(c));
+        }
+        i += 1;
+    }
+}
 
 /// Reusable per-run buffers for genome evaluation.
 struct GenomeEval {
@@ -47,62 +71,28 @@ impl GenomeEval {
         }
     }
 
-    /// The λ-scaled objective of the cut `genome` repairs to, without
-    /// materialising the cut. One preorder pass using the subtree-size
-    /// index to skip closed subtrees.
+    /// The λ-scaled objective of the cut `genome` repairs to, summed over
+    /// the repair walk without materialising the cut.
     fn objective(&mut self, prep: &Prepared<'_>, genome: &[bool], lambda: Lambda) -> ScaledSsb {
         self.loads.fill(Cost::ZERO);
         let mut s_acc = Cost::ZERO;
-        let tree = prep.tree.as_ref();
-        let root = tree.root();
-        let mut i = 0usize;
-        while i < prep.eval.preorder.len() {
-            let c = prep.eval.preorder[i];
-            let parent_edge = TreeEdge::Parent(c);
-            if c != root && genome[c.index()] && prep.colouring.cuttable(parent_edge) {
-                s_acc += prep.sigma.sigma(parent_edge);
-                if let Some(s) = prep.colouring.edge_colour(parent_edge).satellite() {
-                    self.loads[s.index()] += prep.beta.beta(parent_edge);
-                }
-                i += prep.eval.size[c.index()] as usize;
-                continue;
+        let loads = &mut self.loads;
+        repair_walk(prep, genome, |e| {
+            s_acc += prep.sigma.sigma(e);
+            if let Some(s) = prep.colouring.edge_colour(e).satellite() {
+                loads[s.index()] += prep.beta.beta(e);
             }
-            if tree.is_leaf(c) {
-                let e = TreeEdge::Sensor(c);
-                s_acc += prep.sigma.sigma(e);
-                if let Some(s) = prep.colouring.edge_colour(e).satellite() {
-                    self.loads[s.index()] += prep.beta.beta(e);
-                }
-            }
-            i += 1;
-        }
+        });
         let b = self.loads.iter().copied().fold(Cost::ZERO, Cost::max);
         lambda.ssb_scaled(s_acc, b)
     }
 }
 
-/// Materialises the cut a genome repairs to (same walk as the objective).
+/// Materialises the cut a genome repairs to.
 fn genome_cut(prep: &Prepared<'_>, genome: &[bool]) -> Cut {
-    let tree = prep.tree.as_ref();
-    let root = tree.root();
     let mut edges = Vec::new();
-    let mut i = 0usize;
-    while i < prep.eval.preorder.len() {
-        let c = prep.eval.preorder[i];
-        let e = TreeEdge::Parent(c);
-        if c != root && genome[c.index()] && prep.colouring.cuttable(e) {
-            edges.push(e);
-            i += prep.eval.size[c.index()] as usize;
-            continue;
-        }
-        if tree.is_leaf(c) {
-            edges.push(TreeEdge::Sensor(c));
-        }
-        i += 1;
-    }
-    // The walk covers every leaf exactly once with non-conflicted edges, so
-    // the edge set is a valid cut by construction.
-    Cut::trusted(tree, edges)
+    repair_walk(prep, genome, |e| edges.push(e));
+    Cut::trusted(&prep.tree, edges)
 }
 
 /// Builds the full [`Solution`] for the winning genome.
@@ -112,8 +102,7 @@ fn genome_solution(
     lambda: Lambda,
     stats: SolveStats,
 ) -> Result<Solution, AssignError> {
-    let cut = genome_cut(prep, genome);
-    EvalScratch::with_thread_local(|es| Solution::from_cut_in(prep, cut, lambda, stats, es))
+    Solution::from_cut_in(prep, genome_cut(prep, genome), lambda, stats)
 }
 
 /// Genetic search over cut genomes (the paper's §6 GA, retargeted).
@@ -133,20 +122,10 @@ impl Solver for CutGenetic {
         "cut-ga"
     }
 
-    fn solve_in(
-        &self,
-        prep: &Prepared<'_>,
-        lambda: Lambda,
-        scratch: &mut SolveScratch,
-    ) -> Result<Solution, AssignError> {
-        self.solve_cancellable(prep, lambda, scratch, &CancelToken::new())
-    }
-
     fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        _scratch: &mut SolveScratch,
         cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
         let n = prep.tree.len();
@@ -193,20 +172,10 @@ impl Solver for CutAnnealing {
         "cut-sa"
     }
 
-    fn solve_in(
-        &self,
-        prep: &Prepared<'_>,
-        lambda: Lambda,
-        scratch: &mut SolveScratch,
-    ) -> Result<Solution, AssignError> {
-        self.solve_cancellable(prep, lambda, scratch, &CancelToken::new())
-    }
-
     fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        _scratch: &mut SolveScratch,
         cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
         let n = prep.tree.len();
@@ -339,20 +308,10 @@ impl Solver for CutBranchBound {
         "cut-bnb"
     }
 
-    fn solve_in(
-        &self,
-        prep: &Prepared<'_>,
-        lambda: Lambda,
-        scratch: &mut SolveScratch,
-    ) -> Result<Solution, AssignError> {
-        self.solve_cancellable(prep, lambda, scratch, &CancelToken::new())
-    }
-
     fn solve_cancellable(
         &self,
         prep: &Prepared<'_>,
         lambda: Lambda,
-        _scratch: &mut SolveScratch,
         cancel: &CancelToken,
     ) -> Result<Solution, AssignError> {
         let n = prep.tree.len();
@@ -389,6 +348,9 @@ mod tests {
     use super::*;
     use hsa_assign::{BruteForce, Expanded};
     use hsa_tree::figures::fig2_tree;
+    use hsa_workloads::{random_instance, Placement, RandomTreeParams};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn prep_fig2() -> (hsa_tree::CruTree, hsa_tree::CostModel) {
         fig2_tree()
@@ -403,23 +365,53 @@ mod tests {
         assert_eq!(cut.edges(), Cut::all_on_host(&t).edges());
     }
 
+    /// Guards the repair walk the fitness and the cut builder share: every
+    /// repaired cut is valid (`Cut::trusted` does not check in release),
+    /// the fitness equals the objective of that cut under the walking
+    /// reference evaluation (`Solution::from_cut`), and the walk-free
+    /// answer the arms return matches that reference field for field.
     #[test]
     fn genome_objective_matches_full_evaluation() {
-        let (t, m) = prep_fig2();
-        let prep = Prepared::new(&t, &m).unwrap();
-        let mut eval = GenomeEval::new(&prep);
-        // A few deterministic genomes, including both extremes.
-        let mut genomes = vec![vec![false; t.len()], vec![true; t.len()]];
-        for k in 0..t.len() {
-            let mut g = vec![false; t.len()];
-            g[k] = true;
-            genomes.push(g);
-        }
-        for g in genomes {
-            for lambda in [Lambda::ZERO, Lambda::HALF, Lambda::ONE] {
-                let fast = eval.objective(&prep, &g, lambda);
-                let sol = genome_solution(&prep, &g, lambda, SolveStats::default()).unwrap();
-                assert_eq!(fast, sol.objective, "genome {g:?} at λ={lambda:?}");
+        let (random_tree, random_costs) = random_instance(
+            &RandomTreeParams {
+                n_crus: 24,
+                placement: Placement::Interleaved,
+                ..RandomTreeParams::default()
+            },
+            11,
+        );
+        let mut rng = StdRng::seed_from_u64(22);
+        for (t, m) in [prep_fig2(), (random_tree, random_costs)] {
+            let prep = Prepared::new(&t, &m).unwrap();
+            let mut eval = GenomeEval::new(&prep);
+            let n = t.len();
+            // Both extremes, every one-bit genome, then seeded random
+            // genomes from sparse to dense.
+            let mut genomes = vec![vec![false; n], vec![true; n]];
+            for k in 0..n {
+                let mut g = vec![false; n];
+                g[k] = true;
+                genomes.push(g);
+            }
+            for p in [0.1, 0.3, 0.5, 0.8] {
+                for _ in 0..16 {
+                    genomes.push((0..n).map(|_| rng.random_bool(p)).collect());
+                }
+            }
+            for g in genomes {
+                let cut = genome_cut(&prep, &g);
+                assert!(cut.validate(&t).is_ok(), "genome {g:?} repaired invalid");
+                for lambda in [Lambda::ZERO, Lambda::HALF, Lambda::ONE] {
+                    let fast = eval.objective(&prep, &g, lambda);
+                    let want =
+                        Solution::from_cut(&prep, cut.clone(), lambda, SolveStats::default())
+                            .unwrap();
+                    let sol = genome_solution(&prep, &g, lambda, SolveStats::default()).unwrap();
+                    assert_eq!(fast, want.objective, "genome {g:?} at λ={lambda:?}");
+                    assert_eq!(sol.cut, want.cut, "genome {g:?}");
+                    assert_eq!(sol.report, want.report, "genome {g:?} at λ={lambda:?}");
+                    assert_eq!(sol.assignment, want.assignment, "genome {g:?}");
+                }
             }
         }
     }
@@ -462,15 +454,12 @@ mod tests {
         let prep = Prepared::new(&t, &m).unwrap();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let mut ws = SolveScratch::new();
         for arm in [
             &CutGenetic::default() as &dyn Solver,
             &CutAnnealing::default(),
             &CutBranchBound::default(),
         ] {
-            let sol = arm
-                .solve_cancellable(&prep, Lambda::HALF, &mut ws, &cancel)
-                .unwrap();
+            let sol = arm.solve_cancellable(&prep, Lambda::HALF, &cancel).unwrap();
             sol.cut.validate(&t).unwrap();
         }
     }

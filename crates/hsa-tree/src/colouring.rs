@@ -144,15 +144,6 @@ impl Colouring {
     pub fn is_contiguous(&self) -> bool {
         self.interleaved.is_empty()
     }
-
-    /// The number of distinct satellites that actually pin a sensor.
-    pub fn used_satellites(&self) -> usize {
-        let mut seen = std::collections::BTreeSet::new();
-        for &s in &self.leaf_colours {
-            seen.insert(s);
-        }
-        seen.len()
-    }
 }
 
 fn bands_of(leaf_colours: &[SatelliteId]) -> Vec<Band> {
@@ -221,7 +212,6 @@ mod tests {
         assert_eq!(col.host_forced, vec![CruId(0)]);
         assert_eq!(col.node_colour[0], Colour::Satellite(SatelliteId(0)));
         assert!(col.is_contiguous());
-        assert_eq!(col.used_satellites(), 1);
     }
 
     #[test]

@@ -266,11 +266,6 @@ impl CostModel {
         }
         Ok(())
     }
-
-    /// Sum of `s_i` over the subtree of `c` — used by the β labelling.
-    pub fn subtree_satellite_time(&self, tree: &CruTree, c: CruId) -> Cost {
-        tree.subtree(c).into_iter().map(|x| self.s(x)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -316,13 +311,6 @@ mod tests {
         assert_eq!(m.pinned_satellite(CruId(2)), Some(SatelliteId(0)));
         assert_eq!(m.pinned_satellite(CruId(1)), None);
         assert_eq!(m.total_host_time(), c(22));
-    }
-
-    #[test]
-    fn subtree_satellite_time_sums() {
-        let (t, m) = tree_and_costs();
-        assert_eq!(m.subtree_satellite_time(&t, CruId(1)), c(8 + 6 + 7));
-        assert_eq!(m.subtree_satellite_time(&t, CruId(2)), c(6));
     }
 
     #[test]

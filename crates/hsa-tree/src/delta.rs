@@ -117,11 +117,6 @@ impl Delta {
         Delta::default()
     }
 
-    /// Builds a delta from raw ops.
-    pub fn from_ops(ops: Vec<DeltaOp>) -> Delta {
-        Delta { ops }
-    }
-
     /// Appends an op.
     pub fn push(&mut self, op: DeltaOp) -> &mut Self {
         self.ops.push(op);

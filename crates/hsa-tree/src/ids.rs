@@ -80,12 +80,6 @@ impl TreeEdge {
             TreeEdge::Parent(c) | TreeEdge::Sensor(c) => c,
         }
     }
-
-    /// Whether this is a virtual sensor edge.
-    #[inline]
-    pub fn is_sensor(self) -> bool {
-        matches!(self, TreeEdge::Sensor(_))
-    }
 }
 
 impl fmt::Debug for TreeEdge {
@@ -119,8 +113,6 @@ mod tests {
     fn tree_edge_accessors() {
         assert_eq!(TreeEdge::Parent(CruId(3)).node(), CruId(3));
         assert_eq!(TreeEdge::Sensor(CruId(3)).node(), CruId(3));
-        assert!(TreeEdge::Sensor(CruId(1)).is_sensor());
-        assert!(!TreeEdge::Parent(CruId(1)).is_sensor());
     }
 
     #[test]

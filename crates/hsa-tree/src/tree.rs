@@ -111,15 +111,6 @@ impl CruTree {
         self.nodes[c.index()].children.is_empty()
     }
 
-    /// Whether `c` is the leftmost child of its parent (drives the Figure 8
-    /// σ labelling).
-    pub fn is_leftmost_child(&self, c: CruId) -> bool {
-        match self.parent(c) {
-            Some(p) => self.children(p).first() == Some(&c),
-            None => false,
-        }
-    }
-
     /// All CRU ids in pre-order (root, then each subtree left to right).
     pub fn preorder(&self) -> Vec<CruId> {
         let mut out = Vec::with_capacity(self.len());
@@ -329,15 +320,6 @@ impl TreeBuilder {
         id
     }
 
-    /// Appends a chain of `len` nodes under `parent`; returns the deepest id.
-    pub fn add_chain(&mut self, parent: CruId, len: usize, prefix: &str) -> CruId {
-        let mut at = parent;
-        for i in 0..len {
-            at = self.add_child(at, format!("{prefix}{i}"));
-        }
-        at
-    }
-
     /// Number of nodes allocated so far.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -385,9 +367,6 @@ mod tests {
         assert_eq!(t.parent(CruId(2)), Some(CruId(1)));
         assert!(t.is_leaf(CruId(2)));
         assert!(!t.is_leaf(CruId(1)));
-        assert!(t.is_leftmost_child(CruId(1)));
-        assert!(!t.is_leftmost_child(CruId(4)));
-        assert!(!t.is_leftmost_child(CruId(0))); // root
     }
 
     #[test]
@@ -437,17 +416,6 @@ mod tests {
         assert_eq!(t.leaves_in_order(), vec![CruId(0)]);
         assert_eq!(t.leaf_spans()[0], (0, 1));
         assert!(t.validate().is_ok());
-    }
-
-    #[test]
-    fn chains() {
-        let mut b = TreeBuilder::new("r");
-        let root = b.root();
-        let deep = b.add_chain(root, 4, "c");
-        let t = b.build();
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.depths()[deep.index()], 4);
-        assert_eq!(t.leaves_in_order(), vec![deep]);
     }
 
     #[test]
