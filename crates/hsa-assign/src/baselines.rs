@@ -234,7 +234,7 @@ pub fn sb_optimum(prep: &Prepared<'_>) -> Result<Cost, AssignError> {
     Ok(sb)
 }
 
-/// All built-in solvers, for benches and examples.
+/// All built-in solvers, for experiments and examples.
 pub fn all_solvers() -> Vec<Box<dyn Solver>> {
     vec![
         Box::new(crate::PaperSsb::default()),

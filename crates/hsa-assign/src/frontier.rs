@@ -17,7 +17,7 @@
 //! segment midpoint (`tests/` of the `hsa-engine` crate).
 
 use crate::expanded::{pick_for_threshold, sweep_thresholds};
-use crate::{AssignError, ExpandedConfig, FrontierSet, Prepared, Solution, SolveStats};
+use crate::{AssignError, ExpandedConfig, FrontierSet, Prepared, SolveStats};
 use hsa_graph::envelope::{lower_envelope, EnvelopeSegment, LambdaEnvelope, LambdaQ};
 use hsa_graph::{Cost, Lambda, ScaledSsb};
 use hsa_tree::Cut;
@@ -66,16 +66,6 @@ impl LambdaFrontier {
     pub fn cut_at(&self, lambda: Lambda) -> &Cut {
         &self.envelope.segment_at(lambda).payload
     }
-
-    /// Materialises a full [`Solution`] (assignment + delay report) for the
-    /// optimal cut at `lambda`.
-    pub fn solution_at(
-        &self,
-        prep: &Prepared<'_>,
-        lambda: Lambda,
-    ) -> Result<Solution, AssignError> {
-        Solution::from_cut_in(prep, self.cut_at(lambda).clone(), lambda, self.stats)
-    }
 }
 
 /// Computes the λ-frontier of an instance (frontier DP + envelope).
@@ -119,7 +109,7 @@ pub fn lambda_frontier_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BruteForce, Expanded, Solver};
+    use crate::{BruteForce, Expanded, Solution, Solver};
     use hsa_tree::figures::fig2_tree;
 
     #[test]
@@ -147,7 +137,8 @@ mod tests {
             let brute = BruteForce::default().solve(&prep, lambda).unwrap();
             assert_eq!(fr.objective_at(lambda), brute.objective);
             // The segment's own cut achieves that objective when evaluated.
-            let sol = fr.solution_at(&prep, lambda).unwrap();
+            let sol =
+                Solution::from_cut(&prep, fr.cut_at(lambda).clone(), lambda, fr.stats).unwrap();
             assert_eq!(sol.objective, brute.objective);
         }
     }

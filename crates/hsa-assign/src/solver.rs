@@ -116,7 +116,7 @@ impl Solution {
 /// Implementations provide one method, [`Solver::solve_cancellable`];
 /// [`Solver::solve`] calls it with a token that never fires.
 pub trait Solver {
-    /// Short stable name used in benches and reports.
+    /// Short stable name used in experiment tables and reports.
     fn name(&self) -> &'static str;
 
     /// Solves the prepared instance for the given λ, observing `cancel`

@@ -1,6 +1,7 @@
-//! `repro` — the experiment harness CLI: regenerates every figure and
-//! experiment of the paper from the central registry, and runs the perf
-//! gate against committed baselines.
+//! `repro` — the experiment harness CLI and the one way to run or time an
+//! experiment: regenerates every figure and experiment of the paper from
+//! the central registry, and runs the perf gate against committed
+//! baselines.
 //!
 //! ```sh
 //! cargo run -p hsa-bench --bin repro --release -- --list       # enumerate
@@ -11,7 +12,7 @@
 //! ```
 //!
 //! Experiment ids follow DESIGN.md §4: `f2 f4 f5 f6 f8 f9` reproduce the
-//! paper's figures, `t1 … t12` are the quantitative studies and `a1` the
+//! paper's figures, `t1 … t14` are the quantitative studies and `a1` the
 //! design ablations — `repro --list` is authoritative. Tables are printed
 //! and written as CSV under the output directory; perf-tracked experiments
 //! additionally emit schema-versioned `BENCH_*.json` artefacts.

@@ -1,6 +1,7 @@
 //! The central experiment registry: every figure reproduction, every
-//! quantitative study and every criterion bench target of this workspace,
-//! as one named, enumerable, reproducible catalog.
+//! quantitative study and every ablation of this workspace, as one named,
+//! enumerable, reproducible catalog. The `repro` binary is the one way to
+//! run or time an entry; nothing else in the workspace measures them.
 //!
 //! One [`Experiment`] entry carries everything the harness needs:
 //!
@@ -10,10 +11,7 @@
 //!   `BENCH_<name>.json` — see [`crate::report`]);
 //! * its **paper reference**, so EXPERIMENTS.md's id ↔ artefact ↔ section
 //!   table is generated from this registry ([`markdown_table`]) instead of
-//!   drifting by hand;
-//! * an optional **criterion body** — the nine `benches/*.rs` targets are
-//!   thin shims over [`criterion_bench`], so `cargo bench` and `repro`
-//!   measure one and the same code.
+//!   drifting by hand.
 //!
 //! Experiments run under a [`Profile`]: `Full` is the paper-faithful
 //! workload, `Quick` a shrunk one for CI and the perf gate (same code
@@ -21,10 +19,8 @@
 //! report so the gate never compares across workload shapes).
 
 use crate::report::BenchReport;
-use criterion::Criterion;
 use std::path::Path;
 
-mod crit;
 mod figures;
 mod studies;
 
@@ -93,9 +89,6 @@ pub struct Experiment {
     pub bench_artefact: Option<&'static str>,
     /// Runs the experiment, writing its artefacts.
     pub run: fn(&ExpCtx),
-    /// The criterion measurement body, when a `benches/*.rs` target wraps
-    /// this experiment.
-    pub criterion: Option<fn(&mut Criterion)>,
 }
 
 /// The registry. Order is presentation order (`repro --list`, `--all`).
@@ -107,7 +100,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &[],
         bench_artefact: None,
         run: figures::f2,
-        criterion: None,
     },
     Experiment {
         id: "f4",
@@ -116,7 +108,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["f4_ssb_trace.csv"],
         bench_artefact: None,
         run: figures::f4,
-        criterion: Some(crit::ssb_fig4),
     },
     Experiment {
         id: "f5",
@@ -125,7 +116,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["f5_colouring.csv"],
         bench_artefact: None,
         run: figures::f5,
-        criterion: None,
     },
     Experiment {
         id: "f6",
@@ -134,7 +124,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["f6_assignment_graph.csv"],
         bench_artefact: None,
         run: figures::f6,
-        criterion: None,
     },
     Experiment {
         id: "f8",
@@ -143,7 +132,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["f8_sigma_labels.csv"],
         bench_artefact: None,
         run: figures::f8,
-        criterion: None,
     },
     Experiment {
         id: "f9",
@@ -152,7 +140,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["f9_expansion_events.csv"],
         bench_artefact: None,
         run: figures::f9,
-        criterion: None,
     },
     Experiment {
         id: "t1",
@@ -161,7 +148,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t1_ssb_scaling.csv", "BENCH_ssb_scaling.json"],
         bench_artefact: Some("BENCH_ssb_scaling.json"),
         run: studies::t1,
-        criterion: Some(crit::ssb_scaling),
     },
     Experiment {
         id: "t2",
@@ -170,7 +156,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t2_expansion_cost.csv", "BENCH_expansion.json"],
         bench_artefact: Some("BENCH_expansion.json"),
         run: studies::t2,
-        criterion: Some(crit::expansion_cost),
     },
     Experiment {
         id: "t3",
@@ -179,7 +164,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t3_objective_gap.csv"],
         bench_artefact: None,
         run: studies::t3,
-        criterion: Some(crit::objective_gap),
     },
     Experiment {
         id: "t4",
@@ -188,7 +172,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t4_sim_validation.csv"],
         bench_artefact: None,
         run: studies::t4,
-        criterion: Some(crit::sim_validate),
     },
     Experiment {
         id: "t5",
@@ -197,7 +180,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t5_solver_comparison.csv", "BENCH_solver_comparison.json"],
         bench_artefact: Some("BENCH_solver_comparison.json"),
         run: studies::t5,
-        criterion: Some(crit::solver_comparison),
     },
     Experiment {
         id: "t6",
@@ -206,7 +188,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t6_heterogeneity.csv"],
         bench_artefact: None,
         run: studies::t6,
-        criterion: Some(crit::heterogeneity),
     },
     Experiment {
         id: "t7",
@@ -215,7 +196,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t7_heuristics.csv"],
         bench_artefact: None,
         run: studies::t7,
-        criterion: Some(crit::heuristics),
     },
     Experiment {
         id: "t8",
@@ -224,7 +204,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t8_epilepsy.csv"],
         bench_artefact: None,
         run: studies::t8,
-        criterion: None,
     },
     Experiment {
         id: "t9",
@@ -233,7 +212,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t9_engine_throughput.csv", "BENCH_engine.json"],
         bench_artefact: Some("BENCH_engine.json"),
         run: studies::t9,
-        criterion: None,
     },
     Experiment {
         id: "t10",
@@ -242,7 +220,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t10_lambda_frontier.csv", "BENCH_frontier.json"],
         bench_artefact: Some("BENCH_frontier.json"),
         run: studies::t10,
-        criterion: None,
     },
     Experiment {
         id: "t11",
@@ -251,7 +228,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t11_incremental.csv", "BENCH_incremental.json"],
         bench_artefact: Some("BENCH_incremental.json"),
         run: studies::t11,
-        criterion: None,
     },
     Experiment {
         id: "t12",
@@ -260,7 +236,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t12_service_stream.csv", "BENCH_service.json"],
         bench_artefact: Some("BENCH_service.json"),
         run: studies::t12,
-        criterion: Some(crit::prepare_hot),
     },
     Experiment {
         id: "t13",
@@ -269,7 +244,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t13_net_stream.csv", "BENCH_net.json"],
         bench_artefact: Some("BENCH_net.json"),
         run: studies::t13,
-        criterion: None,
     },
     Experiment {
         id: "t14",
@@ -278,7 +252,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["t14_portfolio.csv", "BENCH_portfolio.json"],
         bench_artefact: Some("BENCH_portfolio.json"),
         run: studies::t14,
-        criterion: None,
     },
     Experiment {
         id: "a1",
@@ -287,7 +260,6 @@ pub static REGISTRY: &[Experiment] = &[
         artefacts: &["a1_ablations.csv"],
         bench_artefact: None,
         run: studies::a1,
-        criterion: Some(crit::ablations),
     },
 ];
 
@@ -307,28 +279,6 @@ pub fn run(id: &str, ctx: &ExpCtx) -> Result<(), String> {
     std::fs::create_dir_all(ctx.out_dir).map_err(|e| e.to_string())?;
     (exp.run)(ctx);
     Ok(())
-}
-
-/// Dispatches a `benches/*.rs` target onto its registry entry's criterion
-/// body.
-///
-/// # Panics
-/// Panics when `id` is unknown or carries no criterion body — a bench
-/// target pointing at nothing is a wiring bug, not a runtime condition.
-pub fn criterion_bench(id: &str, c: &mut Criterion) {
-    let exp = find(id).unwrap_or_else(|| panic!("unknown experiment id `{id}`"));
-    let body = exp
-        .criterion
-        .unwrap_or_else(|| panic!("experiment `{id}` has no criterion body"));
-    body(c);
-}
-
-/// The default criterion configuration every bench target runs under.
-pub fn criterion_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(200))
-        .measurement_time(std::time::Duration::from_millis(900))
 }
 
 /// Generates EXPERIMENTS.md's experiment-id ↔ artefact ↔ paper-section
@@ -443,6 +393,25 @@ mod tests {
             assert!(table.contains(e.id), "table misses {}", e.id);
         }
         assert!(table.contains("BENCH_engine.json"));
+    }
+
+    #[test]
+    fn experiments_md_table_matches_the_registry() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+        let doc = std::fs::read_to_string(&path).expect("read EXPERIMENTS.md");
+        let start = doc
+            .find("| Id | Experiment |")
+            .expect("EXPERIMENTS.md carries the registry table");
+        let table: String = doc[start..]
+            .lines()
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(
+            table,
+            markdown_table(),
+            "EXPERIMENTS.md's registry table is stale: paste `repro --table`"
+        );
     }
 
     #[test]

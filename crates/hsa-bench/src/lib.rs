@@ -2,15 +2,11 @@
 //!
 //! Everything empirical lives behind one registry
 //! ([`experiments::REGISTRY`]): figure reproductions, quantitative
-//! studies and criterion bench targets are all named [`experiments::Experiment`]s
-//! with declared artefacts and paper references. Entry points:
-//!
-//! * the **`repro` binary** (`cargo run -p hsa-bench --bin repro --release`)
-//!   — `--list` enumerates the registry, `--all` runs the full matrix,
-//!   `--exp <id>` one experiment, `--gate <dir>` the CI perf gate;
-//! * the **criterion benches** (`cargo bench -p hsa-bench`) — thin shims
-//!   over [`experiments::criterion_bench`], so `cargo bench` measures the
-//!   registry's own bodies.
+//! studies and ablations are all named [`experiments::Experiment`]s with
+//! declared artefacts and paper references. The **`repro` binary**
+//! (`cargo run -p hsa-bench --bin repro --release`) is the one way to run
+//! or time them: `--list` enumerates the registry, `--all` runs the full
+//! matrix, `--exp <id>` one experiment, `--gate <dir>` the CI perf gate.
 //!
 //! Perf-tracked experiments emit schema-versioned `BENCH_<name>.json`
 //! artefacts ([`report::BenchReport`]: seed, instance sizes, threads,

@@ -10,7 +10,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Network-layer configuration.
 #[derive(Clone, Copy, Debug)]
@@ -298,7 +298,9 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
 /// Answers a connection past the cap with a typed refusal and closes it.
 /// Corr 0: nothing of the peer's stream has been read. The peer's
 /// already-sent bytes (a HELLO, usually) are drained briefly so closing
-/// does not reset the refusal off the wire.
+/// does not reset the refusal off the wire. The drain runs on the accept
+/// thread, so one deadline bounds all of it: a peer that keeps writing
+/// cannot hold off every later connection.
 fn refuse(mut stream: TcpStream, cap: usize) {
     let mut out = Vec::new();
     FrameEncoder::new().put_error(&mut out, 0, 0, &WireError::ConnLimit(cap as u64));
@@ -306,10 +308,15 @@ fn refuse(mut stream: TcpStream, cap: usize) {
         return;
     }
     let _ = stream.shutdown(Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let deadline = Instant::now() + Duration::from_millis(200);
     let mut scratch = [0u8; 1024];
-    while let Ok(n) = stream.read(&mut scratch) {
-        if n == 0 {
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        // A zero timeout is an error to `set_read_timeout`, not a poll.
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        if !matches!(stream.read(&mut scratch), Ok(n) if n > 0) {
             break;
         }
     }

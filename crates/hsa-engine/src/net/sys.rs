@@ -350,47 +350,61 @@ mod tests {
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
+    /// The backend `Poller::new` picks (epoll on Linux), then the portable
+    /// `poll(2)` one, which is the only backend on other Unixes.
+    fn pollers() -> [Poller; 2] {
+        let poll = Poller {
+            backend: Backend::Poll {
+                interests: Vec::new(),
+                fds: Vec::new(),
+            },
+        };
+        [Poller::new().unwrap(), poll]
+    }
+
     #[test]
     fn readiness_tracks_pipe_bytes() {
-        let (mut a, mut b) = UnixStream::pair().unwrap();
-        b.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new().unwrap();
-        poller.register(b.as_raw_fd(), 7, true, false).unwrap();
+        for mut poller in pollers() {
+            let (mut a, mut b) = UnixStream::pair().unwrap();
+            b.set_nonblocking(true).unwrap();
+            poller.register(b.as_raw_fd(), 7, true, false).unwrap();
 
-        let mut events = Vec::new();
-        // Nothing written yet: a short wait times out.
-        assert_eq!(poller.wait(&mut events, Some(0)).unwrap(), 0);
+            let mut events = Vec::new();
+            // Nothing written yet: a short wait times out.
+            assert_eq!(poller.wait(&mut events, Some(0)).unwrap(), 0);
 
-        a.write_all(b"x").unwrap();
-        assert_eq!(poller.wait(&mut events, Some(1000)).unwrap(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
+            a.write_all(b"x").unwrap();
+            assert_eq!(poller.wait(&mut events, Some(1000)).unwrap(), 1);
+            assert_eq!(events[0].token, 7);
+            assert!(events[0].readable);
 
-        // Level-triggered: unread bytes keep reporting.
-        assert_eq!(poller.wait(&mut events, Some(1000)).unwrap(), 1);
-        let mut buf = [0u8; 8];
-        let _ = b.read(&mut buf).unwrap();
-        assert_eq!(poller.wait(&mut events, Some(0)).unwrap(), 0);
+            // Level-triggered: unread bytes keep reporting.
+            assert_eq!(poller.wait(&mut events, Some(1000)).unwrap(), 1);
+            let mut buf = [0u8; 8];
+            let _ = b.read(&mut buf).unwrap();
+            assert_eq!(poller.wait(&mut events, Some(0)).unwrap(), 0);
 
-        // Write interest on an empty socket buffer reports writable.
-        poller.modify(b.as_raw_fd(), 7, true, true).unwrap();
-        assert_eq!(poller.wait(&mut events, Some(1000)).unwrap(), 1);
-        assert!(events[0].writable);
+            // Write interest on an empty socket buffer reports writable.
+            poller.modify(b.as_raw_fd(), 7, true, true).unwrap();
+            assert_eq!(poller.wait(&mut events, Some(1000)).unwrap(), 1);
+            assert!(events[0].writable);
 
-        poller.deregister(b.as_raw_fd()).unwrap();
-        assert_eq!(poller.wait(&mut events, Some(0)).unwrap(), 0);
+            poller.deregister(b.as_raw_fd()).unwrap();
+            assert_eq!(poller.wait(&mut events, Some(0)).unwrap(), 0);
+        }
     }
 
     #[test]
     fn hangup_reported_on_peer_close() {
-        let (a, b) = UnixStream::pair().unwrap();
-        let mut poller = Poller::new().unwrap();
-        poller.register(b.as_raw_fd(), 1, true, false).unwrap();
-        drop(a);
-        let mut events = Vec::new();
-        assert_eq!(poller.wait(&mut events, Some(1000)).unwrap(), 1);
-        // Closed peer: readable EOF and/or hangup, either signal works
-        // for the reactor (both funnel into a drain-then-close).
-        assert!(events[0].readable || events[0].hangup);
+        for mut poller in pollers() {
+            let (a, b) = UnixStream::pair().unwrap();
+            poller.register(b.as_raw_fd(), 1, true, false).unwrap();
+            drop(a);
+            let mut events = Vec::new();
+            assert_eq!(poller.wait(&mut events, Some(1000)).unwrap(), 1);
+            // Closed peer: readable EOF and/or hangup, either signal works
+            // for the reactor (both funnel into a drain-then-close).
+            assert!(events[0].readable || events[0].hangup);
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Failure modes of the reactor front door (DESIGN.md §15): the
-//! connection cap refuses with a typed frame and readmits, and a peer that
-//! dies mid-frame cannot wedge its shard. The many-connection stress with
+//! connection cap refuses with a typed frame and readmits, a refused peer
+//! that keeps writing cannot hold the acceptor, and a peer that dies
+//! mid-frame cannot wedge its shard. The many-connection stress with
 //! its fd and thread leak check lives in `net_stress_leaks.rs`, a binary
 //! of its own.
 
@@ -8,7 +9,7 @@ use hsa_engine::net::wire;
 use hsa_engine::net::{Client, ClientError, NetConfig, NetServer};
 use hsa_engine::{Engine, EngineConfig, Service, ServiceConfig};
 use hsa_graph::Lambda;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,6 +64,66 @@ fn connection_cap_refuses_with_typed_frame_then_readmits() {
     let sc = hsa_workloads::paper_scenario();
     assert!(readmitted.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
     drop(held2);
+    server.shutdown();
+}
+
+/// The refusal's drain runs on the accept thread. A refused peer that
+/// keeps writing must not hold it past the drain's deadline, or every new
+/// connection waits for that peer to stop.
+#[test]
+fn refused_peer_that_keeps_writing_does_not_block_accepts() {
+    let svc = service(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        svc,
+        NetConfig {
+            max_connections: 1,
+            reactor_threads: 1,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let held = Client::connect(server.local_addr()).unwrap();
+
+    // Over the cap: read the whole refusal (the server half-closes after
+    // it), then keep writing a byte every 50 ms for 3 s.
+    let mut refused = TcpStream::connect(server.local_addr()).unwrap();
+    let mut got = Vec::new();
+    refused.read_to_end(&mut got).unwrap();
+    let mut want = Vec::new();
+    wire::FrameEncoder::new().put_error(&mut want, 0, 0, &wire::WireError::ConnLimit(1));
+    assert_eq!(got, want, "expected exactly the ConnLimit refusal");
+    let writer = std::thread::spawn(move || {
+        let stop = Instant::now() + Duration::from_secs(3);
+        while Instant::now() < stop && refused.write_all(&[0]).is_ok() {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+
+    drop(held);
+    let t0 = Instant::now();
+    let deadline = t0 + Duration::from_secs(1);
+    let mut client = loop {
+        match Client::connect(server.local_addr()) {
+            Ok(client) => break client,
+            Err(ClientError::Remote(wire::WireError::ConnLimit(_))) => {
+                assert!(Instant::now() < deadline, "held slot never freed");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(other) => panic!("unexpected connect failure: {other}"),
+        }
+    };
+    let sc = hsa_workloads::paper_scenario();
+    assert!(client.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    let waited = t0.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "a new client got in {waited:?} after the held one dropped"
+    );
+    writer.join().unwrap();
     server.shutdown();
 }
 

@@ -4,7 +4,7 @@
 //! instances (the DESIGN §2 hard regime, where a colour occupies several
 //! disjoint leaf bands).
 
-use hsa_assign::{BruteForce, Expanded, Prepared, Solver};
+use hsa_assign::{BruteForce, Expanded, Prepared, Solution, Solver};
 use hsa_engine::{Engine, EngineConfig};
 use hsa_graph::Lambda;
 use hsa_workloads::{random_instance, Placement, RandomTreeParams};
@@ -48,7 +48,13 @@ fn check_instance(
             lambda
         );
         // The frontier's own cut must *achieve* the claimed objective.
-        let materialised = frontier.solution_at(&prep, lambda).unwrap();
+        let materialised = Solution::from_cut(
+            &prep,
+            frontier.cut_at(lambda).clone(),
+            lambda,
+            frontier.stats,
+        )
+        .unwrap();
         prop_assert_eq!(materialised.objective, brute.objective);
     }
     Ok(())

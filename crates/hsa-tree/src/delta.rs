@@ -198,49 +198,6 @@ impl Delta {
         }
         Ok(())
     }
-
-    /// The CRUs whose *own* cost entries an application would touch
-    /// (sorted, deduplicated). A [`DeltaOp::Repin`] touches its leaf.
-    /// Like [`Delta::apply`], later ops observe earlier ones — a
-    /// [`DeltaOp::ScaleSatellite`]'s membership is evaluated against the
-    /// pinning as it stands *at that op*, so the set matches what an
-    /// apply from `costs` would actually mutate (invalid ops contribute
-    /// nothing and are skipped, as `apply` would stop there anyway).
-    /// Purely informational — the incremental re-solver derives dirtiness
-    /// from observed label changes, not from this set.
-    pub fn touched_nodes(&self, tree: &CruTree, costs: &CostModel) -> Vec<CruId> {
-        let mut rolling = costs.clone();
-        let mut out: Vec<CruId> = Vec::new();
-        for op in &self.ops {
-            // Candidate touches from the state *before* this op…
-            let touches: Vec<CruId> = match *op {
-                DeltaOp::SetHostTime { node, .. }
-                | DeltaOp::SetSatelliteTime { node, .. }
-                | DeltaOp::SetCommUp { node, .. } => vec![node],
-                DeltaOp::SetCommRaw { leaf, .. } | DeltaOp::Repin { leaf, .. } => vec![leaf],
-                DeltaOp::ScaleSubtree { root, .. } => {
-                    if root.index() < tree.len() {
-                        tree.subtree(root)
-                    } else {
-                        Vec::new()
-                    }
-                }
-                DeltaOp::ScaleSatellite { satellite, .. } => uniform_satellites(tree, &rolling)
-                    .into_iter()
-                    .filter(|&(_, sat)| sat == Some(satellite))
-                    .map(|(c, _)| c)
-                    .collect(),
-            };
-            // …recorded only when the op actually applies (this also
-            // keeps the rolling model in step so later ops see this one).
-            if apply_op(op, tree, &mut rolling).is_ok() {
-                out.extend(touches);
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
 }
 
 fn check_node(tree: &CruTree, c: CruId) -> Result<(), TreeError> {
@@ -441,6 +398,16 @@ mod tests {
         assert_eq!(m.s(l2), c(20));
         assert_eq!(m.s(root), c(10));
         assert_eq!(m.s(l3), c(10));
+        // A scale sees a repin earlier in the same delta: with l3 moved to
+        // Sat0 the whole tree is uniform, so the root is scaled too.
+        Delta::new()
+            .repin(l3, SatelliteId(0))
+            .scale_satellite(SatelliteId(0), 2, 1)
+            .apply(&t, &mut m)
+            .unwrap();
+        assert_eq!(m.s(root), c(20));
+        assert_eq!(m.s(l3), c(20));
+        assert_eq!(m.s(a), c(40));
     }
 
     #[test]
@@ -494,67 +461,6 @@ mod tests {
             .is_err());
         // Nothing above invalidated the model.
         m.validate(&t).unwrap();
-        // And invalid ops contribute nothing to the touched set either.
-        assert!(Delta::new()
-            .set_host_time(CruId(999), c(1))
-            .touched_nodes(&t, &m)
-            .is_empty());
-        assert!(Delta::new()
-            .set_comm_raw(internal, c(1))
-            .touched_nodes(&t, &m)
-            .is_empty());
-    }
-
-    #[test]
-    fn touched_nodes_cover_scaled_subtrees() {
-        let (t, m) = fig2_tree();
-        let child = t.children(t.root())[0];
-        let d = Delta::new()
-            .set_host_time(t.root(), c(1))
-            .scale_subtree(child, 2, 1);
-        let touched = d.touched_nodes(&t, &m);
-        assert!(touched.contains(&t.root()));
-        for n in t.subtree(child) {
-            assert!(touched.contains(&n));
-        }
-        // Sorted + deduplicated.
-        let mut sorted = touched.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(touched, sorted);
-    }
-
-    #[test]
-    fn touched_nodes_sees_earlier_ops_like_apply_does() {
-        // root ── a ── (l1→Sat0, l2→Sat1): nothing above the leaves is
-        // uniformly Sat0 until l2 is re-pinned to Sat0 — a ScaleSatellite
-        // after that repin must report the newly-uniform chain.
-        let mut b = TreeBuilder::new("root");
-        let root = b.root();
-        let a = b.add_child(root, "a");
-        let l1 = b.add_child(a, "l1");
-        let l2 = b.add_child(a, "l2");
-        let t = b.build();
-        let mut m = CostModel::zeroed(&t, 2);
-        for n in t.preorder() {
-            m.set_satellite_time(n, c(10));
-        }
-        m.pin_leaf(l1, SatelliteId(0), c(1));
-        m.pin_leaf(l2, SatelliteId(1), c(1));
-        let d = Delta::new()
-            .repin(l2, SatelliteId(0))
-            .scale_satellite(SatelliteId(0), 2, 1);
-        let touched = d.touched_nodes(&t, &m);
-        // After the repin, root/a/l1/l2 are all uniformly Sat0: the scale
-        // touches them, and apply() agrees.
-        for n in [root, a, l1, l2] {
-            assert!(touched.contains(&n), "{n} missing from touched set");
-        }
-        let mut applied = m.clone();
-        d.apply(&t, &mut applied).unwrap();
-        for n in [root, a, l1, l2] {
-            assert_eq!(applied.s(n), c(20), "{n} must actually be scaled");
-        }
     }
 
     #[test]
@@ -576,6 +482,5 @@ mod tests {
         let before = m.clone();
         Delta::new().apply(&t, &mut m).unwrap();
         assert_eq!(m, before);
-        assert!(Delta::new().touched_nodes(&t, &m).is_empty());
     }
 }

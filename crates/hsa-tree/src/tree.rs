@@ -184,34 +184,6 @@ impl CruTree {
         out
     }
 
-    /// Depth of each node (root = 0).
-    pub fn depths(&self) -> Vec<u32> {
-        let mut d = vec![0u32; self.len()];
-        for c in self.preorder() {
-            if let Some(p) = self.parent(c) {
-                d[c.index()] = d[p.index()] + 1;
-            }
-        }
-        d
-    }
-
-    /// The lowest common ancestor of two nodes.
-    pub fn lca(&self, a: CruId, b: CruId) -> CruId {
-        let depths = self.depths();
-        let (mut a, mut b) = (a, b);
-        while depths[a.index()] > depths[b.index()] {
-            a = self.parent(a).expect("non-root has parent");
-        }
-        while depths[b.index()] > depths[a.index()] {
-            b = self.parent(b).expect("non-root has parent");
-        }
-        while a != b {
-            a = self.parent(a).expect("walk reaches root");
-            b = self.parent(b).expect("walk reaches root");
-        }
-        a
-    }
-
     /// Checks structural invariants (used after deserialisation): exactly
     /// one root, parent/child agreement, all nodes reachable, no cycles.
     pub fn validate(&self) -> Result<(), TreeError> {
@@ -392,20 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn subtree_and_depths() {
+    fn subtree_lists_a_node_and_its_descendants() {
         let t = small();
         let sub: Vec<u32> = t.subtree(CruId(1)).iter().map(|c| c.0).collect();
         assert_eq!(sub, vec![1, 2, 3]);
-        assert_eq!(t.depths(), vec![0, 1, 2, 2, 1]);
-    }
-
-    #[test]
-    fn lca_works() {
-        let t = small();
-        assert_eq!(t.lca(CruId(2), CruId(3)), CruId(1));
-        assert_eq!(t.lca(CruId(2), CruId(4)), CruId(0));
-        assert_eq!(t.lca(CruId(1), CruId(2)), CruId(1));
-        assert_eq!(t.lca(CruId(0), CruId(0)), CruId(0));
     }
 
     #[test]

@@ -57,15 +57,6 @@ pub fn scale_comm_times(sc: &Scenario, num: u64, den: u64) -> Scenario {
     out
 }
 
-/// The standard heterogeneity sweep used by T6: host speed factors from
-/// `4×` slower to `4×` faster in powers of two, as `(label, scenario)`.
-pub fn host_speed_sweep(sc: &Scenario) -> Vec<(String, Scenario)> {
-    [(4, 1), (2, 1), (1, 1), (1, 2), (1, 4)]
-        .into_iter()
-        .map(|(num, den)| (format!("host×{num}/{den}"), scale_host_times(sc, num, den)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,18 +95,5 @@ mod tests {
             slow >= fast,
             "slow-host advantage {slow} < fast-host advantage {fast}"
         );
-    }
-
-    #[test]
-    fn sweep_produces_distinct_scenarios() {
-        let sc = epilepsy_scenario(&EpilepsyParams::default());
-        let sweep = host_speed_sweep(&sc);
-        assert_eq!(sweep.len(), 5);
-        let names: std::collections::BTreeSet<_> =
-            sweep.iter().map(|(_, s)| s.name.clone()).collect();
-        assert_eq!(names.len(), 5);
-        for (_, s) in &sweep {
-            s.validate().unwrap();
-        }
     }
 }

@@ -208,7 +208,10 @@ mod tests {
             ..RandomTreeParams::default()
         };
         let sc = random_scenario(&p, 0);
-        assert_eq!(sc.tree.leaves_in_order().len(), 1);
-        assert_eq!(sc.tree.depths().iter().max(), Some(&9));
+        let leaves = sc.tree.leaves_in_order();
+        assert_eq!(leaves.len(), 1);
+        // The one leaf sits at depth 9: the ten CRUs form a single chain.
+        let above = std::iter::successors(sc.tree.parent(leaves[0]), |&c| sc.tree.parent(c));
+        assert_eq!(above.count(), 9);
     }
 }

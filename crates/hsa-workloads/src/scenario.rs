@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// with provenance.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
 pub struct Scenario {
-    /// Stable identifier (used by the repro harness and benches).
+    /// Stable identifier (used by the repro harness and reports).
     pub name: String,
     /// Human-readable provenance: what the instance models and where its
     /// numbers come from.
