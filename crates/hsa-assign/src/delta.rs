@@ -27,7 +27,7 @@
 //! policy built on top of this diff by `hsa-engine::Session`.
 
 use crate::Prepared;
-use hsa_tree::{BetaLabels, Colour, Colouring, SigmaLabels, TreeEdge};
+use hsa_tree::{BetaLabels, Colour, Colouring, SigmaLabels};
 
 /// The per-colour dirtiness verdict for an instance update.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,9 +84,7 @@ pub fn dirty_colours_of_labels(
             }
         }
     };
-    let root = tree.root();
     for i in 0..tree.len() {
-        let x = hsa_tree::CruId(i as u32);
         let (oc, nc) = (old_col.node_colour[i], new_col.node_colour[i]);
         if oc != nc {
             mark(oc, &mut dirty);
@@ -95,21 +93,14 @@ pub fn dirty_colours_of_labels(
         }
         let Colour::Satellite(s) = nc else { continue };
         if let Some(slot) = dirty.get_mut(s.index()) {
-            if *slot {
-                continue; // already dirty; skip the label compares
-            }
-            let mut changed = false;
-            if x != root {
-                let e = TreeEdge::Parent(x);
-                changed |= old_sigma.sigma(e) != new_sigma.sigma(e)
-                    || old_beta.beta(e) != new_beta.beta(e);
-            }
-            if tree.is_leaf(x) {
-                let e = TreeEdge::Sensor(x);
-                changed |= old_sigma.sigma(e) != new_sigma.sigma(e)
-                    || old_beta.beta(e) != new_beta.beta(e);
-            }
-            *slot = changed;
+            // An internal node's sensor labels and the root's parent
+            // labels are zero on both sides, so comparing both edges of
+            // every node compares exactly the edges that exist.
+            *slot = *slot
+                || old_sigma.parent_edge[i] != new_sigma.parent_edge[i]
+                || old_beta.parent_edge[i] != new_beta.parent_edge[i]
+                || old_sigma.sensor_edge[i] != new_sigma.sensor_edge[i]
+                || old_beta.sensor_edge[i] != new_beta.sensor_edge[i];
         }
     }
     DirtyColours { dirty }
@@ -236,7 +227,7 @@ mod tests {
             let refreshed = FrontierSet::refresh(&next, &cfg, &fs, &d.dirty).unwrap();
             let scratch = FrontierSet::prepare(&next, &cfg).unwrap();
             assert_eq!(refreshed.to_nested(), scratch.to_nested(), "step {i}");
-            assert_eq!(refreshed.thetas, scratch.thetas, "step {i}");
+            assert_eq!(refreshed.thetas(), scratch.thetas(), "step {i}");
             assert_eq!(refreshed.composites, scratch.composites, "step {i}");
             assert_eq!(refreshed, scratch, "step {i}: arenas must match exactly");
             let a = solve_with_frontiers(&next, &refreshed, Lambda::HALF).unwrap();

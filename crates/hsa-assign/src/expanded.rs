@@ -17,7 +17,9 @@
 //! 2. **Threshold sweep.** The optimum's B equals some frontier β value, so
 //!    sweeping candidate thresholds θ over the union of frontier β values
 //!    and, for each θ, picking per colour the cheapest point with β ≤ θ
-//!    yields the exact optimum of `λ·S + (1−λ)·B` in O(|E′| log |E′|).
+//!    yields the exact optimum of `λ·S + (1−λ)·B`. The colours' β runs are
+//!    merged once per preparation, in O(|E′| log k) for k colours, and each
+//!    sweep is then one pass over the |E′| points.
 //!
 //! The same frontiers also answer Bokhari's objective `max(S, B)`
 //! ([`solve_sb_expanded`]), which the objective-comparison experiment (T3)
@@ -34,6 +36,8 @@ use hsa_graph::{Cost, Lambda};
 #[cfg(test)]
 use hsa_tree::SatelliteId;
 use hsa_tree::{CruId, Cut, TreeEdge};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 
 /// One Pareto-optimal way to cover a colour's leaves.
@@ -477,20 +481,20 @@ impl<'p> FrontierStack<'p> {
 
     /// Turns a stack holding one frontier per colour into the set, trimming
     /// the arenas to their final size (a cached set should not keep the
-    /// DP's peak capacity).
+    /// DP's peak capacity), and merges the colours' β runs into the θ
+    /// ladder ([`merge_by_beta`]).
     fn finish(self) -> FrontierSet {
+        let mut point_starts = self.frames;
+        point_starts.push(self.sigma.len() as u32);
         let mut fs = FrontierSet {
-            point_starts: self.frames,
+            merged: merge_by_beta(&point_starts, &self.beta),
+            point_starts,
             composites: self.beta.len() as u64,
-            thetas: self.beta.clone(),
             sigma: self.sigma,
             beta: self.beta,
             edge_starts: self.edge_starts,
             edges: self.edges,
         };
-        fs.point_starts.push(fs.sigma.len() as u32);
-        fs.thetas.sort_unstable();
-        fs.thetas.dedup();
         fs.sigma.shrink_to_fit();
         fs.beta.shrink_to_fit();
         fs.edge_starts.shrink_to_fit();
@@ -518,41 +522,62 @@ pub(crate) fn pick_for_threshold(prep: &Prepared<'_>, fs: &FrontierSet, theta: C
     Cut::trusted(&prep.tree, edges)
 }
 
+/// Each point's colour, for all points in ascending β order, with equal
+/// β values in colour order: a k-way merge of the colours' β runs, which
+/// already ascend strictly, through a heap of the k run heads. The
+/// `m`-th entry naming colour `c` stands for `c`'s `m`-th point, so four
+/// bytes per point encode the whole θ ladder.
+fn merge_by_beta(point_starts: &[u32], beta: &[Cost]) -> Vec<u32> {
+    let mut next = point_starts.to_vec();
+    let mut heads: BinaryHeap<Reverse<(Cost, u32)>> = (0..point_starts.len() - 1)
+        .filter(|&s| point_starts[s] < point_starts[s + 1])
+        .map(|s| Reverse((beta[point_starts[s] as usize], s as u32)))
+        .collect();
+    let mut merged = Vec::with_capacity(beta.len());
+    while let Some(mut head) = heads.peek_mut() {
+        let s = head.0 .1 as usize;
+        merged.push(s as u32);
+        next[s] += 1;
+        if next[s] < point_starts[s + 1] {
+            head.0 .0 = beta[next[s] as usize];
+        } else {
+            PeekMut::pop(head);
+        }
+    }
+    merged
+}
+
 /// The one θ walk behind every sweep ([`solve_with_frontiers`],
 /// [`crate::lambda_frontier_with`], [`solve_sb_expanded`]): calls
 /// `visit(θ, S)` for every feasible threshold in ascending order and
 /// returns how many it visited (`SolveStats::evaluated`).
 ///
-/// `S` is the Σσ of each colour's cheapest point with β ≤ θ. Thresholds
-/// ascend and each colour's β strictly ascends, so one forward cursor per
-/// colour finds the picks without a search; Σσ is kept exact in `u128` as
-/// cursors advance and clamped to [`Cost::MAX`] when read, which is the
-/// saturating sum of the picks (every term is non-negative). The matching
-/// B is θ itself: θ is some colour's β, that colour picks that very point,
-/// and every other pick has β ≤ θ.
+/// The thresholds are the distinct frontier β values. The walk takes the
+/// points once each, in the set's merged β order, and advances only the
+/// colour that owns the point, so it costs one step per point however
+/// many colours there are. A threshold is visited after its last point,
+/// once every colour has a point with β ≤ θ. `S` is the Σσ of each
+/// colour's cheapest such point, its last one (β strictly ascends, σ
+/// strictly descends); it is kept exact in `u128` as picks advance and
+/// clamped to [`Cost::MAX`] when read, which is the saturating sum of the
+/// picks (every term is non-negative). The matching B is θ itself: θ is
+/// some colour's β, that colour picks that very point, and every other
+/// pick has β ≤ θ.
 pub(crate) fn sweep_thresholds(fs: &FrontierSet, mut visit: impl FnMut(Cost, Cost)) -> u64 {
-    let cols: Vec<ColourFrontier<'_>> = fs.colours().collect();
-    // cursor[c] = number of colour c's points with β ≤ θ.
-    let mut cursor = vec![0usize; cols.len()];
-    let mut unmet = cols.len();
+    let mut unmet = fs.n_colours();
     let mut sum = 0u128;
     let mut evaluated = 0u64;
-    for &theta in &fs.thetas {
-        for (f, cur) in cols.iter().zip(cursor.iter_mut()) {
-            let old = *cur;
-            while *cur < f.len() && f.beta[*cur] <= theta {
-                *cur += 1;
-            }
-            if *cur != old {
-                if old == 0 {
-                    unmet -= 1;
-                } else {
-                    sum -= u128::from(f.sigma[old - 1].ticks());
-                }
-                sum += u128::from(f.sigma[*cur - 1].ticks());
-            }
+    let mut points = fs.points_by_beta().peekable();
+    while let Some((c, p)) = points.next() {
+        // Point `p` replaces colour `c`'s previous pick, if it had one.
+        if p == fs.point_starts[c] as usize {
+            unmet -= 1;
+        } else {
+            sum -= u128::from(fs.sigma[p - 1].ticks());
         }
-        if unmet == 0 {
+        sum += u128::from(fs.sigma[p].ticks());
+        let theta = fs.beta[p];
+        if unmet == 0 && points.peek().is_none_or(|&(_, q)| fs.beta[q] != theta) {
             evaluated += 1;
             visit(theta, Cost::new(u64::try_from(sum).unwrap_or(u64::MAX)));
         }
@@ -650,8 +675,9 @@ pub struct FrontierSet {
     edge_starts: Vec<u32>,
     /// Every point's closed-tree edges, concatenated.
     edges: Vec<TreeEdge>,
-    /// Sorted distinct candidate thresholds (every frontier β value).
-    pub thetas: Vec<Cost>,
+    /// Each point's colour, for all points in ascending β order
+    /// ([`merge_by_beta`]): the θ ladder the sweep walks.
+    merged: Vec<u32>,
     /// Total frontier points — the paper's |E′|.
     pub composites: u64,
 }
@@ -679,6 +705,27 @@ impl FrontierSet {
     /// All colours' frontiers, in colour order.
     pub fn colours(&self) -> impl Iterator<Item = ColourFrontier<'_>> {
         (0..self.n_colours()).map(move |s| self.colour(s))
+    }
+
+    /// The candidate thresholds, ascending and distinct: every frontier β
+    /// value, read off the merged order the sweep walks (tests and
+    /// diagnostics; the sweep never builds it).
+    pub fn thetas(&self) -> Vec<Cost> {
+        let mut thetas: Vec<Cost> = self.points_by_beta().map(|(_, p)| self.beta[p]).collect();
+        thetas.dedup();
+        thetas
+    }
+
+    /// Every point as `(colour, arena index)` in ascending β order, equal
+    /// β values in colour order: the walk over `merged`, where the `m`-th
+    /// entry naming a colour is that colour's `m`-th point.
+    fn points_by_beta(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut next = self.point_starts.clone();
+        self.merged.iter().map(move |&c| {
+            let c = c as usize;
+            next[c] += 1;
+            (c, next[c] as usize - 1)
+        })
     }
 
     /// Materialises the nested `Vec<Frontier>` representation (tests and

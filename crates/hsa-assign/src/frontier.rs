@@ -79,7 +79,8 @@ pub fn lambda_frontier(
 
 /// Computes the λ-frontier from an already-prepared [`FrontierSet`] (the
 /// batch-engine path: the expensive per-instance DP is cached, the envelope
-/// is rebuilt from it in one θ walk, O(#thetas · #colours)).
+/// is rebuilt from it in one θ walk, a single pass over the frontier points
+/// in the set's merged β order).
 pub fn lambda_frontier_with(
     prep: &Prepared<'_>,
     fs: &FrontierSet,

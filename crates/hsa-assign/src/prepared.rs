@@ -22,21 +22,24 @@ pub struct ColourTops {
 }
 
 impl ColourTops {
-    fn compute(tree: &CruTree, colouring: &Colouring, n_satellites: u32) -> ColourTops {
+    /// One pre-order walk over the index: a uniformly coloured node met on
+    /// the walk is a top (its parent, if any, is conflicted, or the walk
+    /// would have jumped past it), and the walk then jumps over its
+    /// subtree, whose nodes all share its colour. A counting sort by colour
+    /// keeps pre-order within each colour.
+    fn compute(colouring: &Colouring, eval: &EvalIndex, n_satellites: u32) -> ColourTops {
         let n = n_satellites as usize;
         let mut pairs: Vec<(u32, CruId)> = Vec::new();
-        for c in tree.preorder() {
-            let Colour::Satellite(s) = colouring.node_colour[c.index()] else {
-                continue;
-            };
-            let parent_uniform = tree
-                .parent(c)
-                .map(|p| colouring.node_colour[p.index()] != Colour::Conflict)
-                .unwrap_or(false);
-            if parent_uniform {
-                continue; // interior of a colour region; handled by its top node
+        let mut i = 0;
+        while i < eval.preorder.len() {
+            let c = eval.preorder[i];
+            match colouring.node_colour[c.index()] {
+                Colour::Satellite(s) => {
+                    pairs.push((s.index() as u32, c));
+                    i += eval.size[c.index()] as usize;
+                }
+                Colour::Conflict => i += 1,
             }
-            pairs.push((s.index() as u32, c));
         }
         let mut starts = vec![0u32; n + 1];
         for &(s, _) in &pairs {
@@ -46,7 +49,6 @@ impl ColourTops {
             let carry = starts[s];
             starts[s + 1] += carry;
         }
-        // Counting sort by colour; preorder is preserved within a colour.
         let mut cursor = starts.clone();
         let mut tops = vec![CruId(0); pairs.len()];
         for (s, c) in pairs {
@@ -89,12 +91,7 @@ impl EvalIndex {
         for (i, &c) in preorder.iter().enumerate() {
             pos[c.index()] = i as u32;
         }
-        let mut size = vec![1u32; tree.len()];
-        for c in tree.postorder() {
-            for &ch in tree.children(c) {
-                size[c.index()] += size[ch.index()];
-            }
-        }
+        let size = tree.subtree_sizes(&preorder);
         EvalIndex {
             preorder,
             pos,
@@ -141,19 +138,23 @@ pub struct Prepared<'a> {
 /// tree-only [`EvalIndex`] and the on-demand graph).
 type Labels = (Colouring, SigmaLabels, BetaLabels, ColourTops);
 
-fn derive_labels(tree: &CruTree, costs: &CostModel) -> Result<Labels, AssignError> {
-    tree.validate()?;
-    costs.validate(tree)?;
-    let colouring = Colouring::compute(tree, costs)?;
-    let sigma = SigmaLabels::compute(tree, costs)?;
-    let beta = BetaLabels::compute(tree, costs)?;
-    let tops = ColourTops::compute(tree, &colouring, costs.n_satellites());
-    Ok((colouring, sigma, beta, tops))
+/// Derives the labels of a cost model already validated against the tree
+/// `eval` indexes: flat passes over the pre-order index, with no tree walk
+/// and no second validation.
+fn derive_labels(costs: &CostModel, eval: &EvalIndex) -> Labels {
+    let (preorder, size) = (&eval.preorder[..], &eval.size[..]);
+    let colouring = Colouring::from_preorder(costs, preorder, size);
+    let sigma = SigmaLabels::from_preorder(costs, preorder, size);
+    let beta = BetaLabels::from_preorder(costs, preorder, size);
+    let tops = ColourTops::compute(&colouring, eval, costs.n_satellites());
+    (colouring, sigma, beta, tops)
 }
 
 impl<'a> Prepared<'a> {
-    /// Prepares an instance borrowed from the caller: validates the cost
-    /// model, colours the tree and labels the edges.
+    /// Prepares an instance borrowed from the caller: validates the tree
+    /// and the cost model once each, builds the pre-order index, and
+    /// colours the tree and labels its edges in flat passes over that
+    /// index.
     pub fn new(tree: &'a CruTree, costs: &'a CostModel) -> Result<Self, AssignError> {
         Prepared::from_cows(Cow::Borrowed(tree), Cow::Borrowed(costs))
     }
@@ -166,8 +167,10 @@ impl<'a> Prepared<'a> {
     }
 
     fn from_cows(tree: Cow<'a, CruTree>, costs: Cow<'a, CostModel>) -> Result<Self, AssignError> {
-        let (colouring, sigma, beta, tops) = derive_labels(&tree, &costs)?;
+        tree.validate()?;
         let eval = EvalIndex::compute(&tree);
+        costs.validate_over(&tree, &eval.preorder)?;
+        let (colouring, sigma, beta, tops) = derive_labels(&costs, &eval);
         Ok(Prepared {
             tree,
             costs,
@@ -210,10 +213,11 @@ impl<'a> Prepared<'a> {
         self.costs.n_satellites()
     }
 
-    /// Re-costs this prepared instance **in place**: re-derives colouring,
-    /// σ/β labels and colour regions for `costs` (the tree is reused, not
-    /// cloned, and so is its pre-order index — this is the incremental
-    /// re-solve hot path), drops any dual graph built for the old labels
+    /// Re-costs this prepared instance **in place**: validates `costs`
+    /// once, re-derives colouring, σ/β labels and colour regions for it in
+    /// flat passes over the kept pre-order index (the tree is reused, not
+    /// cloned or re-validated — this is the incremental re-solve hot
+    /// path), drops any dual graph built for the old labels
     /// (the next [`Prepared::graph`] call builds it afresh) and reports
     /// which colours' frontier regions the change dirtied
     /// ([`crate::dirty_colours_of_labels`]).
@@ -227,7 +231,10 @@ impl<'a> Prepared<'a> {
         &mut self,
         costs: CostModel,
     ) -> Result<(ReplacedParts<'a>, crate::DirtyColours), AssignError> {
-        let (colouring, sigma, beta, tops) = derive_labels(&self.tree, &costs)?;
+        // The tree cannot change (it is never handed out mutably), so only
+        // the cost model is validated, and the pre-order index is reused.
+        costs.validate_over(&self.tree, &self.eval.preorder)?;
+        let (colouring, sigma, beta, tops) = derive_labels(&costs, &self.eval);
         // A platform-size change invalidates every colour of the new
         // platform; otherwise the single-pass label diff decides.
         let dirty = if costs.n_satellites() != self.costs.n_satellites() {

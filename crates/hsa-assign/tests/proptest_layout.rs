@@ -132,7 +132,7 @@ fn assert_arena_matches(fs: &FrontierSet, nested: &[Frontier]) -> Result<(), Tes
     }
     thetas.sort();
     thetas.dedup();
-    prop_assert_eq!(&fs.thetas, &thetas, "theta ladder");
+    prop_assert_eq!(&fs.thetas(), &thetas, "theta ladder");
     prop_assert_eq!(fs.composites, composites, "composite count");
     Ok(())
 }
@@ -156,6 +156,27 @@ fn assert_prepare_paths_match(prep: &Prepared<'_>) -> Result<(), TestCaseError> 
     Ok(())
 }
 
+/// Re-costs `prep` in place and asserts the result equals a fresh
+/// preparation of the drifted model: colouring, σ, β and colour regions,
+/// and the returned dirty flags equal `dirty_colours` of the old and the
+/// fresh preparation. A label pass that read a stale index, or a diff
+/// taken against the wrong labels, fails here.
+fn assert_recost_matches_fresh(
+    prep: &mut Prepared<'static>,
+    costs: &CostModel,
+) -> Result<(), TestCaseError> {
+    let old = prep.clone();
+    let (_, diff) = prep.update_costs(costs.clone()).unwrap();
+    let fresh = Prepared::new_owned(prep.tree.clone().into_owned(), costs.clone()).unwrap();
+    prop_assert_eq!(&prep.colouring, &fresh.colouring, "colouring");
+    prop_assert_eq!(&prep.sigma, &fresh.sigma, "sigma labels");
+    prop_assert_eq!(&prep.beta, &fresh.beta, "beta labels");
+    prop_assert_eq!(&prep.tops, &fresh.tops, "colour regions");
+    prop_assert_eq!(&prep.eval, &fresh.eval, "pre-order index");
+    prop_assert_eq!(diff, dirty_colours(&old, &fresh), "dirty colours");
+    Ok(())
+}
+
 /// The per-θ scan the sweep replaced: for each colour, a binary search for
 /// the last point with β ≤ θ.
 fn reference_picks(fs: &FrontierSet, theta: Cost) -> Option<Vec<usize>> {
@@ -167,7 +188,7 @@ fn reference_picks(fs: &FrontierSet, theta: Cost) -> Option<Vec<usize>> {
 /// One `(S, B, picks)` candidate per feasible θ, in θ order, with S the
 /// saturating Σσ and B the largest picked β.
 fn reference_candidates(fs: &FrontierSet) -> Vec<(Cost, Cost, Vec<usize>)> {
-    fs.thetas
+    fs.thetas()
         .iter()
         .filter_map(|&theta| {
             let picks = reference_picks(fs, theta)?;
@@ -347,6 +368,68 @@ proptest! {
             let scratch = FrontierSet::prepare(&prep, &cfg).unwrap();
             prop_assert_eq!(&fs, &scratch, "step {}: refreshed arenas must equal scratch", step);
             assert_arena_matches(&fs, &colour_frontiers(&prep, &cfg).unwrap())?;
+        }
+    }
+
+    /// Along a drift trace (re-pins included), every `update_costs` equals
+    /// a fresh preparation of the drifted model.
+    #[test]
+    fn recost_matches_fresh_preparation_along_drift(
+        seed in 0u64..1024,
+        drift_seed in 0u64..1024,
+        n_crus in 6usize..40,
+        n_satellites in 2u32..6,
+        magnitude_permille in 50u32..400,
+        churn_permille in 0u32..500,
+    ) {
+        let params = RandomTreeParams {
+            n_crus,
+            n_satellites,
+            ..RandomTreeParams::default()
+        };
+        let base = random_scenario(&params, seed);
+        let drift = drift_trace(&base, &DriftConfig {
+            steps: 8,
+            magnitude_permille,
+            touched_per_step: 2,
+            subtree_permille: 200,
+            churn_permille,
+            seed: drift_seed,
+        });
+        let mut costs = base.costs.clone();
+        let mut prep = Prepared::new_owned(base.tree.clone(), costs.clone()).unwrap();
+        for delta in &drift.deltas {
+            delta.apply(&base.tree, &mut costs).unwrap();
+            assert_recost_matches_fresh(&mut prep, &costs)?;
+        }
+    }
+
+    /// The same on tie-heavy instances with shuffled ids, where single
+    /// edits (re-pins included) often leave labels or whole colours
+    /// unchanged.
+    #[test]
+    fn recost_matches_fresh_preparation_along_tie_heavy_drift(
+        inst in arb_tie_instance(14, 3),
+        edits in proptest::collection::vec((0usize..14, 0u8..5, 0u64..3), 16),
+    ) {
+        let n = inst.tree.len();
+        let k = inst.costs.n_satellites();
+        let mut costs = inst.costs.clone();
+        let mut prep = Prepared::new_owned(inst.tree.clone(), costs.clone()).unwrap();
+        for &(i, field, v) in &edits {
+            let id = CruId((i % n) as u32);
+            let v = Cost::new(v);
+            match field {
+                0 => { costs.set_host_time(id, v); }
+                1 => { costs.set_satellite_time(id, v); }
+                2 if id != inst.tree.root() => { costs.set_comm_up(id, v); }
+                3 if inst.tree.is_leaf(id) => { costs.set_comm_raw(id, v); }
+                4 if inst.tree.is_leaf(id) => {
+                    costs.set_pinning(id, Some(SatelliteId(v.ticks() as u32 % k)));
+                }
+                _ => {}
+            }
+            assert_recost_matches_fresh(&mut prep, &costs)?;
         }
     }
 

@@ -7,7 +7,11 @@
 //! * **reassembly** — a [`FrameDecoder`] accumulates partial reads until
 //!   whole frames surface; protocol errors are answered exactly as the
 //!   threaded server answered them (typed error frames, connection kept
-//!   or closed per §13's re-synchronisability grading);
+//!   or closed per §13's re-synchronisability grading). A connection the
+//!   server closes first (a fatal error, or a refusal past the connection
+//!   cap, which the acceptor hands over unread) is drained until the
+//!   peer's EOF or [`LINGER`] after the server's FIN, whichever comes
+//!   first;
 //! * **write queue** — replies are encoded into one per-connection output
 //!   buffer and drained with as few `write(2)` calls as readiness allows,
 //!   so pipelined answers coalesce. The flush-on-idle rule: every round
@@ -36,6 +40,7 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// The poller token reserved for the shard's wake pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -47,6 +52,13 @@ const READ_CHUNK: usize = 16 * 1024;
 /// in-process submitter (no waker) might free.
 const PARKED_RETRY_MS: i32 = 2;
 
+/// How long a connection the server closed first (after a fatal protocol
+/// error, or a refusal past the connection cap) keeps draining the peer
+/// after the server's FIN. The drain ends at the peer's EOF or at this
+/// bound, whichever comes first, so a silent peer cannot keep its fd, or
+/// a connection slot, for good.
+const LINGER: Duration = Duration::from_millis(200);
+
 /// One answered ticket, routed back to the connection's owning shard.
 pub(super) struct Completion {
     token: u64,
@@ -56,10 +68,11 @@ pub(super) struct Completion {
 }
 
 /// What other threads hand a shard: new connections from the acceptor,
-/// completions from service workers, and the shutdown order.
+/// each flagged whether it holds a connection slot (false: past the cap,
+/// to refuse), completions from service workers, and the shutdown order.
 #[derive(Default)]
 struct Inbox {
-    conns: Vec<TcpStream>,
+    conns: Vec<(TcpStream, bool)>,
     completions: Vec<Completion>,
     shutdown: bool,
 }
@@ -100,13 +113,15 @@ impl Shard {
         self.parked.load(Ordering::Relaxed)
     }
 
-    /// Hands the shard a freshly accepted connection.
-    pub(super) fn push_conn(&self, stream: TcpStream) {
+    /// Hands the shard a freshly accepted connection: one that holds a
+    /// slot is served; one past the cap gets the [`WireError::ConnLimit`]
+    /// refusal and is drained like any connection the server closes first.
+    pub(super) fn push_conn(&self, stream: TcpStream, holds_slot: bool) {
         self.inbox
             .lock()
             .expect("shard inbox poisoned")
             .conns
-            .push(stream);
+            .push((stream, holds_slot));
         self.wake();
     }
 
@@ -160,8 +175,12 @@ struct Conn {
     /// One decoded request waiting for gate room (backpressure park).
     parked: Option<(u64, u64, Request)>, // (corr, tenant, request)
     read: ReadState,
-    /// Post-error drain: FIN sent, discarding peer bytes until its EOF.
+    /// Post-error drain: FIN sent, discarding peer bytes until its EOF
+    /// or the [`LINGER`] bound.
     lingering: bool,
+    /// Whether the connection holds one of the `max_connections` slots
+    /// (a refused one does not).
+    holds_slot: bool,
     /// The socket failed; stop writing, just drain accounting.
     dead: bool,
     // Current poller interest, to skip redundant modify syscalls.
@@ -170,7 +189,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, holds_slot: bool) -> Conn {
         Conn {
             stream,
             dec: FrameDecoder::new(),
@@ -182,6 +201,7 @@ impl Conn {
             parked: None,
             read: ReadState::Open,
             lingering: false,
+            holds_slot,
             dead: false,
             int_r: true,
             int_w: false,
@@ -217,6 +237,10 @@ pub(super) struct Reactor {
     /// been processed — shutdown waits for zero so every accepted
     /// request is answered and every quota slot released.
     outstanding: usize,
+    /// Lingering connections by drain deadline. Every deadline is
+    /// [`LINGER`] after its FIN, so pushing at the back keeps the queue
+    /// sorted; an entry whose connection was already reaped is skipped.
+    linger_deadlines: VecDeque<(Instant, u64)>,
     shutdown: bool,
     enc: FrameEncoder,
 }
@@ -235,6 +259,7 @@ impl Reactor {
             conns: HashMap::new(),
             next_token: 0,
             outstanding: 0,
+            linger_deadlines: VecDeque::new(),
             shutdown: false,
             enc: FrameEncoder::new(),
         };
@@ -249,10 +274,19 @@ impl Reactor {
             }
             let parked = self.conns.values().any(|c| c.parked.is_some());
             self.shard.parked.store(parked, Ordering::Relaxed);
-            let timeout = if parked { Some(PARKED_RETRY_MS) } else { None };
+            let linger_ms = self.linger_deadlines.front().map(|&(deadline, _)| {
+                let left = deadline.saturating_duration_since(Instant::now());
+                // Round up, so the wait does not wake just short of it.
+                left.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+            });
+            let timeout = [parked.then_some(PARKED_RETRY_MS), linger_ms]
+                .into_iter()
+                .flatten()
+                .min();
             if self.poller.wait(&mut events, timeout).is_err() {
                 continue;
             }
+            self.expire_lingering();
 
             let mut woken = false;
             let mut touched: Vec<u64> = Vec::new();
@@ -313,7 +347,7 @@ impl Reactor {
                     continue;
                 };
                 self.flush(&mut conn);
-                if self.maybe_close(&mut conn) {
+                if self.maybe_close(token, &mut conn) {
                     self.reap(conn);
                 } else {
                     self.update_interest(token, &mut conn);
@@ -347,37 +381,67 @@ impl Reactor {
         if shutdown && !self.shutdown {
             self.begin_shutdown();
         }
-        for stream in new_conns {
-            if self.shutdown {
-                // Raced past the acceptor's check: refuse like a close.
-                self.inner.conn_closed();
-                continue;
-            }
-            let token = self.next_token;
-            self.next_token += 1;
-            if self
+        for (stream, holds_slot) in new_conns {
+            self.adopt(stream, holds_slot);
+        }
+        for completion in completions {
+            self.apply_completion(completion, touched);
+        }
+    }
+
+    /// Registers a connection from the acceptor. An admitted one
+    /// (`holds_slot`) is served; a refused one gets the
+    /// [`WireError::ConnLimit`] frame and goes the way of a fatal protocol
+    /// error: FIN after the frame, then the bounded drain.
+    fn adopt(&mut self, stream: TcpStream, holds_slot: bool) {
+        let token = self.next_token;
+        self.next_token += 1;
+        // A stream that raced past the acceptor's shutdown check, or that
+        // cannot be polled, is closed at once.
+        if self.shutdown
+            || self
                 .poller
                 .register(stream.as_raw_fd(), token, true, false)
                 .is_err()
-            {
+        {
+            if holds_slot {
                 self.inner.conn_closed();
-                continue;
             }
-            let mut conn = Conn::new(stream);
+            return;
+        }
+        let mut conn = Conn::new(stream, holds_slot);
+        if holds_slot {
             // The socket may already hold buffered frames (a client that
             // connected and wrote before we registered): treat the new
             // connection as readable once.
             self.handle_readable(token, &mut conn);
-            self.flush(&mut conn);
-            if self.maybe_close(&mut conn) {
-                self.reap(conn);
-            } else {
-                self.update_interest(token, &mut conn);
-                self.conns.insert(token, conn);
-            }
+        } else {
+            // Corr 0: nothing of the peer's stream is read.
+            let cap = self.inner.cfg.max_connections as u64;
+            self.enc
+                .put_error(&mut conn.out, 0, 0, &WireError::ConnLimit(cap));
+            conn.read = ReadState::Fatal;
         }
-        for completion in completions {
-            self.apply_completion(completion, touched);
+        self.flush(&mut conn);
+        if self.maybe_close(token, &mut conn) {
+            self.reap(conn);
+        } else {
+            self.update_interest(token, &mut conn);
+            self.conns.insert(token, conn);
+        }
+    }
+
+    /// Reaps every lingering connection whose drain deadline has passed.
+    fn expire_lingering(&mut self) {
+        let now = Instant::now();
+        while let Some(&(deadline, token)) = self.linger_deadlines.front() {
+            if deadline > now {
+                return;
+            }
+            self.linger_deadlines.pop_front();
+            if let Some(conn) = self.conns.remove(&token) {
+                self.reap(conn);
+            }
         }
     }
 
@@ -675,7 +739,7 @@ impl Reactor {
     }
 
     /// True when the connection is finished and its fd closed.
-    fn maybe_close(&mut self, conn: &mut Conn) -> bool {
+    fn maybe_close(&mut self, token: u64, conn: &mut Conn) -> bool {
         if conn.dead && conn.idle() {
             return true;
         }
@@ -688,8 +752,10 @@ impl Reactor {
             if conn.read == ReadState::Fatal && !self.shutdown {
                 // We closed first with unread peer bytes possibly in
                 // flight: drain them so the error frame isn't lost to a
-                // reset, then reap on the peer's EOF.
+                // reset, then reap on the peer's EOF or at the bound.
                 conn.lingering = true;
+                self.linger_deadlines
+                    .push_back((Instant::now() + LINGER, token));
                 return false;
             }
             // Peer half-closed first (we read to EOF) or the server is
@@ -717,7 +783,10 @@ impl Reactor {
     /// explicit interest list that must not outlive the fd).
     fn reap(&mut self, conn: Conn) {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        let holds_slot = conn.holds_slot;
         drop(conn);
-        self.inner.conn_closed();
+        if holds_slot {
+            self.inner.conn_closed();
+        }
     }
 }

@@ -2,32 +2,31 @@
 //! per-tenant admission quotas, connection cap, graceful shutdown.
 
 use super::reactor::{Reactor, Shard};
-use super::wire::{self, FrameEncoder, WireError};
+use super::wire;
 use crate::service::Service;
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Network-layer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct NetConfig {
     /// Cap on the length prefix a peer may announce. A frame above it is
-    /// answered with [`WireError::Oversized`] and the connection closed
+    /// answered with [`wire::WireError::Oversized`] and the connection closed
     /// (the stream cannot be re-synchronised past unread bytes). The cap
     /// is announced in `HELLO_ACK`, and a [`super::Client`] refuses a
     /// longer request before sending it. It does not bound replies.
     pub max_frame_len: usize,
     /// Per-tenant admission quota: in-flight requests per header tenant
     /// id, across all connections, **before** they reach the service's
-    /// global backpressure gate. Refusals answer [`WireError::Quota`]
+    /// global backpressure gate. Refusals answer [`wire::WireError::Quota`]
     /// without blocking the reader. 0 means no per-tenant cap.
     pub per_tenant_inflight: usize,
     /// Cap on concurrently served connections. An accept past the cap is
-    /// answered with a [`WireError::ConnLimit`] frame and closed — the
+    /// answered with a [`wire::WireError::ConnLimit`] frame and closed — the
     /// reactor's fd tables stay bounded and overload is explicit instead
     /// of an eventual EMFILE. 0 means no cap.
     pub max_connections: usize,
@@ -65,7 +64,7 @@ impl NetConfig {
 pub struct NetStats {
     /// Connections accepted and handed to a reactor shard.
     pub accepted: u64,
-    /// Connections refused with [`WireError::ConnLimit`] at accept time.
+    /// Connections refused with [`wire::WireError::ConnLimit`] at accept time.
     pub refused: u64,
     /// Requests parked because the service gate was full — each park is
     /// one backpressure stall propagated onto a TCP stream.
@@ -278,46 +277,22 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let cap = inner.cfg.max_connections;
-        if cap > 0 && inner.live.load(Ordering::Relaxed) >= cap {
-            inner.stats.refused.fetch_add(1, Ordering::Relaxed);
-            refuse(stream, cap);
-            continue;
-        }
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             continue;
         }
-        inner.live.fetch_add(1, Ordering::Relaxed);
-        inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        shards[next % shards.len()].push_conn(stream);
+        let cap = inner.cfg.max_connections;
+        // Past the cap the shard answers the refusal and drains the peer,
+        // so this thread never waits on a refused peer, and a refused
+        // stream never takes a slot.
+        let admit = cap == 0 || inner.live.load(Ordering::Relaxed) < cap;
+        if admit {
+            inner.live.fetch_add(1, Ordering::Relaxed);
+            inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        } else {
+            inner.stats.refused.fetch_add(1, Ordering::Relaxed);
+        }
+        shards[next % shards.len()].push_conn(stream, admit);
         next = next.wrapping_add(1);
-    }
-}
-
-/// Answers a connection past the cap with a typed refusal and closes it.
-/// Corr 0: nothing of the peer's stream has been read. The peer's
-/// already-sent bytes (a HELLO, usually) are drained briefly so closing
-/// does not reset the refusal off the wire. The drain runs on the accept
-/// thread, so one deadline bounds all of it: a peer that keeps writing
-/// cannot hold off every later connection.
-fn refuse(mut stream: TcpStream, cap: usize) {
-    let mut out = Vec::new();
-    FrameEncoder::new().put_error(&mut out, 0, 0, &WireError::ConnLimit(cap as u64));
-    if stream.write_all(&out).is_err() {
-        return;
-    }
-    let _ = stream.shutdown(Shutdown::Write);
-    let deadline = Instant::now() + Duration::from_millis(200);
-    let mut scratch = [0u8; 1024];
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        // A zero timeout is an error to `set_read_timeout`, not a poll.
-        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
-            break;
-        }
-        if !matches!(stream.read(&mut scratch), Ok(n) if n > 0) {
-            break;
-        }
     }
 }

@@ -171,3 +171,92 @@ fn truncated_writer_does_not_wedge_the_shard() {
     assert!(reply.instance_id().is_some());
     server.shutdown();
 }
+
+/// A server with a one-connection cap and one reactor shard.
+fn capped_server() -> NetServer {
+    let svc = service(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    NetServer::bind(
+        "127.0.0.1:0",
+        svc,
+        NetConfig {
+            max_connections: 1,
+            reactor_threads: 1,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// Refused peers are drained by the reactor shards, never by the accept
+/// thread, so ten silent peers past the cap (each drained until its
+/// bound) do not hold up the refusal of the next one.
+#[test]
+fn silent_refused_peers_do_not_delay_the_next_refusal() {
+    let server = capped_server();
+    let held = Client::connect(server.local_addr()).unwrap();
+    let silent: Vec<TcpStream> = (0..10)
+        .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+        .collect();
+    let t0 = Instant::now();
+    match Client::connect(server.local_addr()) {
+        Err(ClientError::Remote(wire::WireError::ConnLimit(cap))) => assert_eq!(cap, 1),
+        Err(other) => panic!("expected a ConnLimit refusal, got {other:?}"),
+        Ok(_) => panic!("expected a ConnLimit refusal, got an admitted connection"),
+    }
+    let waited = t0.elapsed();
+    assert!(
+        waited < Duration::from_millis(300),
+        "the refusal took {waited:?} behind 10 silent refused peers"
+    );
+    drop(silent);
+    drop(held);
+    server.shutdown();
+}
+
+/// A peer that triggers a fatal protocol error, reads the error frame and
+/// then stays open without writing loses its slot when the drain reaches
+/// its bound, so a new client gets in and is served within 1 s.
+#[test]
+fn silent_peer_after_a_fatal_error_frees_its_slot() {
+    let server = capped_server();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let announced = wire::DEFAULT_MAX_FRAME_LEN as u32 + 1;
+    stream.write_all(&announced.to_be_bytes()).unwrap();
+    // The server answers and half-closes; the peer keeps its end open.
+    let mut got = Vec::new();
+    stream.read_to_end(&mut got).unwrap();
+    let mut want = Vec::new();
+    let oversized =
+        wire::WireError::Oversized(u64::from(announced), wire::DEFAULT_MAX_FRAME_LEN as u64);
+    wire::FrameEncoder::new().put_error(&mut want, 0, 0, &oversized);
+    assert_eq!(got, want, "expected exactly the Oversized error frame");
+
+    let t0 = Instant::now();
+    let deadline = t0 + Duration::from_secs(1);
+    let mut client = loop {
+        match Client::connect(server.local_addr()) {
+            Ok(client) => break client,
+            Err(ClientError::Remote(wire::WireError::ConnLimit(_))) => {
+                assert!(
+                    Instant::now() < deadline,
+                    "the silent peer kept its slot for {:?}",
+                    t0.elapsed()
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(other) => panic!("unexpected connect failure: {other}"),
+        }
+    };
+    let sc = hsa_workloads::paper_scenario();
+    assert!(client.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    let waited = t0.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "a new client was served {waited:?} after the error"
+    );
+    drop(stream);
+    server.shutdown();
+}

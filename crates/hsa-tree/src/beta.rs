@@ -11,11 +11,11 @@
 //! sensor edge `⟨A,l⟩` cuts nothing off; only the raw sensor frames cross
 //! the link: β(⟨A,l⟩) = `c_{s,l}` (the paper's ⟨A,CRU10⟩ example).
 
-use crate::{CostModel, CruTree, SatelliteId, TreeEdge, TreeError};
+use crate::{CostModel, CruId, CruTree, SatelliteId, TreeEdge, TreeError};
 use hsa_graph::Cost;
 
 /// The β label of every closed-tree edge.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BetaLabels {
     /// β of `Parent(c)`, indexed by `c` (root entry unused, zero).
     pub parent_edge: Vec<Cost>,
@@ -24,33 +24,52 @@ pub struct BetaLabels {
 }
 
 impl BetaLabels {
-    /// Computes the labelling in one post-order pass (subtree `s` sums are
-    /// accumulated bottom-up, so the whole labelling is O(n)).
+    /// Computes the labelling after validating `costs` against `tree`:
+    /// the entry point for a caller without a pre-order index
+    /// ([`BetaLabels::from_preorder`] does the work).
     pub fn compute(tree: &CruTree, costs: &CostModel) -> Result<BetaLabels, TreeError> {
         costs.validate(tree)?;
-        let n = tree.len();
+        let preorder = tree.preorder();
+        let size = tree.subtree_sizes(&preorder);
+        Ok(BetaLabels::from_preorder(costs, &preorder, &size))
+    }
+
+    /// The labelling in one pass over a tree's pre-order index
+    /// (`preorder` is [`CruTree::preorder`], `size` its
+    /// [`CruTree::subtree_sizes`]; `costs` already validated against the
+    /// tree). In reverse pre-order a node comes after its whole subtree,
+    /// so its subtree `s` sum is its own `s` plus its children's sums (the
+    /// children sit at `pos + 1`, then one subtree size apart): O(n) in
+    /// all.
+    pub fn from_preorder(costs: &CostModel, preorder: &[CruId], size: &[u32]) -> BetaLabels {
+        let (s, up, raw) = (costs.satellite_times(), costs.comm_ups(), costs.comm_raws());
+        let n = preorder.len();
         let mut subtree_s = vec![Cost::ZERO; n];
-        for c in tree.postorder() {
-            let mut sum = costs.s(c);
-            for &ch in tree.children(c) {
-                sum += subtree_s[ch.index()];
-            }
-            subtree_s[c.index()] = sum;
-        }
         let mut parent_edge = vec![Cost::ZERO; n];
         let mut sensor_edge = vec![Cost::ZERO; n];
-        for c in tree.preorder() {
-            if c != tree.root() {
-                parent_edge[c.index()] = subtree_s[c.index()] + costs.c_up(c);
+        for (i, &c) in preorder.iter().enumerate().rev() {
+            let x = c.index();
+            let end = i + size[x] as usize;
+            let mut sum = s[x];
+            if end == i + 1 {
+                sensor_edge[x] = raw[x];
             }
-            if tree.is_leaf(c) {
-                sensor_edge[c.index()] = costs.c_raw(c);
+            let mut j = i + 1;
+            while j < end {
+                let ch = preorder[j].index();
+                sum += subtree_s[ch];
+                j += size[ch] as usize;
+            }
+            subtree_s[x] = sum;
+            // Position 0 is the root, which has no parent edge.
+            if i > 0 {
+                parent_edge[x] = sum + up[x];
             }
         }
-        Ok(BetaLabels {
+        BetaLabels {
             parent_edge,
             sensor_edge,
-        })
+        }
     }
 
     /// β of a closed-tree edge.

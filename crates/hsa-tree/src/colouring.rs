@@ -48,7 +48,7 @@ pub struct Band {
 }
 
 /// Result of colouring a costed CRU tree.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Colouring {
     /// Colour per node (indexed by CRU id): the colour of its subtree, i.e.
     /// of its *parent* edge in the paper's edge-painting.
@@ -65,41 +65,59 @@ pub struct Colouring {
 }
 
 impl Colouring {
-    /// Computes the colouring of `tree` under `costs`' sensor pinning.
-    ///
-    /// Single post-order pass: a leaf takes its pinned satellite; an
-    /// internal node takes its children's common colour or `Conflict`.
+    /// Computes the colouring of `tree` under `costs`' sensor pinning,
+    /// after validating `costs` against `tree`: the entry point for a
+    /// caller without a pre-order index ([`Colouring::from_preorder`] does
+    /// the work).
     pub fn compute(tree: &CruTree, costs: &CostModel) -> Result<Colouring, TreeError> {
         costs.validate(tree)?;
-        let mut node_colour = vec![Colour::Conflict; tree.len()];
-        for c in tree.postorder() {
-            node_colour[c.index()] = if tree.is_leaf(c) {
-                Colour::Satellite(
-                    costs
-                        .pinned_satellite(c)
-                        .ok_or(TreeError::UnpinnedLeaf(c))?,
-                )
+        let preorder = tree.preorder();
+        let size = tree.subtree_sizes(&preorder);
+        Ok(Colouring::from_preorder(costs, &preorder, &size))
+    }
+
+    /// The colouring from flat passes over a tree's pre-order index:
+    /// `preorder` is [`CruTree::preorder`] and `size` its
+    /// [`CruTree::subtree_sizes`]. `costs` must already be validated
+    /// against that tree ([`CostModel::validate`]); this pass does not
+    /// check it again.
+    ///
+    /// In reverse pre-order a node comes after its whole subtree, so one
+    /// pass colours bottom-up: a leaf (`size == 1`) takes its pinned
+    /// satellite, an internal node its children's common colour or
+    /// `Conflict` (its children sit at `pos + 1`, then one subtree size
+    /// apart). The same pass meets the leaves right to left. A pre-order
+    /// pass then lists the host-forced nodes: the root (`preorder[0]`) and
+    /// every conflicted node.
+    pub fn from_preorder(costs: &CostModel, preorder: &[CruId], size: &[u32]) -> Colouring {
+        let pin = costs.pinnings();
+        let mut node_colour = vec![Colour::Conflict; preorder.len()];
+        let mut leaf_colours: Vec<SatelliteId> = Vec::new();
+        for (i, &c) in preorder.iter().enumerate().rev() {
+            let end = i + size[c.index()] as usize;
+            node_colour[c.index()] = if end == i + 1 {
+                let s = pin[c.index()].expect("a validated cost model pins every leaf");
+                leaf_colours.push(s);
+                Colour::Satellite(s)
             } else {
-                let mut it = tree.children(c).iter();
-                let first = node_colour[it.next().expect("internal node").index()];
-                if it.all(|&ch| node_colour[ch.index()] == first) {
+                let first = node_colour[preorder[i + 1].index()];
+                let mut j = i + 1;
+                while j < end && node_colour[preorder[j].index()] == first {
+                    j += size[preorder[j].index()] as usize;
+                }
+                if j == end {
                     first
                 } else {
                     Colour::Conflict
                 }
             };
         }
+        leaf_colours.reverse();
 
-        let host_forced: Vec<CruId> = tree
-            .preorder()
-            .into_iter()
-            .filter(|&c| c == tree.root() || node_colour[c.index()] == Colour::Conflict)
-            .collect();
-
-        let leaf_colours: Vec<SatelliteId> = tree
-            .leaves_in_order()
-            .into_iter()
-            .map(|l| costs.pinned_satellite(l).expect("validated above"))
+        let host_forced: Vec<CruId> = preorder
+            .iter()
+            .copied()
+            .filter(|&c| c == preorder[0] || node_colour[c.index()] == Colour::Conflict)
             .collect();
 
         let bands = bands_of(&leaf_colours);
@@ -114,13 +132,13 @@ impl Colouring {
             .map(|(i, _)| SatelliteId(i as u32))
             .collect();
 
-        Ok(Colouring {
+        Colouring {
             node_colour,
             host_forced,
             leaf_colours,
             bands,
             interleaved,
-        })
+        }
     }
 
     /// Colour of a closed-tree edge: both `Parent(c)` and `Sensor(c)` carry

@@ -227,6 +227,14 @@ impl CostModel {
     /// leaf is pinned to an existing satellite, no internal node is pinned,
     /// and the root has no uplink cost.
     pub fn validate(&self, tree: &CruTree) -> Result<(), TreeError> {
+        self.validate_over(tree, &tree.preorder())
+    }
+
+    /// [`CostModel::validate`] for a caller that already holds the tree's
+    /// [`CruTree::preorder`]: the checks visit the nodes in that order
+    /// instead of walking the tree again, so the first fault reported is
+    /// the same.
+    pub fn validate_over(&self, tree: &CruTree, preorder: &[CruId]) -> Result<(), TreeError> {
         let n = tree.len();
         for (name, len) in [
             ("host_time", self.host_time.len()),
@@ -241,7 +249,7 @@ impl CostModel {
                 )));
             }
         }
-        for c in tree.preorder() {
+        for &c in preorder {
             if tree.is_leaf(c) {
                 match self.pinning[c.index()] {
                     None => return Err(TreeError::UnpinnedLeaf(c)),

@@ -21,7 +21,7 @@ use crate::{CostModel, CruId, CruTree, TreeEdge, TreeError};
 use hsa_graph::Cost;
 
 /// The σ label of every closed-tree edge.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SigmaLabels {
     /// σ of `Parent(c)`, indexed by `c` (root entry unused, zero).
     pub parent_edge: Vec<Cost>,
@@ -30,29 +30,43 @@ pub struct SigmaLabels {
 }
 
 impl SigmaLabels {
-    /// Computes the Figure 8 labelling in one pre-order pass.
+    /// Computes the Figure 8 labelling after validating `costs` against
+    /// `tree`: the entry point for a caller without a pre-order index
+    /// ([`SigmaLabels::from_preorder`] does the work).
     pub fn compute(tree: &CruTree, costs: &CostModel) -> Result<SigmaLabels, TreeError> {
         costs.validate(tree)?;
-        let n = tree.len();
+        let preorder = tree.preorder();
+        let size = tree.subtree_sizes(&preorder);
+        Ok(SigmaLabels::from_preorder(costs, &preorder, &size))
+    }
+
+    /// The Figure 8 labelling in one pass over a tree's pre-order index
+    /// (`preorder` is [`CruTree::preorder`], `size` its
+    /// [`CruTree::subtree_sizes`]; `costs` already validated against the
+    /// tree).
+    ///
+    /// The weight entering node `j` is the σ of its parent edge, which is
+    /// final when `j` is visited and 0 at the root and at every
+    /// non-leftmost child. `w_in + h_j` goes to the sensor edge of a leaf
+    /// (`size == 1`) and otherwise to the parent edge of the leftmost
+    /// child, the next node in pre-order.
+    pub fn from_preorder(costs: &CostModel, preorder: &[CruId], size: &[u32]) -> SigmaLabels {
+        let h = costs.host_times();
+        let n = preorder.len();
         let mut parent_edge = vec![Cost::ZERO; n];
         let mut sensor_edge = vec![Cost::ZERO; n];
-        // w_in per node: the σ already assigned to the edge entering it.
-        let mut w_in = vec![Cost::ZERO; n];
-        for j in tree.preorder() {
-            let down = w_in[j.index()] + costs.h(j);
-            if tree.is_leaf(j) {
+        for (pos, &j) in preorder.iter().enumerate() {
+            let down = parent_edge[j.index()] + h[j.index()];
+            if size[j.index()] == 1 {
                 sensor_edge[j.index()] = down;
             } else {
-                let leftmost = tree.children(j)[0];
-                parent_edge[leftmost.index()] = down;
-                w_in[leftmost.index()] = down;
-                // Non-leftmost children keep σ = 0 and w_in = 0.
+                parent_edge[preorder[pos + 1].index()] = down;
             }
         }
-        Ok(SigmaLabels {
+        SigmaLabels {
             parent_edge,
             sensor_edge,
-        })
+        }
     }
 
     /// σ of a closed-tree edge.

@@ -125,6 +125,23 @@ impl CruTree {
         out
     }
 
+    /// `size[c]`, the number of nodes in the subtree of `c` (including
+    /// `c`), given the tree's [`CruTree::preorder`]. With it the pre-order
+    /// is an index: the subtree of `c` is the `size[c]` positions starting
+    /// at `c`'s, its leftmost child (if any) is the next position, and `c`
+    /// is a leaf exactly when `size[c] == 1`. The label passes
+    /// ([`crate::Colouring::from_preorder`] and its σ/β siblings) walk
+    /// that index instead of the node arena.
+    pub fn subtree_sizes(&self, preorder: &[CruId]) -> Vec<u32> {
+        let mut size = vec![1u32; self.len()];
+        for &c in preorder.iter().rev() {
+            if let Some(p) = self.parent(c) {
+                size[p.index()] += size[c.index()];
+            }
+        }
+        size
+    }
+
     /// All CRU ids in post-order (children before parents) — the order in
     /// which a single processor must execute a subtree.
     pub fn postorder(&self) -> Vec<CruId> {
@@ -348,6 +365,7 @@ mod tests {
         assert_eq!(pre, vec![0, 1, 2, 3, 4]);
         let post: Vec<u32> = t.postorder().iter().map(|c| c.0).collect();
         assert_eq!(post, vec![2, 3, 1, 4, 0]);
+        assert_eq!(t.subtree_sizes(&t.preorder()), vec![5, 3, 1, 1, 1]);
     }
 
     #[test]

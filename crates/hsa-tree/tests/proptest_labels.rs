@@ -3,6 +3,7 @@
 //! behind the paper's assignment-graph construction (§5.3).
 
 use hsa_graph::Cost;
+use hsa_tree::Colour;
 use hsa_tree::{
     for_each_cut, host_time_of_cut, satellite_loads_of_cut, BetaLabels, Colouring, CostModel,
     CruId, CruNode, CruTree, SatelliteId, SigmaLabels, TreeEdge,
@@ -57,8 +58,92 @@ fn arb_instance(max_nodes: usize, max_sats: u32) -> impl Strategy<Value = Instan
     })
 }
 
+/// Strategy: random ordered trees of up to `max_nodes` nodes with shuffled
+/// ids (a node's id may be above its descendants'), on up to `max_sats`
+/// satellites. Leaves are pinned at random (mode 0) or interleaved (mode
+/// 1): leaf `i` in planar order goes to satellite `i % k`, so colours alternate
+/// along the leaves and conflicts reach deep into the tree.
+fn arb_pinned_instance(max_nodes: usize, max_sats: u32) -> impl Strategy<Value = Instance> {
+    (2usize..=max_nodes, 1u32..=max_sats).prop_flat_map(|(n, k)| {
+        let parents = proptest::collection::vec(0usize..n, n - 1);
+        let keys = proptest::collection::vec(0u32..u32::MAX, n);
+        let sats = proptest::collection::vec(0u32..k, n);
+        (parents, keys, sats, 0u8..2).prop_map(move |(parents, keys, sats, mode)| {
+            // Generated node `i` gets id `id_of[i]`, the rank of its key.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let mut id_of = vec![CruId(0); n];
+            for (id, &i) in order.iter().enumerate() {
+                id_of[i] = CruId(id as u32);
+            }
+            let mut nodes: Vec<CruNode> = (0..n)
+                .map(|i| CruNode {
+                    parent: None,
+                    children: Vec::new(),
+                    name: format!("n{i}"),
+                })
+                .collect();
+            for i in 1..n {
+                let p = parents[i - 1] % i;
+                nodes[id_of[i].index()].parent = Some(id_of[p]);
+                nodes[id_of[p].index()].children.push(id_of[i]);
+            }
+            let tree = CruTree::from_parts(nodes, id_of[0]).expect("construction is valid");
+            let mut m = CostModel::zeroed(&tree, k);
+            for (pos, leaf) in tree.leaves_in_order().into_iter().enumerate() {
+                let sat = if mode == 1 {
+                    pos as u32 % k
+                } else {
+                    sats[leaf.index()]
+                };
+                m.pin_leaf(leaf, SatelliteId(sat), Cost::ZERO);
+            }
+            Instance { tree, costs: m }
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
+
+    /// The colouring equals a direct reading of the pinning: a node's
+    /// colour is the one satellite every leaf of its subtree is pinned to,
+    /// or `Conflict` when they differ; the host-forced nodes are the root
+    /// plus the conflicted nodes, in pre-order; the leaf colours follow
+    /// the planar leaf order.
+    #[test]
+    fn colouring_equals_subtree_pinning_oracle(inst in arb_pinned_instance(16, 4)) {
+        let (tree, costs) = (&inst.tree, &inst.costs);
+        let col = Colouring::compute(tree, costs).unwrap();
+        let oracle: Vec<Colour> = (0..tree.len() as u32)
+            .map(|i| {
+                let mut sats = tree
+                    .subtree(CruId(i))
+                    .into_iter()
+                    .filter(|&x| tree.is_leaf(x))
+                    .map(|leaf| costs.pinned_satellite(leaf).unwrap());
+                let first = sats.next().expect("every subtree has a leaf");
+                if sats.all(|s| s == first) {
+                    Colour::Satellite(first)
+                } else {
+                    Colour::Conflict
+                }
+            })
+            .collect();
+        prop_assert_eq!(&col.node_colour, &oracle);
+        let host_forced: Vec<CruId> = tree
+            .preorder()
+            .into_iter()
+            .filter(|&c| c == tree.root() || oracle[c.index()] == Colour::Conflict)
+            .collect();
+        prop_assert_eq!(&col.host_forced, &host_forced);
+        let leaf_colours: Vec<SatelliteId> = tree
+            .leaves_in_order()
+            .into_iter()
+            .map(|leaf| costs.pinned_satellite(leaf).unwrap())
+            .collect();
+        prop_assert_eq!(&col.leaf_colours, &leaf_colours);
+    }
 
     /// Σ σ over any valid cut == direct host-side h sum.
     #[test]
