@@ -15,8 +15,8 @@
 //! So after a [`hsa_tree::Delta`] is applied and the (cheap, O(n)) labels
 //! are re-derived, comparing those two ingredients per colour yields the
 //! exact set of frontiers that must be rebuilt; everything else can be
-//! reused verbatim ([`crate::FrontierSet::refresh`]). This module computes
-//! that diff. It deliberately diffs *observed labels* rather than
+//! reused verbatim ([`crate::FrontierSet::refresh_in_place`]). This module
+//! computes that diff. It deliberately diffs *observed labels* rather than
 //! interpreting delta ops: a σ change propagates down leftmost-descendant
 //! chains and a β change up ancestor chains, and chasing either by hand is
 //! exactly the kind of cleverness that rots — the label diff is O(n),
@@ -224,18 +224,17 @@ mod tests {
             delta.apply(&tree, &mut current).unwrap();
             let next = Prepared::new_owned(tree.clone(), current.clone()).unwrap();
             let d = dirty_colours(&prep, &next);
-            let refreshed = FrontierSet::refresh(&next, &cfg, &fs, &d.dirty).unwrap();
+            fs.refresh_in_place(&next, &cfg, &d.dirty).unwrap();
             let scratch = FrontierSet::prepare(&next, &cfg).unwrap();
-            assert_eq!(refreshed.to_nested(), scratch.to_nested(), "step {i}");
-            assert_eq!(refreshed.thetas(), scratch.thetas(), "step {i}");
-            assert_eq!(refreshed.composites, scratch.composites, "step {i}");
-            assert_eq!(refreshed, scratch, "step {i}: arenas must match exactly");
-            let a = solve_with_frontiers(&next, &refreshed, Lambda::HALF).unwrap();
+            assert_eq!(fs.to_nested(), scratch.to_nested(), "step {i}");
+            assert_eq!(fs.thetas(), scratch.thetas(), "step {i}");
+            assert_eq!(fs.composites, scratch.composites, "step {i}");
+            assert_eq!(fs, scratch, "step {i}: arenas must match exactly");
+            let a = solve_with_frontiers(&next, &fs, Lambda::HALF).unwrap();
             let b = solve_with_frontiers(&next, &scratch, Lambda::HALF).unwrap();
             assert_eq!(a.objective, b.objective, "step {i}");
             assert_eq!(a.cut, b.cut, "step {i}");
             prep = next;
-            fs = refreshed;
         }
     }
 

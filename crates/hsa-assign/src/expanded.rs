@@ -755,7 +755,7 @@ impl FrontierSet {
     }
 
     /// Recomputes only the colours flagged `dirty`, reusing every clean
-    /// colour's frontier from `old` verbatim; thresholds and the composite
+    /// colour's frontier in `self` verbatim; thresholds and the composite
     /// count are re-derived from the merged set.
     ///
     /// Correctness contract (established by [`crate::dirty_colours`], and
@@ -764,24 +764,13 @@ impl FrontierSet {
     /// of the edges inside them, so a colour whose regions and labels are
     /// unchanged has, by construction, an unchanged frontier. `prep` must
     /// be the *updated* instance and `dirty.len()` its satellite count;
-    /// `old` must come from the same tree with the same satellite count.
-    pub fn refresh(
-        prep: &Prepared<'_>,
-        cfg: &ExpandedConfig,
-        old: &FrontierSet,
-        dirty: &[bool],
-    ) -> Result<FrontierSet, AssignError> {
-        let mut fs = old.clone();
-        fs.refresh_in_place(prep, cfg, dirty)?;
-        Ok(fs)
-    }
-
-    /// The allocation-lean form of [`FrontierSet::refresh`]: re-runs the
-    /// cover DP **only** for the dirty colours (clean colours' arena
-    /// slices are block-copied, never re-enumerated point by point — this
-    /// is the `Session` apply hot path). On error, `self` is unchanged:
-    /// the merged set is built to the side and swapped in only once every
-    /// dirty colour has been rebuilt.
+    /// `self` must come from the same tree with the same satellite count.
+    ///
+    /// The cover DP re-runs **only** for the dirty colours (clean colours'
+    /// arena slices are block-copied, never re-enumerated point by point —
+    /// this is the `Session` apply hot path). On error, `self` is
+    /// unchanged: the merged set is built to the side and swapped in only
+    /// once every dirty colour has been rebuilt.
     pub fn refresh_in_place(
         &mut self,
         prep: &Prepared<'_>,

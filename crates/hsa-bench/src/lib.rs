@@ -15,10 +15,7 @@
 //! and renders a human-readable regression table.
 //!
 //! This library also hosts the shared pieces: deterministic instance
-//! suites, wall-clock measurement helpers, a tiny CSV writer, the
-//! engine-throughput measurement ([`engine_throughput`], behind the
-//! `BENCH_engine.json` artefact), and a re-export of the parallel sweep
-//! runner that lives in `hsa-engine` (sweeps are embarrassingly parallel).
+//! suites, wall-clock measurement helpers and a tiny CSV writer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,15 +25,11 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-pub use hsa_engine::parallel_map;
-
 pub mod experiments;
 pub mod gate;
 pub mod report;
-mod throughput;
 
 pub use report::{BenchReport, EnvFingerprint, Metric, BENCH_SCHEMA_VERSION};
-pub use throughput::{engine_throughput, EngineThroughput, ThroughputConfig, WORKLOAD_SEED};
 
 /// A measured duration in nanoseconds (median of `reps` runs).
 pub fn time_median_ns<F: FnMut()>(reps: usize, mut f: F) -> u64 {
@@ -182,13 +175,6 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = CsvTable::new("demo", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(items, 4, |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

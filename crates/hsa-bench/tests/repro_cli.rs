@@ -101,9 +101,13 @@ fn single_experiment_creates_the_output_directory() {
     );
     let report = BenchReport::load(&dir.join("BENCH_engine.json")).unwrap();
     assert_eq!(report.experiment, "t9");
-    assert_eq!(report.seed, hsa_bench::WORKLOAD_SEED);
+    assert_eq!(report.seed, 100, "t9's workload seed");
     assert!(report.threads >= 1);
     assert_eq!(report.profile, "quick");
+    for arm in ["naive", "batched"] {
+        let m = report.find_metric(arm).unwrap();
+        assert!(m.p50_ns.is_some() && m.p99_ns.is_some(), "{arm} has tails");
+    }
 }
 
 #[test]

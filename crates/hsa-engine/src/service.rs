@@ -21,9 +21,12 @@
 //!   than the two thread wake-ups a worker hop costs, so they are answered
 //!   on the submitting thread: their [`Ticket`] comes back already
 //!   answered.
-//! * **A panicking handler still answers** — on either path the unwind is
-//!   caught and the request answers [`ServiceError::Internal`], so its
-//!   gate slot is released and no ticket waits forever.
+//! * **A panicking handler still answers** — every accepted request, on
+//!   the submitting thread, a pool worker or its tenant's drainer, is
+//!   answered through one funnel that catches the unwind and answers
+//!   [`ServiceError::Internal`], so its gate slot is released and no
+//!   ticket waits forever. A tenant whose session a panic interrupted
+//!   fails closed: its later deltas answer `Internal` too.
 //! * **Stateful delta streams stay FIFO per tenant, parallel across
 //!   tenants** — each tenant owns a [`Session`]; deltas enqueue onto the
 //!   tenant's pending list *at submission time* (so per-tenant order is
@@ -81,7 +84,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// A tenant's identity in the service's session registry.
@@ -615,8 +618,8 @@ impl Gate {
     }
 }
 
-/// The request kinds the service tracks separately: selects the latency
-/// histogram, whose count is that kind's request count.
+/// The request kinds the service tracks separately: indexes the latency
+/// histograms, whose count is that kind's request count.
 #[derive(Clone, Copy)]
 enum ReqKind {
     Solve,
@@ -701,22 +704,9 @@ struct Shared {
     portfolio: Portfolio,
     gate: Gate,
     counters: ServiceCounters,
-    lat_solve: LatencyHistogram,
-    lat_frontier: LatencyHistogram,
-    lat_delta: LatencyHistogram,
-    lat_anytime: LatencyHistogram,
+    /// Accepted→answered latency, indexed by [`ReqKind`].
+    latency: [LatencyHistogram; 4],
     verify: bool,
-}
-
-impl Shared {
-    fn latency_of(&self, kind: ReqKind) -> &LatencyHistogram {
-        match kind {
-            ReqKind::Solve => &self.lat_solve,
-            ReqKind::Frontier => &self.lat_frontier,
-            ReqKind::Delta => &self.lat_delta,
-            ReqKind::Anytime => &self.lat_anytime,
-        }
-    }
 }
 
 /// The request-stream front-end. See the module docs.
@@ -742,10 +732,7 @@ impl Service {
                 engine,
                 gate: Gate::new(cfg.queue_capacity),
                 counters: ServiceCounters::default(),
-                lat_solve: LatencyHistogram::new(),
-                lat_frontier: LatencyHistogram::new(),
-                lat_delta: LatencyHistogram::new(),
-                lat_anytime: LatencyHistogram::new(),
+                latency: Default::default(),
                 verify: cfg.verify,
             }),
             tenants: RwLock::new(BTreeMap::new()),
@@ -817,7 +804,8 @@ impl Service {
     /// tickets (the drainer holds its own handle) but are not reflected
     /// in the returned snapshot — wait on their tickets first if the
     /// counters must include them. Later submissions answer
-    /// [`ServiceError::UnknownTenant`].
+    /// [`ServiceError::UnknownTenant`]. A tenant whose session a panicking
+    /// handler poisoned still closes: its counters stay readable.
     pub fn close_tenant(&self, tenant: TenantId) -> Result<SessionStats, ServiceError> {
         let removed = self
             .tenants
@@ -828,7 +816,7 @@ impl Service {
         let stats = removed
             .session
             .lock()
-            .expect("tenant session poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .stats();
         Ok(stats)
     }
@@ -855,16 +843,17 @@ impl Service {
     pub fn stats(&self) -> ServiceStats {
         let c = &self.shared.counters;
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let latency = |kind: ReqKind| self.shared.latency[kind as usize].snapshot().stats();
         ServiceStats {
             submitted: load(&c.submitted),
             completed: load(&c.completed),
             failed: load(&c.failed),
             backpressure_waits: self.shared.gate.waits.load(Ordering::Relaxed),
             latency: RequestLatency {
-                solve: self.shared.lat_solve.snapshot().stats(),
-                frontier: self.shared.lat_frontier.snapshot().stats(),
-                delta: self.shared.lat_delta.snapshot().stats(),
-                anytime: self.shared.lat_anytime.snapshot().stats(),
+                solve: latency(ReqKind::Solve),
+                frontier: latency(ReqKind::Frontier),
+                delta: latency(ReqKind::Delta),
+                anytime: latency(ReqKind::Anytime),
             },
         }
     }
@@ -892,7 +881,8 @@ impl Service {
     /// released by whoever fulfils the reply). The rule is keyed on the
     /// request kind alone: the id-addressed reads are a cache lookup plus
     /// one sweep, cheaper than the two thread wake-ups of a worker hop, so
-    /// they are answered right here; everything else goes to the pool.
+    /// they are answered right here; everything else goes to the pool. A
+    /// by-value solve or frontier is `prepare` plus the by-id handler.
     fn dispatch(&self, request: Request) -> Ticket {
         match request {
             Request::SolveById { id, lambda } => self.answer_inline(ReqKind::Solve, |shared| {
@@ -906,11 +896,11 @@ impl Service {
                 costs,
                 lambda,
             } => self.answer_on_pool(ReqKind::Solve, move |shared| {
-                handle_solve(shared, &tree, &costs, lambda)
+                handle_solve_by_id(shared, shared.engine.prepare(&tree, &costs)?, lambda)
             }),
             Request::Frontier { tree, costs } => self
                 .answer_on_pool(ReqKind::Frontier, move |shared| {
-                    handle_frontier(shared, &tree, &costs)
+                    handle_frontier_by_id(shared, shared.engine.prepare(&tree, &costs)?)
                 }),
             Request::SolveAnytime {
                 tree,
@@ -967,9 +957,8 @@ impl Service {
     }
 
     /// Queues an accepted delta on its tenant, starting a drainer if none
-    /// runs.
+    /// runs. A delta to an unknown tenant is answered right here.
     fn enqueue_delta(&self, tenant: TenantId, delta: Arc<Delta>, lambda: Lambda) -> Ticket {
-        let (accepted, slot, ticket) = self.accept();
         let Some(slot_tenant) = self
             .tenants
             .read()
@@ -977,15 +966,10 @@ impl Service {
             .get(&tenant)
             .cloned()
         else {
-            finish(
-                &self.shared,
-                ReqKind::Delta,
-                accepted,
-                &slot,
-                Err(ServiceError::UnknownTenant(tenant)),
-            );
-            return ticket;
+            return self
+                .answer_inline(ReqKind::Delta, |_| Err(ServiceError::UnknownTenant(tenant)));
         };
+        let (accepted, slot, ticket) = self.accept();
         // Enqueue *here*, on the submitting thread: per-tenant order is
         // submission order by construction, regardless of which workers
         // later run the drain. The queue lock is never held across a
@@ -1010,11 +994,19 @@ impl Service {
     }
 }
 
-/// Runs a request's handler and answers it through [`finish`]. A handler
-/// that unwinds answers [`ServiceError::Internal`] instead, so its gate
-/// slot is released, its ticket resolves (over the wire, every later reply
-/// on the same connection with it), and the unwind stops here rather than
-/// in the submitting thread, which over the wire is a reactor shard.
+/// Runs a request's handler and answers it — the one funnel every
+/// accepted request goes through, on whichever thread answers it. A
+/// handler that unwinds answers [`ServiceError::Internal`] instead, so its
+/// gate slot is released, its ticket resolves (over the wire, every later
+/// reply on the same connection with it), and the unwind stops here rather
+/// than in the answering thread: a reactor shard, a pool worker, or a
+/// tenant's drainer with more deltas queued behind this one.
+///
+/// Counters and the histogram are updated *before* the slot is fulfilled,
+/// so a caller that waited a ticket observes its own request in
+/// [`Service::stats`]. The gate slot is released *before* the slot is
+/// fulfilled, so a [`Ticket::on_ready`] callback that immediately
+/// resubmits a parked request can find the room this answer just freed.
 fn answer(
     shared: &Shared,
     kind: ReqKind,
@@ -1024,7 +1016,15 @@ fn answer(
 ) {
     let result = catch_unwind(AssertUnwindSafe(|| handler(shared)))
         .unwrap_or_else(|payload| Err(ServiceError::Internal(panic_message(payload.as_ref()))));
-    finish(shared, kind, accepted, slot, result);
+    let bucket = if result.is_ok() {
+        &shared.counters.completed
+    } else {
+        &shared.counters.failed
+    };
+    bucket.fetch_add(1, Ordering::Relaxed);
+    shared.latency[kind as usize].record_duration(accepted.elapsed());
+    shared.gate.release();
+    slot.fulfill(result);
 }
 
 /// The text a panic was raised with, when it carried one.
@@ -1036,46 +1036,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Fulfils a reply, releases the gate slot, counts the outcome and
-/// records the accepted→answered latency — the one funnel every answered
-/// request goes through. Counters and the histogram are updated *before*
-/// the slot is fulfilled, so a caller that waited a ticket observes its
-/// own request in [`Service::stats`]. The gate slot is released *before*
-/// the slot is fulfilled, so a [`Ticket::on_ready`] callback that
-/// immediately resubmits a parked request can find the room this answer
-/// just freed.
-fn finish(
-    shared: &Shared,
-    kind: ReqKind,
-    accepted: Instant,
-    slot: &ReplySlot,
-    result: Result<Reply, ServiceError>,
-) {
-    let bucket = if result.is_ok() {
-        &shared.counters.completed
-    } else {
-        &shared.counters.failed
-    };
-    bucket.fetch_add(1, Ordering::Relaxed);
-    shared.latency_of(kind).record_duration(accepted.elapsed());
-    shared.gate.release();
-    slot.fulfill(result);
-}
-
-fn handle_solve(
-    shared: &Shared,
-    tree: &CruTree,
-    costs: &CostModel,
-    lambda: Lambda,
-) -> Result<Reply, ServiceError> {
-    let id = shared.engine.prepare(tree, costs)?;
-    let solution = shared.engine.solve(id, lambda)?;
-    if shared.verify {
-        verify_solve(tree, costs, lambda, &solution)?;
-    }
-    Ok(Reply::Solution { id, solution })
 }
 
 fn handle_solve_by_id(
@@ -1093,6 +1053,7 @@ fn handle_solve_by_id(
             .instance(id)
             .ok_or(EngineError::UnknownInstance { id })?;
         verify_solve(
+            "solve",
             &cached.prepared.tree,
             &cached.prepared.costs,
             lambda,
@@ -1120,7 +1081,7 @@ fn handle_solve_anytime(
             // A finished exact arm claims the canonical answer: it must be
             // byte-identical to a from-scratch solve, with a tight
             // certificate sitting exactly on the optimum.
-            verify_solve(tree, costs, lambda, &answer.solution)?;
+            verify_solve("solve", tree, costs, lambda, &answer.solution)?;
             if !answer.certificate.is_tight()
                 || answer.certificate.upper != answer.solution.objective
             {
@@ -1150,8 +1111,10 @@ fn handle_solve_anytime(
 }
 
 /// Verify-mode cross-check: a from-scratch preparation and `Expanded`
-/// solve of the same instance state must agree byte-for-byte.
+/// solve of the same instance state must agree byte-for-byte. `what`
+/// names the request kind a divergence reports.
 fn verify_solve(
+    what: &'static str,
     tree: &CruTree,
     costs: &CostModel,
     lambda: Lambda,
@@ -1162,22 +1125,9 @@ fn verify_solve(
         .solve(&prep, lambda)
         .map_err(EngineError::from)?;
     if want.objective != solution.objective || want.cut != solution.cut {
-        return Err(ServiceError::VerifyFailed { what: "solve" });
+        return Err(ServiceError::VerifyFailed { what });
     }
     Ok(())
-}
-
-fn handle_frontier(
-    shared: &Shared,
-    tree: &CruTree,
-    costs: &CostModel,
-) -> Result<Reply, ServiceError> {
-    let id = shared.engine.prepare(tree, costs)?;
-    let frontier = shared.engine.frontier(id)?;
-    if shared.verify {
-        verify_frontier(shared, id, &frontier)?;
-    }
-    Ok(Reply::Frontier { id, frontier })
 }
 
 fn handle_frontier_by_id(shared: &Shared, id: InstanceId) -> Result<Reply, ServiceError> {
@@ -1218,11 +1168,12 @@ fn verify_frontier(
 }
 
 /// The single-drainer loop: pops this tenant's pending deltas in
-/// submission order until the queue is empty, then yields the drainer
-/// role. Runs on whatever worker picked the job up; other tenants drain
-/// concurrently on other workers. The queue lock is released before each
-/// apply+solve (the `draining` flag already guarantees a single drainer),
-/// so submitters keep enqueueing at full speed while this tenant solves.
+/// submission order and answers each through [`answer`] until the queue is
+/// empty, then yields the drainer role. Runs on whatever worker picked the
+/// job up; other tenants drain concurrently on other workers. The queue
+/// lock is released before each apply+solve (the `draining` flag already
+/// guarantees a single drainer), so submitters keep enqueueing at full
+/// speed while this tenant solves.
 fn drain_tenant(shared: &Shared, tenant: &Tenant) {
     loop {
         let next = {
@@ -1241,31 +1192,33 @@ fn drain_tenant(shared: &Shared, tenant: &Tenant) {
             }
         };
         let (delta, lambda, slot, accepted) = next;
-        let result = {
-            let mut session = tenant.session.lock().expect("tenant session poisoned");
-            apply_and_solve(shared, &mut session, &delta, lambda)
-        };
-        finish(shared, ReqKind::Delta, accepted, &slot, result);
+        answer(shared, ReqKind::Delta, accepted, &slot, |shared| {
+            handle_delta(shared, tenant, &delta, lambda)
+        });
     }
 }
 
-fn apply_and_solve(
+fn handle_delta(
     shared: &Shared,
-    session: &mut Session,
+    tenant: &Tenant,
     delta: &Delta,
     lambda: Lambda,
 ) -> Result<Reply, ServiceError> {
+    // A handler that panicked under this lock may have left the session
+    // half-applied, so the tenant fails closed rather than answer from it.
+    let mut session = tenant.session.lock().map_err(|_| {
+        ServiceError::Internal("tenant session poisoned by an earlier panic".to_string())
+    })?;
     let outcome = session.apply(delta).map_err(ServiceError::Apply)?;
     let solution = session.solve(lambda).map_err(ServiceError::Apply)?;
     if shared.verify {
-        let prep = Prepared::new(&session.prepared().tree, session.costs())
-            .map_err(ServiceError::Apply)?;
-        let want = Expanded::default()
-            .solve(&prep, lambda)
-            .map_err(ServiceError::Apply)?;
-        if want.objective != solution.objective || want.cut != solution.cut {
-            return Err(ServiceError::VerifyFailed { what: "delta" });
-        }
+        verify_solve(
+            "delta",
+            &session.prepared().tree,
+            session.costs(),
+            lambda,
+            &solution,
+        )?;
     }
     Ok(Reply::Applied { outcome, solution })
 }
@@ -1570,5 +1523,51 @@ mod tests {
             .submit(Request::solve_by_id(id, Lambda::HALF))
             .wait()
             .is_ok());
+    }
+
+    #[test]
+    fn a_panic_under_a_tenant_session_fails_that_tenant_closed() {
+        let sc = paper_scenario();
+        let svc = service(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        let (a, b) = (TenantId(1), TenantId(2));
+        for tenant in [a, b] {
+            svc.open_tenant(tenant, &sc.tree, &sc.costs).unwrap();
+        }
+        // A thread that panics while holding A's session poisons its lock,
+        // as a handler panicking mid-apply would.
+        let held = Arc::clone(&svc.tenants.read().unwrap()[&a]);
+        let poisoner = std::thread::spawn(move || {
+            let _session = held.session.lock().unwrap();
+            panic!("injected fault");
+        });
+        assert!(poisoner.join().is_err());
+
+        // Answers arrive through `on_ready` and are awaited with a bound,
+        // so a delta nobody answers fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let leaf = *sc.tree.leaves_in_order().first().unwrap();
+        for (n, tenant) in [a, a, a, b].into_iter().enumerate() {
+            let delta = Delta::new().set_satellite_time(leaf, hsa_graph::Cost::new(100 + n as u64));
+            let tx = tx.clone();
+            svc.submit(Request::delta(tenant, delta, Lambda::HALF))
+                .on_ready(move |result| tx.send((tenant, result)).unwrap());
+        }
+        for _ in 0..4 {
+            let (tenant, result) = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("every accepted delta is answered");
+            match (tenant == a, result) {
+                (true, Err(ServiceError::Internal(_))) | (false, Ok(Reply::Applied { .. })) => {}
+                (_, other) => panic!("{tenant} answered {other:?}"),
+            }
+        }
+        assert_eq!(*svc.shared.gate.inflight.lock().unwrap(), 0);
+        let stats = svc.stats();
+        assert_eq!(stats.submitted, stats.completed + stats.failed);
+        assert_eq!((stats.submitted, stats.failed), (4, 3));
+        assert_eq!(svc.close_tenant(a).unwrap().applies, 0);
     }
 }

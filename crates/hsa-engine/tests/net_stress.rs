@@ -67,9 +67,10 @@ fn connection_cap_refuses_with_typed_frame_then_readmits() {
     server.shutdown();
 }
 
-/// The refusal's drain runs on the accept thread. A refused peer that
-/// keeps writing must not hold it past the drain's deadline, or every new
-/// connection waits for that peer to stop.
+/// The acceptor hands a refused peer to a reactor shard unread, and the
+/// shard drains it until the peer's EOF or the drain's deadline. A refused
+/// peer that keeps writing must not hold that drain past the deadline, and
+/// new connections must be accepted while it writes.
 #[test]
 fn refused_peer_that_keeps_writing_does_not_block_accepts() {
     let svc = service(ServiceConfig {
