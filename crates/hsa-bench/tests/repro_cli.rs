@@ -108,6 +108,11 @@ fn single_experiment_creates_the_output_directory() {
         let m = report.find_metric(arm).unwrap();
         assert!(m.p50_ns.is_some() && m.p99_ns.is_some(), "{arm} has tails");
     }
+    let param = |key: &str| report.params.iter().find(|p| p.key == key).map(|p| p.value);
+    for key in ["speedup", "cache_misses", "cache_hits"] {
+        assert!(param(key).is_some(), "param `{key}` emitted");
+    }
+    assert_eq!(Some(report.instance_sizes.len() as f64), param("instances"));
 }
 
 #[test]

@@ -822,7 +822,9 @@ impl Service {
     }
 
     /// A snapshot of a tenant's current (drifted) cost model, if it is
-    /// open — what a replay asserts its delta stream drifted into.
+    /// open — what a replay asserts its delta stream drifted into. A
+    /// tenant whose session a panicking handler poisoned answers `None`:
+    /// its costs may be half-applied.
     pub fn tenant_costs(&self, tenant: TenantId) -> Option<CostModel> {
         let t = self
             .tenants
@@ -830,12 +832,7 @@ impl Service {
             .expect("tenant registry poisoned")
             .get(&tenant)
             .cloned()?;
-        let costs = t
-            .session
-            .lock()
-            .expect("tenant session poisoned")
-            .costs()
-            .clone();
+        let costs = t.session.lock().ok()?.costs().clone();
         Some(costs)
     }
 
@@ -1568,6 +1565,7 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.submitted, stats.completed + stats.failed);
         assert_eq!((stats.submitted, stats.failed), (4, 3));
+        assert!(svc.tenant_costs(a).is_none() && svc.tenant_costs(b).is_some());
         assert_eq!(svc.close_tenant(a).unwrap().applies, 0);
     }
 }
