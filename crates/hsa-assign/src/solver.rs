@@ -9,10 +9,6 @@ use hsa_tree::Cut;
 use serde::{Deserialize, Serialize};
 
 /// Search statistics, for the complexity experiments (T1/T2/T5).
-///
-/// All counters are `u64` so they aggregate portably across queries and
-/// platforms — the batch engine sums millions of per-query stats via
-/// [`SolveStats::merge`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolveStats {
     /// Iterations of the candidate/eliminate loop (0 for non-iterative
@@ -28,19 +24,6 @@ pub struct SolveStats {
     pub branches: u64,
     /// Cuts/candidates explicitly evaluated (brute force, heuristics).
     pub evaluated: u64,
-}
-
-impl SolveStats {
-    /// Accumulates another query's counters into this one (saturating, so
-    /// long-running services never wrap).
-    pub fn merge(&mut self, other: &SolveStats) {
-        self.iterations = self.iterations.saturating_add(other.iterations);
-        self.edges_removed = self.edges_removed.saturating_add(other.edges_removed);
-        self.expansions = self.expansions.saturating_add(other.expansions);
-        self.composites = self.composites.saturating_add(other.composites);
-        self.branches = self.branches.saturating_add(other.branches);
-        self.evaluated = self.evaluated.saturating_add(other.evaluated);
-    }
 }
 
 /// A solved assignment with its objective breakdown.
@@ -154,32 +137,5 @@ mod tests {
             sol.report.host_time.ticks() as u128 + sol.report.bottleneck.ticks() as u128
         );
         assert_eq!(sol.delay(), sol.report.end_to_end);
-    }
-
-    #[test]
-    fn stats_merge_accumulates_and_saturates() {
-        let mut a = SolveStats {
-            iterations: 2,
-            edges_removed: 3,
-            expansions: 1,
-            composites: 4,
-            branches: 0,
-            evaluated: u64::MAX - 1,
-        };
-        let b = SolveStats {
-            iterations: 5,
-            edges_removed: 7,
-            expansions: 0,
-            composites: 6,
-            branches: 9,
-            evaluated: 10,
-        };
-        a.merge(&b);
-        assert_eq!(a.iterations, 7);
-        assert_eq!(a.edges_removed, 10);
-        assert_eq!(a.expansions, 1);
-        assert_eq!(a.composites, 10);
-        assert_eq!(a.branches, 9);
-        assert_eq!(a.evaluated, u64::MAX, "saturates instead of wrapping");
     }
 }

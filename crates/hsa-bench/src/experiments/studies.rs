@@ -10,7 +10,7 @@
 
 use super::ExpCtx;
 use crate::report::BenchReport;
-use crate::{sweep_instances, time_median_ns, CsvTable};
+use crate::{median_ns, sweep_instances, time_median_ns, CsvTable};
 use hsa_assign::{
     all_solvers, evaluate_cut, evaluate_cut_in, lambda_frontier_with, sb_optimum,
     solve_with_frontiers, AllOnHost, BruteForce, CancelToken, EvalScratch, Expanded,
@@ -655,21 +655,28 @@ pub(super) fn t9(ctx: &ExpCtx) {
         "one latency sample per query and arm"
     );
 
-    let naive_ns = time_median_ns(reps, || {
-        for (tree, costs) in &instances {
-            for &lambda in &lambdas {
-                std::hint::black_box(naive(tree, costs, lambda).objective);
+    // The arms are timed interleaved, one sample of each per repetition
+    // and the median per arm (as t11 does), so load that lands on one
+    // repetition hits both arms instead of swinging their ratio.
+    let (mut naive_samples, mut batched_samples) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        naive_samples.push(time_median_ns(1, || {
+            for (tree, costs) in &instances {
+                for &lambda in &lambdas {
+                    std::hint::black_box(naive(tree, costs, lambda).objective);
+                }
             }
-        }
-    });
-    // A cold engine per rep: the batched arm pays its own cache fills.
-    let batched_ns = time_median_ns(reps, || {
-        let engine = Engine::new(EngineConfig::default());
-        for (t, c) in &instances {
-            engine.prepare(t, c).unwrap();
-        }
-        std::hint::black_box(engine.solve_batch(&queries).len());
-    });
+        }));
+        // A cold engine per rep: the batched arm pays its own cache fills.
+        batched_samples.push(time_median_ns(1, || {
+            let engine = Engine::new(EngineConfig::default());
+            for (t, c) in &instances {
+                engine.prepare(t, c).unwrap();
+            }
+            std::hint::black_box(engine.solve_batch(&queries).len());
+        }));
+    }
+    let (naive_ns, batched_ns) = (median_ns(naive_samples), median_ns(batched_samples));
 
     let mut report = BenchReport::new(
         "engine",
@@ -717,7 +724,9 @@ pub(super) fn t9(ctx: &ExpCtx) {
         "speedup: {speedup:.2}x  (batched answers are asserted byte-identical to the naive arm)"
     );
     println!("shape check: the engine amortises preparation and the λ-independent frontier");
-    println!("DP across the λ grid — the speedup must stay ≥ 2x even on one core.");
+    println!(
+        "DP across the λ grid; 20 full-profile runs on 2 CPUs read 1.69-2.55x (not asserted)."
+    );
     table.write_csv(ctx.out_dir).unwrap();
     report.param("speedup", speedup);
     report.param("instances", instances.len() as f64);
@@ -944,10 +953,8 @@ pub(super) fn t11(ctx: &ExpCtx) {
         }
         let incr_lat = incr_hist.snapshot().stats();
         let scratch_lat = scratch_hist.snapshot().stats();
-        incr_samples.sort_unstable();
-        scratch_samples.sort_unstable();
-        let incr_ns = incr_samples[incr_samples.len() / 2];
-        let scratch_ns = scratch_samples[scratch_samples.len() / 2];
+        let incr_ns = median_ns(incr_samples);
+        let scratch_ns = median_ns(scratch_samples);
         let speedup = scratch_ns as f64 / incr_ns.max(1) as f64;
         if mag == magnitudes[0] {
             small_mag_speedup = speedup;
@@ -1231,8 +1238,7 @@ pub(super) fn t12(ctx: &ExpCtx) {
             samples.push(ns);
             last = Some((estats, sstats));
         }
-        samples.sort_unstable();
-        let ns = samples[samples.len() / 2];
+        let ns = median_ns(samples);
         let (estats, sstats) = last.expect("reps >= 1");
         let per_sec = stream.requests.len() as f64 * 1e9 / ns.max(1) as f64;
         let lat = sstats.latency;
@@ -1618,8 +1624,7 @@ pub(super) fn t13(ctx: &ExpCtx) {
             samples.push(ns);
             last = Some((sstats, nstats));
         }
-        samples.sort_unstable();
-        let ns = samples[samples.len() / 2];
+        let ns = median_ns(samples);
         let (sstats, nstats) = last.expect("reps >= 1");
         let per_sec = total as f64 * 1e9 / ns.max(1) as f64;
         let lat = sstats.latency;

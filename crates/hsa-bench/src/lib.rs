@@ -40,6 +40,12 @@ pub fn time_median_ns<F: FnMut()>(reps: usize, mut f: F) -> u64 {
         f();
         samples.push(t0.elapsed().as_nanos() as u64);
     }
+    median_ns(samples)
+}
+
+/// The median of non-empty `samples` (the upper middle one of an even
+/// count).
+pub(crate) fn median_ns(mut samples: Vec<u64>) -> u64 {
     samples.sort_unstable();
     samples[samples.len() / 2]
 }

@@ -38,8 +38,8 @@
 //!   per-colour frontiers the perturbation actually dirtied, falling back
 //!   to a full rebuild past a configurable threshold (DESIGN.md §9).
 //!
-//! Per-query [`SolveStats`] aggregate into [`EngineStats`] via
-//! [`SolveStats::merge`].
+//! [`EngineStats`] counts answered and failed queries and cache events;
+//! each [`Solution`] carries its own [`SolveStats`](hsa_assign::SolveStats).
 //!
 //! ```
 //! use hsa_engine::{Engine, EngineConfig};
@@ -73,7 +73,7 @@
 
 use hsa_assign::{
     lambda_frontier_with, solve_with_frontiers, AssignError, ExpandedConfig, FrontierSet,
-    LambdaFrontier, Prepared, Solution, SolveStats,
+    LambdaFrontier, Prepared, Solution,
 };
 use hsa_graph::Lambda;
 use hsa_tree::{CostModel, CruTree};
@@ -201,8 +201,6 @@ pub struct EngineStats {
     /// losers of a concurrent build race — they paid the preparation),
     /// and anytime races whose exact arm donated its frontiers.
     pub cache_misses: u64,
-    /// Per-query solver counters, merged via [`SolveStats::merge`].
-    pub solve: SolveStats,
 }
 
 impl EngineStats {
@@ -236,13 +234,6 @@ struct EngineCounters {
     failed: CachePadded<AtomicU64>,
     cache_hits: CachePadded<AtomicU64>,
     cache_misses: CachePadded<AtomicU64>,
-    // SolveStats, field by field.
-    iterations: CachePadded<AtomicU64>,
-    edges_removed: CachePadded<AtomicU64>,
-    expansions: CachePadded<AtomicU64>,
-    composites: CachePadded<AtomicU64>,
-    branches: CachePadded<AtomicU64>,
-    evaluated: CachePadded<AtomicU64>,
 }
 
 impl EngineCounters {
@@ -253,26 +244,7 @@ impl EngineCounters {
             failed: load(&self.failed),
             cache_hits: load(&self.cache_hits),
             cache_misses: load(&self.cache_misses),
-            solve: SolveStats {
-                iterations: load(&self.iterations),
-                edges_removed: load(&self.edges_removed),
-                expansions: load(&self.expansions),
-                composites: load(&self.composites),
-                branches: load(&self.branches),
-                evaluated: load(&self.evaluated),
-            },
         }
-    }
-
-    fn record_solve(&self, s: &SolveStats) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.iterations.fetch_add(s.iterations, Ordering::Relaxed);
-        self.edges_removed
-            .fetch_add(s.edges_removed, Ordering::Relaxed);
-        self.expansions.fetch_add(s.expansions, Ordering::Relaxed);
-        self.composites.fetch_add(s.composites, Ordering::Relaxed);
-        self.branches.fetch_add(s.branches, Ordering::Relaxed);
-        self.evaluated.fetch_add(s.evaluated, Ordering::Relaxed);
     }
 }
 
@@ -446,12 +418,11 @@ impl Engine {
     }
 
     fn record(&self, result: Result<&Solution, &EngineError>) {
-        match result {
-            Ok(sol) => self.stats.record_solve(&sol.stats),
-            Err(_) => {
-                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let counter = match result {
+            Ok(_) => &self.stats.queries,
+            Err(_) => &self.stats.failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -282,11 +282,6 @@ impl Portfolio {
         self.pending.load(Ordering::Acquire)
     }
 
-    /// The configuration this portfolio was built with.
-    pub fn config(&self) -> &PortfolioConfig {
-        &self.cfg
-    }
-
     /// The portfolio's worker count: one per arm.
     pub fn workers(&self) -> usize {
         self.pool.size()

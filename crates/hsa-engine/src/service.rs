@@ -719,7 +719,8 @@ pub struct Service {
     pool: WorkerPool,
     shared: Arc<Shared>,
     tenants: RwLock<BTreeMap<TenantId, Arc<Tenant>>>,
-    cfg: ServiceConfig,
+    /// The configuration every tenant session opens with.
+    session: SessionConfig,
 }
 
 impl Service {
@@ -736,7 +737,7 @@ impl Service {
                 verify: cfg.verify,
             }),
             tenants: RwLock::new(BTreeMap::new()),
-            cfg,
+            session: cfg.session,
         }
     }
 
@@ -757,11 +758,6 @@ impl Service {
         self.pool.size()
     }
 
-    /// The configuration this service was built with.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
-    }
-
     /// Opens a tenant session on the given instance (full preparation +
     /// frontier DP, paid once).
     pub fn open_tenant(
@@ -780,7 +776,7 @@ impl Service {
         {
             return Err(ServiceError::TenantExists(tenant));
         }
-        let session = Session::new(tree, costs, self.cfg.session).map_err(ServiceError::Apply)?;
+        let session = Session::new(tree, costs, self.session).map_err(ServiceError::Apply)?;
         let mut tenants = self.tenants.write().expect("tenant registry poisoned");
         // Re-check under the write lock: a racing open may have won.
         if tenants.contains_key(&tenant) {

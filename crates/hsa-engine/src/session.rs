@@ -205,17 +205,6 @@ impl Session {
         solve_with_frontiers(&self.prepared, &self.frontiers, lambda)
     }
 
-    /// Applies a delta and solves in one call — the drifting-deployment
-    /// hot path (`apply(δ_t); solve(λ)` per tick).
-    pub fn apply_and_solve(
-        &mut self,
-        delta: &Delta,
-        lambda: Lambda,
-    ) -> Result<Solution, AssignError> {
-        self.apply(delta)?;
-        self.solve(lambda)
-    }
-
     /// The λ-frontier of the current instance (every optimal cut over
     /// λ ∈ [0, 1]), derived from the maintained frontiers.
     pub fn frontier(&self) -> Result<LambdaFrontier, AssignError> {
@@ -235,11 +224,6 @@ impl Session {
     /// Counters since the session opened.
     pub fn stats(&self) -> SessionStats {
         self.stats
-    }
-
-    /// The configuration this session was opened with.
-    pub fn config(&self) -> &SessionConfig {
-        &self.cfg
     }
 }
 

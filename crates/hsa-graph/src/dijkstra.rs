@@ -7,7 +7,7 @@
 //!
 //! [`shortest_path_in`] runs inside a caller-provided [`SolveScratch`], so
 //! the repeated searches of one SSB/SB search or sweep share one workspace;
-//! [`shortest_path`] and [`distances_from`] build their own.
+//! [`shortest_path`] builds its own.
 //!
 //! Determinism: ties are broken first on distance, then on node id, and the
 //! predecessor of a node is only replaced by a *strictly* shorter distance,
@@ -88,30 +88,6 @@ pub fn shortest_path_in(
     })
 }
 
-/// All-targets σ distances from `source` (alive edges only); `Cost::MAX`
-/// marks unreachable nodes.
-pub fn distances_from(g: &Dwg, source: NodeId) -> Vec<Cost> {
-    let n = g.num_nodes();
-    let mut ws = SolveScratch::with_capacity(n);
-    ws.seed(source.index(), Cost::ZERO);
-    ws.push(Cost::ZERO, source.0);
-    while let Some((d, u)) = ws.pop() {
-        let u = NodeId(u);
-        if ws.is_done(u.index()) {
-            continue;
-        }
-        ws.mark_done(u.index());
-        for (eid, edge) in g.out_edges(u) {
-            let v = edge.to;
-            let nd = d + edge.sigma;
-            if !ws.is_done(v.index()) && ws.improve(v.index(), nd, eid.0) {
-                ws.push(nd, v.0);
-            }
-        }
-    }
-    (0..n).map(|i| ws.dist(i)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,23 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn distances_from_matches_point_queries() {
-        let mut g = Dwg::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1), c(1), c(0));
-        g.add_edge(NodeId(1), NodeId(2), c(2), c(0));
-        g.add_edge(NodeId(0), NodeId(2), c(5), c(0));
-        let d = distances_from(&g, NodeId(0));
-        assert_eq!(d[0], c(0));
-        assert_eq!(d[1], c(1));
-        assert_eq!(d[2], c(3));
-        assert_eq!(d[3], Cost::MAX);
-        for t in 1..3u32 {
-            let sp = shortest_path(&g, NodeId(0), NodeId(t)).unwrap();
-            assert_eq!(sp.s_weight, d[t as usize]);
-        }
-    }
-
-    #[test]
     fn scratch_reuse_matches_fresh_runs() {
         // One workspace across different graphs and sizes must behave as if
         // freshly allocated each time.
@@ -225,15 +184,5 @@ mod tests {
             // Stale state from the 6-node run must not leak into this one.
             assert!(shortest_path_in(&small, NodeId(1), NodeId(0), &mut ws).is_none());
         }
-    }
-
-    #[test]
-    fn undirected_edges_travel_both_ways() {
-        let mut g = Dwg::with_nodes(2);
-        g.add_undirected_edge(NodeId(0), NodeId(1), c(2), c(0), 0);
-        assert_eq!(
-            shortest_path(&g, NodeId(1), NodeId(0)).unwrap().s_weight,
-            c(2)
-        );
     }
 }

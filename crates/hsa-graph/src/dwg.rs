@@ -59,10 +59,8 @@ pub struct Edge {
 
 /// A directed doubly weighted multigraph with O(1) edge disabling.
 ///
-/// Undirected graphs are modelled as twin arc pairs created with
-/// [`Dwg::add_undirected_edge`]; killing either twin kills both, so the
-/// elimination steps of the SSB/SB algorithms behave as on an undirected
-/// graph.
+/// Every edge is a directed arc: the assignment graph is the directed s–t
+/// dual of the CRU tree, so no search needs undirected edges.
 ///
 /// ## Generation-stamped liveness
 ///
@@ -83,8 +81,6 @@ pub struct Dwg {
     /// Current liveness generation (≥ 1).
     generation: u32,
     alive_count: usize,
-    /// Twin arc of an undirected pair, if any.
-    twin: Vec<Option<EdgeId>>,
 }
 
 /// A saved liveness state, restorable with [`Dwg::restore`].
@@ -103,7 +99,6 @@ impl Dwg {
             killed_in: Vec::new(),
             generation: 1,
             alive_count: 0,
-            twin: Vec::new(),
         }
     }
 
@@ -181,25 +176,7 @@ impl Dwg {
         self.adj[from.index()].push(id);
         self.killed_in.push(0);
         self.alive_count += 1;
-        self.twin.push(None);
         id
-    }
-
-    /// Adds an undirected edge as a twin pair of arcs sharing weights and
-    /// tag. Returns `(forward, backward)`. Killing either arc kills both.
-    pub fn add_undirected_edge(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        sigma: Cost,
-        beta: Cost,
-        tag: u64,
-    ) -> (EdgeId, EdgeId) {
-        let fwd = self.add_edge_tagged(a, b, sigma, beta, tag);
-        let bwd = self.add_edge_tagged(b, a, sigma, beta, tag);
-        self.twin[fwd.index()] = Some(bwd);
-        self.twin[bwd.index()] = Some(fwd);
-        (fwd, bwd)
     }
 
     /// Looks up an edge payload.
@@ -216,11 +193,6 @@ impl Dwg {
         &self.edges[e.index()]
     }
 
-    /// The twin arc of an undirected pair, if `e` belongs to one.
-    pub fn twin_of(&self, e: EdgeId) -> Option<EdgeId> {
-        self.twin.get(e.index()).copied().flatten()
-    }
-
     /// Whether the edge is currently alive.
     #[inline]
     pub fn is_alive(&self, e: EdgeId) -> bool {
@@ -233,15 +205,8 @@ impl Dwg {
         self.generation
     }
 
-    /// Disables an edge (and its twin, for undirected pairs). Idempotent.
+    /// Disables an edge. Idempotent.
     pub fn kill_edge(&mut self, e: EdgeId) {
-        self.kill_one(e);
-        if let Some(t) = self.twin_of(e) {
-            self.kill_one(t);
-        }
-    }
-
-    fn kill_one(&mut self, e: EdgeId) {
         if self.is_alive(e) {
             self.killed_in[e.index()] = self.generation;
             self.alive_count -= 1;
@@ -282,8 +247,6 @@ impl Dwg {
         self.revive_all();
         for (i, &alive) in snap.alive.iter().enumerate() {
             if !alive {
-                // Direct stamp: twins are represented individually in the
-                // snapshot, so no twin propagation here.
                 self.killed_in[i] = self.generation;
                 self.alive_count -= 1;
             }
@@ -381,18 +344,13 @@ mod tests {
         g.revive_all();
         assert!(g.is_alive(e));
         assert_eq!(g.num_alive(), 1);
-    }
-
-    #[test]
-    fn undirected_twins_die_together() {
-        let mut g = Dwg::with_nodes(2);
-        let (f, b) = g.add_undirected_edge(NodeId(0), NodeId(1), c(3), c(4), 9);
-        assert_eq!(g.twin_of(f), Some(b));
-        assert_eq!(g.twin_of(b), Some(f));
-        g.kill_edge(b);
-        assert!(!g.is_alive(f));
-        assert!(!g.is_alive(b));
-        assert_eq!(g.num_alive(), 0);
+        // Of two antiparallel arcs, killing one leaves the other alive.
+        let back = g.add_edge(NodeId(1), NodeId(0), c(1), c(2));
+        g.kill_edge(back);
+        assert!(g.is_alive(e) && !g.is_alive(back));
+        assert_eq!(g.num_alive(), 1);
+        assert_eq!(g.out_edges(NodeId(0)).count(), 1);
+        assert_eq!(g.out_edges(NodeId(1)).count(), 0);
     }
 
     #[test]

@@ -54,12 +54,12 @@ pub use scratch::SolveScratch;
 pub use ssb::{
     ssb_search, EliminationRule, SsbBest, SsbConfig, SsbIteration, SsbOutcome, Termination,
 };
-pub use sweep::{sb_search_sweep, ssb_frontier, ssb_search_sweep, SweepOutcome};
+pub use sweep::{sb_search_sweep, ssb_search_sweep, SweepOutcome};
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
-        sb_search, ssb_frontier, ssb_search, Cost, Dwg, EdgeId, EliminationRule, GraphError,
-        Lambda, LambdaQ, NodeId, Path, SolveScratch, SsbConfig, SsbOutcome, Termination,
+        sb_search, ssb_search, Cost, Dwg, EdgeId, EliminationRule, GraphError, Lambda, LambdaQ,
+        NodeId, Path, SolveScratch, SsbConfig, SsbOutcome, Termination,
     };
 }

@@ -52,13 +52,6 @@ impl SolveScratch {
         SolveScratch::default()
     }
 
-    /// Creates a workspace pre-sized for `n`-node searches.
-    pub fn with_capacity(n: usize) -> Self {
-        let mut ws = SolveScratch::default();
-        ws.begin(n);
-        ws
-    }
-
     /// Starts a new search over `n` slots. O(1) unless the buffers must
     /// grow; previously written distances become invisible via the epoch
     /// bump rather than by clearing.

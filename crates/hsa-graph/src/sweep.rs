@@ -20,7 +20,6 @@
 //! implementations* in the property-test suite and as an ablation in the
 //! benchmarks (iterate-eliminate vs parametric sweep).
 
-use crate::envelope::{lower_envelope, LambdaEnvelope};
 use crate::{dijkstra::shortest_path_in, Cost, Dwg, Lambda, NodeId, Path, ScaledSsb, SolveScratch};
 
 /// Result of a sweep search.
@@ -89,24 +88,6 @@ fn sweep_thresholds<F: FnMut(Path, Cost, Cost)>(
     probes
 }
 
-/// The **λ-frontier** of the SSB path problem: the exact lower envelope of
-/// `λ·S + (1−λ)·B` over *every* λ ∈ [0, 1], from one threshold sweep.
-///
-/// Correctness piggybacks on the sweep argument (module docs): for any λ
-/// the optimum's B equals some θ, and the candidate probed at that θ has a
-/// no-worse objective; every candidate is achievable. The envelope of the
-/// sweep's candidate set therefore touches the optimum at every λ — N
-/// λ-queries cost one sweep instead of N searches.
-///
-/// Returns `None` when S and T are disconnected. Leaves liveness untouched.
-pub fn ssb_frontier(g: &mut Dwg, source: NodeId, target: NodeId) -> Option<LambdaEnvelope<Path>> {
-    let mut candidates: Vec<(Cost, Cost, Path)> = Vec::new();
-    sweep_thresholds(g, source, target, |path, s, b| {
-        candidates.push((s, b, path));
-    });
-    lower_envelope(candidates)
-}
-
 /// Exact SB (`max(S,B)`) optimum by threshold sweep. Leaves edge liveness
 /// untouched. (No pruning over θ: S(θ) shrinks as θ grows, so every probe
 /// can still improve; |thetas| ≤ |E| anyway.)
@@ -172,32 +153,5 @@ mod tests {
         let out = ssb_search_sweep(&mut g1, s, t, Lambda::HALF);
         // Figure 4 has β values {10,8,9,20,12}: 5 distinct.
         assert_eq!(out.probes, 5);
-    }
-
-    #[test]
-    fn frontier_matches_iterative_search_at_every_lambda() {
-        let (g, s, t) = fig4_graph();
-        let mut g1 = g.clone();
-        let env = ssb_frontier(&mut g1, s, t).unwrap();
-        assert_eq!(g1.num_alive(), g.num_edges(), "liveness untouched");
-        for num in 0..=16u32 {
-            let lambda = Lambda::new(num, 16).unwrap();
-            let mut g2 = g.clone();
-            let cfg = SsbConfig {
-                lambda,
-                ..SsbConfig::default()
-            };
-            let it = ssb_search(&mut g2, s, t, &cfg);
-            assert_eq!(env.objective_at(lambda), it.best.unwrap().ssb, "λ={num}/16");
-        }
-        // λ=1/2 segment carries the Figure 4 optimum ⟨5,10⟩-⟨5,10⟩.
-        let seg = env.segment_at(Lambda::HALF);
-        assert_eq!((seg.s, seg.b), (Cost::new(10), Cost::new(10)));
-    }
-
-    #[test]
-    fn frontier_of_disconnected_graph_is_none() {
-        let mut g = Dwg::with_nodes(2);
-        assert!(ssb_frontier(&mut g, NodeId(0), NodeId(1)).is_none());
     }
 }

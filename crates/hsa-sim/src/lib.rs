@@ -15,7 +15,7 @@
 //! * [`simulate_periodic`] extends to streamed frames (pipelining,
 //!   saturation, steady-state latency) — the regime the tele-monitoring
 //!   scenario actually runs in.
-//! * [`render_gantt`] / [`render_table`] visualise traces.
+//! * [`render_gantt`] visualises a trace as a text Gantt chart.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,7 +32,7 @@ pub use engine::{simulate, Busy, Resource, SimResult};
 pub use payload::{sensor_frame, LinkProfile};
 pub use queue::{EventQueue, SimTime};
 pub use throughput::{simulate_periodic, ThroughputResult};
-pub use trace::{render_gantt, render_table};
+pub use trace::render_gantt;
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {

@@ -1,7 +1,7 @@
 //! Text Gantt rendering of simulation traces (used by examples and the
 //! repro harness for the tele-monitoring scenario, experiment T8).
 
-use crate::{Busy, Resource, SimResult};
+use crate::{Resource, SimResult};
 use hsa_graph::Cost;
 use std::fmt::Write as _;
 
@@ -59,26 +59,6 @@ pub fn render_gantt(result: &SimResult, width: usize) -> String {
     out
 }
 
-/// Lists the busy intervals as a table (resource, start, end, label).
-pub fn render_table(trace: &[Busy]) -> String {
-    let mut out = String::from("resource        start      end        what\n");
-    for b in trace {
-        let name = match b.resource {
-            Resource::HostCpu => "host".to_string(),
-            Resource::SatelliteCpu(s) => format!("sat{}-cpu", s.0),
-            Resource::Uplink(s) => format!("sat{}-uplink", s.0),
-        };
-        let _ = writeln!(
-            out,
-            "{name:<15} {:>9} {:>9}  {}",
-            b.start.ticks(),
-            b.end.ticks(),
-            b.label
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,14 +93,6 @@ mod tests {
             .map(|l| l.chars().filter(|&c| c == '▓' || c == '·').count())
             .collect();
         assert!(widths.iter().all(|&w| w == widths[0]));
-    }
-
-    #[test]
-    fn table_lists_all_intervals() {
-        let sim = traced();
-        let t = render_table(&sim.trace);
-        assert_eq!(t.lines().count(), sim.trace.len() + 1);
-        assert!(t.contains("msg"));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Heterogeneity sweeps: re-derive a scenario's cost model under different
-//! host/satellite speed ratios and link qualities.
+//! Heterogeneity sweeps: re-derive a scenario's cost model under a
+//! different host speed.
 //!
-//! Experiment T6 asks *when* distributing wins: as the host gets faster (or
-//! the satellites/links slower), the optimal cut climbs towards all-on-host
-//! and the advantage of the optimal assignment shrinks. These helpers apply
-//! such transformations to any scenario without regenerating its shape, so
-//! a sweep varies exactly one factor.
+//! Experiment T6 asks *when* distributing wins: as the host gets faster,
+//! the optimal cut climbs towards all-on-host and the advantage of the
+//! optimal assignment shrinks. [`scale_host_times`] applies that
+//! transformation to any scenario without regenerating its shape, so a
+//! sweep varies exactly one factor.
 
 use crate::Scenario;
 use hsa_graph::Cost;
@@ -28,35 +28,6 @@ pub fn scale_host_times(sc: &Scenario, num: u64, den: u64) -> Scenario {
     out
 }
 
-/// Multiplies every *satellite* processing time by `num/den`.
-pub fn scale_satellite_times(sc: &Scenario, num: u64, den: u64) -> Scenario {
-    assert!(den > 0, "zero denominator");
-    let mut out = sc.clone();
-    for i in 0..out.tree.len() {
-        let c = CruId(i as u32);
-        out.costs
-            .set_satellite_time(c, scaled(out.costs.s(c), num, den));
-    }
-    out.name = format!("{}-sat×{num}/{den}", sc.name);
-    out
-}
-
-/// Multiplies every communication time (`c_up` and `c_raw`) by `num/den` —
-/// a link-quality sweep.
-pub fn scale_comm_times(sc: &Scenario, num: u64, den: u64) -> Scenario {
-    assert!(den > 0, "zero denominator");
-    let mut out = sc.clone();
-    for i in 0..out.tree.len() {
-        let c = CruId(i as u32);
-        out.costs
-            .set_comm_up(c, scaled(out.costs.c_up(c), num, den));
-        out.costs
-            .set_comm_raw(c, scaled(out.costs.c_raw(c), num, den));
-    }
-    out.name = format!("{}-comm×{num}/{den}", sc.name);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,10 +42,6 @@ mod tests {
         half.validate().unwrap();
         for (a, b) in sc.costs.host_times().iter().zip(half.costs.host_times()) {
             assert_eq!(b.ticks(), a.ticks() / 2);
-        }
-        let double = scale_comm_times(&sc, 2, 1);
-        for (a, b) in sc.costs.comm_raws().iter().zip(double.costs.comm_raws()) {
-            assert_eq!(b.ticks(), a.ticks() * 2);
         }
     }
 

@@ -12,8 +12,7 @@
 //! * [`random_scenario`] — seeded random families with independently
 //!   controlled shape and sensor placement ([`Placement`]), the axes the
 //!   benchmark sweeps (T1/T2/T5/T6) walk;
-//! * cost-generation helpers ([`scale_host_times`] and friends) —
-//!   heterogeneity/link sweeps over any scenario;
+//! * [`scale_host_times`] — host-speed sweeps over any scenario (T6);
 //! * [`drift_trace`] — deterministic random-walk drift + satellite churn
 //!   over any scenario, as replayable [`hsa_tree::Delta`] traces (the T11
 //!   incremental re-solve workload);
@@ -33,7 +32,7 @@ mod request_stream;
 mod scenario;
 mod snmp;
 
-pub use cost_gen::{scale_comm_times, scale_host_times, scale_satellite_times};
+pub use cost_gen::scale_host_times;
 pub use drift::{drift_trace, DriftConfig, DriftTrace};
 pub use epilepsy::{epilepsy_scenario, EpilepsyParams};
 pub use industrial::{industrial_scenario, IndustrialParams};

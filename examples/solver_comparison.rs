@@ -107,9 +107,8 @@ fn main() {
 
     let stats = engine.stats();
     println!(
-        "engine: {} instances cached, {} queries answered, {} thresholds swept",
+        "engine: {} instances cached, {} queries answered",
         engine.len(),
         stats.queries,
-        stats.solve.evaluated,
     );
 }
