@@ -23,8 +23,9 @@
 //! total, and correct for any perturbation, including ones that turn out
 //! to be no-ops (which dirty nothing).
 //!
-//! See DESIGN.md §9 for the full invalidation model and the fallback
-//! policy built on top of this diff by `hsa-engine::Session`.
+//! See DESIGN.md §9 for the full invalidation model and for
+//! `hsa-engine::Session`, which rebuilds exactly the colours this diff
+//! flags.
 
 use crate::Prepared;
 use hsa_tree::{BetaLabels, Colour, Colouring, SigmaLabels};
@@ -40,17 +41,6 @@ impl DirtyColours {
     /// Number of dirty colours.
     pub fn count(&self) -> usize {
         self.dirty.iter().filter(|&&d| d).count()
-    }
-
-    /// Dirty colours as a fraction of all colours (1.0 for an empty
-    /// platform, so zero-satellite instances always take the full-rebuild
-    /// path).
-    pub fn fraction(&self) -> f64 {
-        if self.dirty.is_empty() {
-            1.0
-        } else {
-            self.count() as f64 / self.dirty.len() as f64
-        }
     }
 }
 
@@ -149,7 +139,7 @@ mod tests {
     fn identical_instances_are_clean() {
         let (old, new) = prepare_pair(&Delta::new());
         let d = dirty_colours(&old, &new);
-        assert_eq!(d.fraction(), 0.0);
+        assert_eq!(d.count(), 0);
     }
 
     #[test]
@@ -247,7 +237,6 @@ mod tests {
         let new = Prepared::new_owned(tree, fewer).unwrap();
         let d = dirty_colours(&old, &new);
         assert_eq!(d.count(), d.dirty.len());
-        assert_eq!(d.fraction(), 1.0);
     }
 
     #[test]

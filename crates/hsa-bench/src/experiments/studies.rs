@@ -19,8 +19,8 @@ use hsa_assign::{
 use hsa_engine::net::wire::{self, FrameEncoder};
 use hsa_engine::net::{Client, NetConfig, NetServer, NetStats};
 use hsa_engine::{
-    parallel_map, Engine, EngineConfig, InstanceId, Portfolio, PortfolioConfig, Reply, Request,
-    RequestLatency, Service, ServiceConfig, Session, SessionConfig, TenantId, Ticket,
+    Engine, EngineConfig, InstanceId, Portfolio, PortfolioConfig, Reply, Request, RequestLatency,
+    Service, ServiceConfig, Session, SessionConfig, TenantId, Ticket,
 };
 use hsa_graph::generate::{layered_dag, LayeredParams};
 use hsa_graph::{
@@ -78,31 +78,6 @@ pub(super) fn t1(ctx: &ExpCtx) {
         (&[2, 4][..], &[2, 4][..]),
     );
     let reps = ctx.profile.pick(9, 3);
-    let mut configs = Vec::new();
-    for &layers in layer_set {
-        for &width in width_set {
-            configs.push((layers, width));
-        }
-    }
-    let threads = 4;
-    let rows = parallel_map(configs, threads, move |(layers, width)| {
-        let params = LayeredParams {
-            layers,
-            width,
-            extra_edges: 3 * width,
-            max_sigma: 1000,
-            max_beta: 1000,
-        };
-        let gen = layered_dag(&params, SEED);
-        let v = gen.graph.num_nodes() as u64;
-        let e = gen.graph.num_edges() as u64;
-        let ns = time_median_ns(reps, || {
-            let mut g = gen.graph.clone();
-            let out = ssb_search(&mut g, gen.source, gen.target, &SsbConfig::default());
-            std::hint::black_box(out.iterations);
-        });
-        (v, e, ns)
-    });
     let mut report = BenchReport::new(
         "ssb_scaling",
         "t1",
@@ -110,17 +85,35 @@ pub(super) fn t1(ctx: &ExpCtx) {
         ctx.profile.name(),
         SEED,
     );
-    report.threads = threads;
-    for &(v, e, ns) in &rows {
-        let normal = ns as f64 * 1e9 / (v as f64 * v as f64 * e as f64);
-        table.row(&[
-            v.to_string(),
-            e.to_string(),
-            ns.to_string(),
-            format!("{normal:.1}"),
-        ]);
-        report.instance_sizes.push(v);
-        report.metric(format!("ssb_v{v}_e{e}"), 1, ns);
+    // One configuration at a time on this thread: a median taken while
+    // other configurations run beside it would time their contention too.
+    for &layers in layer_set {
+        for &width in width_set {
+            let params = LayeredParams {
+                layers,
+                width,
+                extra_edges: 3 * width,
+                max_sigma: 1000,
+                max_beta: 1000,
+            };
+            let gen = layered_dag(&params, SEED);
+            let v = gen.graph.num_nodes() as u64;
+            let e = gen.graph.num_edges() as u64;
+            let ns = time_median_ns(reps, || {
+                let mut g = gen.graph.clone();
+                let out = ssb_search(&mut g, gen.source, gen.target, &SsbConfig::default());
+                std::hint::black_box(out.iterations);
+            });
+            let normal = ns as f64 * 1e9 / (v as f64 * v as f64 * e as f64);
+            table.row(&[
+                v.to_string(),
+                e.to_string(),
+                ns.to_string(),
+                format!("{normal:.1}"),
+            ]);
+            report.instance_sizes.push(v);
+            report.metric(format!("ssb_v{v}_e{e}"), 1, ns);
+        }
     }
     println!("{}", table.render_text());
     println!("shape check: the last column (time / |V|²|E|, scaled) should stay bounded");
@@ -149,7 +142,6 @@ pub(super) fn t2(ctx: &ExpCtx) {
     let sizes: &[usize] = ctx.profile.pick(&[10, 20, 40, 80][..], &[10, 20][..]);
     let per_cell = ctx.profile.pick(3, 1);
     let reps = ctx.profile.pick(5, 3);
-    let threads = 4;
     let suite = sweep_instances(
         sizes,
         &[
@@ -160,7 +152,10 @@ pub(super) fn t2(ctx: &ExpCtx) {
         3,
         per_cell,
     );
-    let rows = parallel_map(suite, threads, move |(n, pl, _seed, tree, costs)| {
+    // Per (n, placement), one row per seed, timed one instance at a time
+    // as in t1.
+    let mut agg: std::collections::BTreeMap<(usize, String), Vec<[u64; 6]>> = Default::default();
+    for (n, pl, _seed, tree, costs) in suite {
         let prep = Prepared::new(&tree, &costs).unwrap();
         let fast = Expanded::default().solve(&prep, Lambda::HALF).unwrap();
         let paper = PaperSsb::default().solve(&prep, Lambda::HALF).unwrap();
@@ -173,23 +168,14 @@ pub(super) fn t2(ctx: &ExpCtx) {
             let s = Expanded::default().solve(&prep, Lambda::HALF).unwrap();
             std::hint::black_box(s.objective);
         });
-        (
-            n,
-            format!("{pl:?}"),
+        agg.entry((n, format!("{pl:?}"))).or_default().push([
             fast.stats.composites,
             paper.stats.iterations,
             paper.stats.expansions,
             paper.stats.branches,
             paper_ns,
             exp_ns,
-        )
-    });
-    // Aggregate per (n, placement): means over seeds.
-    let mut agg: std::collections::BTreeMap<(usize, String), Vec<[u64; 6]>> = Default::default();
-    for (n, pl, comp, iters, exps, brs, pns, ens) in rows {
-        agg.entry((n, pl))
-            .or_default()
-            .push([comp, iters, exps, brs, pns, ens]);
+        ]);
     }
     let mut report = BenchReport::new(
         "expansion",
@@ -198,7 +184,6 @@ pub(super) fn t2(ctx: &ExpCtx) {
         ctx.profile.name(),
         SEED_STRIDE * sizes[0] as u64,
     );
-    report.threads = threads;
     for ((n, pl), cell) in agg {
         let k = cell.len() as u64;
         let mean = |i: usize| cell.iter().map(|r| r[i]).sum::<u64>() / k;
@@ -921,7 +906,7 @@ pub(super) fn t11(ctx: &ExpCtx) {
         let mut incr_samples = Vec::with_capacity(reps);
         let mut scratch_samples = Vec::with_capacity(reps);
         // Per-step latency tails across every repetition: a drift step
-        // that falls back to a full rebuild is exactly the p99 the gated
+        // that dirties most colours is exactly the p99 the gated
         // percentile columns are for (the arm totals above only see its
         // contribution to the mean). The per-step `Instant` reads are
         // nanoseconds against millisecond-scale steps.
@@ -962,8 +947,8 @@ pub(super) fn t11(ctx: &ExpCtx) {
         table.row(&[
             mag.to_string(),
             steps.to_string(),
-            // Truly *dirty* colours per step (a fallback step rebuilds all
-            // colours but dirties only what the diff reported).
+            // Dirty colours per step: exactly the colours whose DP re-ran
+            // (`full_rebuilds` counts the steps that dirtied all of them).
             format!("{:.2}", dirty_sum as f64 / steps as f64),
             stats.full_rebuilds.to_string(),
             incr_ns.to_string(),

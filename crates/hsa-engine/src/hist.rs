@@ -118,8 +118,8 @@ impl std::fmt::Debug for LatencyHistogram {
     }
 }
 
-/// An owned copy of a histogram's counts: mergeable, queryable, cheap to
-/// clone relative to re-recording.
+/// An owned copy of a histogram's counts: queryable, cheap to clone
+/// relative to re-recording.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     counts: Vec<u64>,
@@ -152,15 +152,6 @@ impl HistogramSnapshot {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Adds another snapshot's samples into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
     }
 
     /// The nearest-rank percentile `p` ∈ (0, 100], reported as the
@@ -303,26 +294,6 @@ mod tests {
         assert_eq!(snap.percentile(50.0), bucket_low(bucket_index(1_000)));
         assert_eq!(snap.percentile(99.0), bucket_low(bucket_index(1_000)));
         assert_eq!(snap.percentile(99.5), bucket_low(bucket_index(1_000_000)));
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let (a, b, all) = (
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-        );
-        for v in [3u64, 64, 999, 70_000, 5_000_000] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [10u64, 64, 80_000, 1 << 41] {
-            b.record(v);
-            all.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, all.snapshot());
     }
 
     #[test]

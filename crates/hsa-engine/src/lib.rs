@@ -35,8 +35,7 @@
 //! * [`Session`] holds one **drifting** instance open and re-solves it
 //!   incrementally: [`Session::apply`] absorbs a [`hsa_tree::Delta`]
 //!   (cost drift, capacity changes, sensor churn) and rebuilds only the
-//!   per-colour frontiers the perturbation actually dirtied, falling back
-//!   to a full rebuild past a configurable threshold (DESIGN.md §9).
+//!   per-colour frontiers the perturbation actually dirtied (DESIGN.md §9).
 //!
 //! [`EngineStats`] counts answered and failed queries and cache events;
 //! each [`Solution`] carries its own [`SolveStats`](hsa_assign::SolveStats).

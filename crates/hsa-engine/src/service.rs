@@ -110,12 +110,6 @@ pub struct ServiceConfig {
     /// instance state (paranoia mode for tests and the t12 verification
     /// phase — it re-prepares per request, so keep it off timed paths).
     pub verify: bool,
-    /// Configuration for tenant [`Session`]s opened through this service.
-    pub session: SessionConfig,
-    /// Configuration of the anytime racing portfolio behind
-    /// [`Request::SolveAnytime`] (its arms' seeds and budgets; the
-    /// portfolio runs one worker of its own per arm).
-    pub portfolio: PortfolioConfig,
 }
 
 impl Default for ServiceConfig {
@@ -127,8 +121,6 @@ impl Default for ServiceConfig {
             // rather than as memory growth.
             queue_capacity: 64,
             verify: false,
-            session: SessionConfig::default(),
-            portfolio: PortfolioConfig::default(),
         }
     }
 }
@@ -404,7 +396,8 @@ pub enum Reply {
     },
     /// A delta landed on its tenant; the post-apply solve rides along.
     Applied {
-        /// What the apply did (dirty colours, fallback or not).
+        /// What the apply did (dirty and total colours, full rebuild or
+        /// not).
         outcome: ApplyOutcome,
         /// The post-apply solution at the request's λ.
         solution: Solution,
@@ -719,8 +712,6 @@ pub struct Service {
     pool: WorkerPool,
     shared: Arc<Shared>,
     tenants: RwLock<BTreeMap<TenantId, Arc<Tenant>>>,
-    /// The configuration every tenant session opens with.
-    session: SessionConfig,
 }
 
 impl Service {
@@ -729,7 +720,7 @@ impl Service {
         Service {
             pool: WorkerPool::new(cfg.workers),
             shared: Arc::new(Shared {
-                portfolio: Portfolio::new(Arc::clone(&engine), cfg.portfolio),
+                portfolio: Portfolio::new(Arc::clone(&engine), PortfolioConfig::default()),
                 engine,
                 gate: Gate::new(cfg.queue_capacity),
                 counters: ServiceCounters::default(),
@@ -737,7 +728,6 @@ impl Service {
                 verify: cfg.verify,
             }),
             tenants: RwLock::new(BTreeMap::new()),
-            session: cfg.session,
         }
     }
 
@@ -776,7 +766,8 @@ impl Service {
         {
             return Err(ServiceError::TenantExists(tenant));
         }
-        let session = Session::new(tree, costs, self.session).map_err(ServiceError::Apply)?;
+        let session =
+            Session::new(tree, costs, SessionConfig::default()).map_err(ServiceError::Apply)?;
         let mut tenants = self.tenants.write().expect("tenant registry poisoned");
         // Re-check under the write lock: a racing open may have won.
         if tenants.contains_key(&tenant) {

@@ -7,10 +7,9 @@
 //! perturbation steps. [`Session::apply`] takes a [`Delta`], re-derives
 //! the cheap O(n) labels, diffs them against the previous step
 //! ([`hsa_assign::dirty_colours`]) and rebuilds **only the per-colour
-//! frontiers whose supporting regions were actually touched**; when the
-//! dirty fraction exceeds the configured threshold it falls back to a
-//! from-scratch rebuild (at that point the partial path would redo most of
-//! the work anyway, plus the diff). Either way, every later
+//! frontiers whose supporting regions were actually touched**, copying the
+//! clean ones ([`FrontierSet::refresh_in_place`]). A delta that dirties
+//! every colour re-runs every colour's DP on that same path. Every later
 //! [`Session::solve`] answers **identically** to a fresh
 //! [`hsa_assign::Expanded`]`::solve` on the drifted instance — the
 //! incremental path reuses only state proven unchanged, it never
@@ -43,28 +42,10 @@ use hsa_tree::{CostModel, CruTree, Delta};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of an incremental [`Session`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SessionConfig {
     /// Frontier caps for the underlying full-expansion preparation.
     pub expanded: ExpandedConfig,
-    /// When the fraction of dirty colours **exceeds** this threshold,
-    /// [`Session::apply`] rebuilds the whole [`FrontierSet`] from scratch
-    /// instead of patching it colour by colour. 0.0 sends every apply
-    /// that dirties at least one colour down the full-rebuild path (an
-    /// observed-clean apply has nothing to rebuild on either path); 1.0
-    /// never falls back.
-    pub fallback_fraction: f64,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig {
-            expanded: ExpandedConfig::default(),
-            // Above half the colours dirty, the partial path saves less
-            // than it spends on cloning the clean remainder + the diff.
-            fallback_fraction: 0.5,
-        }
-    }
 }
 
 /// Counters of a session's life so far (see [`Session::stats`]).
@@ -72,13 +53,13 @@ impl Default for SessionConfig {
 pub struct SessionStats {
     /// Successful [`Session::apply`] calls.
     pub applies: u64,
-    /// Applies answered by the incremental (partial-rebuild) path.
+    /// Applies that left at least one colour clean.
     pub incremental: u64,
-    /// Applies that fell back to a from-scratch frontier rebuild.
+    /// Applies that dirtied every colour (see [`ApplyOutcome::full_rebuild`]).
     pub full_rebuilds: u64,
-    /// Colour frontiers recomputed across all applies.
+    /// Dirty colours summed over all applies: frontiers recomputed.
     pub colours_rebuilt: u64,
-    /// Colour frontiers reused verbatim across all applies.
+    /// Clean colours summed over all applies: frontiers copied verbatim.
     pub colours_reused: u64,
 }
 
@@ -102,8 +83,8 @@ pub struct ApplyOutcome {
     pub dirty_colours: usize,
     /// Total colours (satellites) of the instance.
     pub total_colours: usize,
-    /// True when the dirty fraction tripped [`SessionConfig::fallback_fraction`]
-    /// and the whole frontier set was rebuilt from scratch.
+    /// True when the delta dirtied every colour, so no frontier was
+    /// reused (`dirty_colours == total_colours > 0`).
     pub full_rebuild: bool,
 }
 
@@ -126,21 +107,8 @@ impl Session {
     pub fn new(
         tree: &CruTree,
         costs: &CostModel,
-        mut cfg: SessionConfig,
+        cfg: SessionConfig,
     ) -> Result<Session, AssignError> {
-        // A NaN threshold would silently disable the fallback (every
-        // comparison false), a negative one silently force it; normalise
-        // to the meaningful [0, 1] range and surface misuse in debug.
-        debug_assert!(
-            cfg.fallback_fraction.is_finite() && (0.0..=1.0).contains(&cfg.fallback_fraction),
-            "fallback_fraction must be a finite fraction in [0, 1], got {}",
-            cfg.fallback_fraction
-        );
-        cfg.fallback_fraction = if cfg.fallback_fraction.is_finite() {
-            cfg.fallback_fraction.clamp(0.0, 1.0)
-        } else {
-            SessionConfig::default().fallback_fraction
-        };
         let prepared = Prepared::new_owned(tree.clone(), costs.clone())?;
         let frontiers = FrontierSet::prepare(&prepared, &cfg.expanded)?;
         Ok(Session {
@@ -155,42 +123,33 @@ impl Session {
     ///
     /// Re-derives the O(n) labels for the drifted cost model **in place**
     /// (the tree is reused, never cloned), diffs them against the previous
-    /// step and rebuilds exactly the dirty colour frontiers (or
-    /// everything, past the fallback threshold). On error — an invalid
-    /// delta, or a frontier overflow — the session is left unchanged (the
-    /// delta is applied to a cost-model clone, and a failed frontier
-    /// rebuild rolls the labels back).
+    /// step and re-runs the cover DP of exactly the dirty colours, copying
+    /// the clean ones ([`FrontierSet::refresh_in_place`]). On error — an
+    /// invalid delta, or a frontier overflow — the session is left
+    /// unchanged (the delta is applied to a cost-model clone, and a failed
+    /// frontier rebuild rolls the labels back).
     pub fn apply(&mut self, delta: &Delta) -> Result<ApplyOutcome, AssignError> {
         let mut costs: CostModel = self.costs().clone();
         delta.apply(&self.prepared.tree, &mut costs)?;
         let (replaced, diff) = self.prepared.update_costs(costs)?;
-        let total = diff.dirty.len();
-        let n_dirty = diff.count();
-        let full = diff.fraction() > self.cfg.fallback_fraction;
-        let rebuilt = if full {
-            FrontierSet::prepare(&self.prepared, &self.cfg.expanded).map(Some)
-        } else {
+        if let Err(e) =
             self.frontiers
                 .refresh_in_place(&self.prepared, &self.cfg.expanded, &diff.dirty)
-                .map(|()| None)
-        };
-        match rebuilt {
-            Ok(Some(fresh)) => self.frontiers = fresh,
-            Ok(None) => {}
-            Err(e) => {
-                self.prepared.restore(replaced);
-                return Err(e);
-            }
+        {
+            self.prepared.restore(replaced);
+            return Err(e);
         }
+        let total = diff.dirty.len();
+        let n_dirty = diff.count();
+        let full = n_dirty == total && total > 0;
         self.stats.applies += 1;
         if full {
             self.stats.full_rebuilds += 1;
-            self.stats.colours_rebuilt += total as u64;
         } else {
             self.stats.incremental += 1;
-            self.stats.colours_rebuilt += n_dirty as u64;
-            self.stats.colours_reused += (total - n_dirty) as u64;
         }
+        self.stats.colours_rebuilt += n_dirty as u64;
+        self.stats.colours_reused += (total - n_dirty) as u64;
         Ok(ApplyOutcome {
             dirty_colours: n_dirty,
             total_colours: total,
@@ -269,7 +228,7 @@ mod tests {
         }
         let stats = session.stats();
         assert_eq!(stats.applies, 5);
-        assert!(stats.incremental >= 1, "local drift takes the partial path");
+        assert!(stats.incremental >= 1, "local drift leaves a colour clean");
         assert!(stats.colours_reused > 0, "clean colours must be reused");
         assert!(stats.reuse_rate() > 0.0);
     }
@@ -289,29 +248,15 @@ mod tests {
     }
 
     #[test]
-    fn fallback_threshold_forces_full_rebuilds() {
-        let sc = paper_scenario();
-        let cfg = SessionConfig {
-            fallback_fraction: 0.0,
-            ..SessionConfig::default()
-        };
-        let mut session = Session::new(&sc.tree, &sc.costs, cfg).unwrap();
-        let leaf = *sc.tree.leaves_in_order().first().unwrap();
-        let delta = Delta::new().set_satellite_time(leaf, Cost::new(5000));
-        let outcome = session.apply(&delta).unwrap();
-        assert!(outcome.full_rebuild);
-        assert_eq!(session.stats().full_rebuilds, 1);
-        assert_matches_scratch(&session, Lambda::HALF);
-    }
-
-    #[test]
-    fn global_drift_trips_the_fallback() {
+    fn global_drift_rebuilds_every_colour() {
         let sc = paper_scenario();
         let mut session = Session::new(&sc.tree, &sc.costs, SessionConfig::default()).unwrap();
         // Scaling the whole tree dirties every used colour.
         let delta = Delta::new().scale_subtree(sc.tree.root(), 11, 10);
         let outcome = session.apply(&delta).unwrap();
-        assert!(outcome.full_rebuild, "global drift must take the full path");
+        assert_eq!(outcome.dirty_colours, outcome.total_colours);
+        assert!(outcome.full_rebuild, "no colour is left to reuse");
+        assert_eq!(session.stats().full_rebuilds, 1);
         assert_matches_scratch(&session, Lambda::HALF);
     }
 

@@ -9,7 +9,10 @@
 //! partial frontier rebuild may only ever reuse state that is provably
 //! unchanged, so no drift trajectory — cost walks, subtree scalings,
 //! satellite capacity changes, sensor churn — may produce an answer that
-//! differs from solving the drifted instance from nothing.
+//! differs from solving the drifted instance from nothing. Every step also
+//! checks what the session reports: an apply is a full rebuild exactly
+//! when it dirtied every colour, and the colour counters add up each
+//! apply's dirty and clean colours.
 
 use hsa_engine::{Session, SessionConfig};
 use hsa_graph::{Cost, Lambda};
@@ -81,24 +84,25 @@ fn probe_lambdas(frontier: &hsa_assign::LambdaFrontier) -> Vec<Lambda> {
     lambdas
 }
 
-fn check_drift(
-    tree: &CruTree,
-    costs: &CostModel,
-    ops: &[RawOp],
-    fallback_fraction: f64,
-) -> Result<(), TestCaseError> {
-    let cfg = SessionConfig {
-        fallback_fraction,
-        ..SessionConfig::default()
-    };
-    let mut session = Session::new(tree, costs, cfg).unwrap();
+fn check_drift(tree: &CruTree, costs: &CostModel, ops: &[RawOp]) -> Result<(), TestCaseError> {
+    let mut session = Session::new(tree, costs, SessionConfig::default()).unwrap();
     // The independent mirror: the same drift applied to a bare cost model,
     // solved from scratch at every probe.
     let mut mirror = costs.clone();
+    let (mut dirty_sum, mut clean_sum) = (0u64, 0u64);
     for (step, op) in ops.iter().enumerate() {
         let delta = materialise(op, tree, &mirror);
         delta.apply(tree, &mut mirror).unwrap();
-        session.apply(&delta).unwrap();
+        let outcome = session.apply(&delta).unwrap();
+        prop_assert_eq!(
+            outcome.full_rebuild,
+            outcome.dirty_colours == outcome.total_colours && outcome.total_colours > 0,
+            "step {}: full_rebuild must mean every colour was dirty ({:?})",
+            step,
+            outcome
+        );
+        dirty_sum += outcome.dirty_colours as u64;
+        clean_sum += (outcome.total_colours - outcome.dirty_colours) as u64;
         prop_assert_eq!(
             session.costs(),
             &mirror,
@@ -137,13 +141,15 @@ fn check_drift(
     let stats = session.stats();
     prop_assert_eq!(stats.applies, ops.len() as u64);
     prop_assert_eq!(stats.incremental + stats.full_rebuilds, stats.applies);
+    prop_assert_eq!(stats.colours_rebuilt, dirty_sum);
+    prop_assert_eq!(stats.colours_reused, clean_sum);
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random placement, default fallback threshold.
+    /// Random placement.
     #[test]
     fn random_drift_matches_scratch(
         seed in 0u64..400,
@@ -160,14 +166,13 @@ proptest! {
             },
             seed,
         );
-        check_drift(&tree, &costs, ops, SessionConfig::default().fallback_fraction)?;
+        check_drift(&tree, &costs, ops)?;
     }
 
     /// Interleaved placement (multi-band colours, the DESIGN §2 hard
-    /// regime) with the fallback disabled, so *every* step exercises the
-    /// partial-rebuild path.
+    /// regime).
     #[test]
-    fn interleaved_drift_matches_scratch_without_fallback(
+    fn interleaved_drift_matches_scratch(
         seed in 0u64..400,
         ops in proptest::collection::vec(raw_op(), 5),
         take in 1usize..=5,
@@ -182,13 +187,14 @@ proptest! {
             },
             seed,
         );
-        check_drift(&tree, &costs, ops, 1.0)?;
+        check_drift(&tree, &costs, ops)?;
     }
 
-    /// Forced full rebuilds must agree too (the fallback path is not a
-    /// different algorithm, just a different reuse policy).
+    /// Blocked placement on two satellites, where one delta often dirties
+    /// both colours: a full rebuild runs through the same path and must
+    /// agree too.
     #[test]
-    fn forced_full_rebuilds_match_scratch(
+    fn blocked_drift_matches_scratch(
         seed in 0u64..200,
         ops in proptest::collection::vec(raw_op(), 3),
         take in 1usize..=3,
@@ -203,6 +209,6 @@ proptest! {
             },
             seed,
         );
-        check_drift(&tree, &costs, ops, 0.0)?;
+        check_drift(&tree, &costs, ops)?;
     }
 }

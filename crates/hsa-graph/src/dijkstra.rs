@@ -6,8 +6,7 @@
 //! loop never rebuilds the graph.
 //!
 //! [`shortest_path_in`] runs inside a caller-provided [`SolveScratch`], so
-//! the repeated searches of one SSB/SB search or sweep share one workspace;
-//! [`shortest_path`] builds its own.
+//! the repeated searches of one SSB/SB search or sweep share one workspace.
 //!
 //! Determinism: ties are broken first on distance, then on node id, and the
 //! predecessor of a node is only replaced by a *strictly* shorter distance,
@@ -25,17 +24,11 @@ pub struct ShortestPath {
     pub s_weight: Cost,
 }
 
-/// Finds the σ-shortest alive path from `source` to `target`.
+/// Finds the σ-shortest alive path from `source` to `target` in a
+/// reusable workspace: no per-call allocation beyond the returned path
+/// itself.
 ///
 /// Returns `None` when `target` is unreachable through alive edges.
-/// Convenience wrapper over [`shortest_path_in`] with a throwaway
-/// workspace.
-pub fn shortest_path(g: &Dwg, source: NodeId, target: NodeId) -> Option<ShortestPath> {
-    shortest_path_in(g, source, target, &mut SolveScratch::new())
-}
-
-/// [`shortest_path`] running in a reusable workspace: no per-call
-/// allocation beyond the returned path itself.
 pub fn shortest_path_in(
     g: &Dwg,
     source: NodeId,
@@ -101,7 +94,7 @@ mod tests {
         let mut g = Dwg::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1), c(2), c(0));
         g.add_edge(NodeId(1), NodeId(2), c(3), c(0));
-        let sp = shortest_path(&g, NodeId(0), NodeId(2)).unwrap();
+        let sp = shortest_path_in(&g, NodeId(0), NodeId(2), &mut SolveScratch::new()).unwrap();
         assert_eq!(sp.s_weight, c(5));
         assert_eq!(sp.path.len(), 2);
         sp.path.validate(&g, NodeId(0), NodeId(2)).unwrap();
@@ -112,7 +105,7 @@ mod tests {
         let mut g = Dwg::with_nodes(2);
         g.add_edge(NodeId(0), NodeId(1), c(9), c(0));
         let cheap = g.add_edge(NodeId(0), NodeId(1), c(4), c(0));
-        let sp = shortest_path(&g, NodeId(0), NodeId(1)).unwrap();
+        let sp = shortest_path_in(&g, NodeId(0), NodeId(1), &mut SolveScratch::new()).unwrap();
         assert_eq!(sp.s_weight, c(4));
         assert_eq!(sp.path.edges, vec![cheap]);
     }
@@ -124,7 +117,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), c(1), c(0));
         g.add_edge(NodeId(1), NodeId(2), c(1), c(0));
         g.add_edge(NodeId(2), NodeId(3), c(1), c(0));
-        let sp = shortest_path(&g, NodeId(0), NodeId(3)).unwrap();
+        let sp = shortest_path_in(&g, NodeId(0), NodeId(3), &mut SolveScratch::new()).unwrap();
         assert_eq!(sp.s_weight, c(3));
         assert_eq!(sp.path.len(), 3);
     }
@@ -133,7 +126,7 @@ mod tests {
     fn unreachable_returns_none() {
         let mut g = Dwg::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1), c(1), c(0));
-        assert!(shortest_path(&g, NodeId(0), NodeId(2)).is_none());
+        assert!(shortest_path_in(&g, NodeId(0), NodeId(2), &mut SolveScratch::new()).is_none());
     }
 
     #[test]
@@ -141,15 +134,15 @@ mod tests {
         let mut g = Dwg::with_nodes(2);
         let e = g.add_edge(NodeId(0), NodeId(1), c(1), c(0));
         g.kill_edge(e);
-        assert!(shortest_path(&g, NodeId(0), NodeId(1)).is_none());
+        assert!(shortest_path_in(&g, NodeId(0), NodeId(1), &mut SolveScratch::new()).is_none());
         g.revive_all();
-        assert!(shortest_path(&g, NodeId(0), NodeId(1)).is_some());
+        assert!(shortest_path_in(&g, NodeId(0), NodeId(1), &mut SolveScratch::new()).is_some());
     }
 
     #[test]
     fn source_equals_target() {
         let g = Dwg::with_nodes(1);
-        let sp = shortest_path(&g, NodeId(0), NodeId(0)).unwrap();
+        let sp = shortest_path_in(&g, NodeId(0), NodeId(0), &mut SolveScratch::new()).unwrap();
         assert_eq!(sp.s_weight, Cost::ZERO);
         assert!(sp.path.is_empty());
     }
@@ -159,7 +152,7 @@ mod tests {
         let mut g = Dwg::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1), c(0), c(5));
         g.add_edge(NodeId(1), NodeId(2), c(0), c(7));
-        let sp = shortest_path(&g, NodeId(0), NodeId(2)).unwrap();
+        let sp = shortest_path_in(&g, NodeId(0), NodeId(2), &mut SolveScratch::new()).unwrap();
         assert_eq!(sp.s_weight, Cost::ZERO);
         assert_eq!(sp.path.len(), 2);
     }

@@ -340,6 +340,11 @@ mod tests {
         let (t, mut m) = tree_and_costs();
         m.set_pinning(CruId(2), Some(SatelliteId(99)));
         assert!(m.validate(&t).is_err());
+        // Every tree has a leaf to pin, so an empty platform never
+        // validates.
+        let (t, mut m) = tree_and_costs();
+        m.set_n_satellites(0);
+        assert!(m.validate(&t).is_err());
     }
 
     #[test]

@@ -142,15 +142,6 @@ impl RequestStream {
             .map(|sc| (Arc::new(sc.tree.clone()), Arc::new(sc.costs.clone())))
             .collect()
     }
-
-    /// How many requests target each instance (a Zipf shape check).
-    pub fn per_instance_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.instances.len()];
-        for r in &self.requests {
-            counts[r.instance] += 1;
-        }
-        counts
-    }
 }
 
 /// Cumulative fixed-point Zipf weights over `n` ranks: `cum[k]` is
@@ -320,7 +311,10 @@ mod tests {
             requests: 600,
             ..StreamConfig::default()
         });
-        let counts = stream.per_instance_counts();
+        let mut counts = vec![0usize; stream.instances.len()];
+        for r in &stream.requests {
+            counts[r.instance] += 1;
+        }
         let hottest = counts[0];
         let coldest = *counts.last().unwrap();
         assert!(
@@ -391,7 +385,10 @@ mod tests {
             zipf_milli: 0,
             ..StreamConfig::default()
         });
-        let counts = stream.per_instance_counts();
+        let mut counts = vec![0usize; stream.instances.len()];
+        for r in &stream.requests {
+            counts[r.instance] += 1;
+        }
         let min = *counts.iter().min().unwrap();
         assert!(
             min * counts.len() >= 800 / 4,

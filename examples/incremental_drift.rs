@@ -29,7 +29,7 @@ fn main() {
     let mut session =
         Session::new(&sc.tree, &sc.costs, SessionConfig::default()).expect("valid instance");
     let mut mirror = sc.costs.clone();
-    println!("step  dirty/total  path   delay_us  host_CRUs  (drifting the Figure 2 instance)");
+    println!("step  dirty/total  rebuild  delay_us  host_CRUs  (drifting the Figure 2 instance)");
     for (step, delta) in trace.deltas.iter().enumerate() {
         let outcome = session.apply(delta).expect("drift deltas are valid");
         let sol = session.solve(Lambda::HALF).expect("solvable");
@@ -49,10 +49,11 @@ fn main() {
             step,
             outcome.dirty_colours,
             outcome.total_colours,
+            // `full`: the delta dirtied every colour, so none was reused.
             if outcome.full_rebuild {
-                "full "
+                "full   "
             } else {
-                "incr."
+                "partial"
             },
             sol.delay(),
             sol.assignment.host.len(),
@@ -60,7 +61,7 @@ fn main() {
     }
     let stats = session.stats();
     println!(
-        "\n{} applies: {} incremental, {} full rebuilds; {:.0}% of colour frontiers reused",
+        "\n{} applies: {} partial, {} full (every colour dirty); {:.0}% of colour frontiers reused",
         stats.applies,
         stats.incremental,
         stats.full_rebuilds,
