@@ -1600,7 +1600,9 @@ pub(super) fn t13(ctx: &ExpCtx) {
         // Byte-identity gate at this connection count before any timing.
         let (_, vstats, _) = run_net_stream(&stream, &pre, conns, workers, true);
         assert_eq!(vstats.failed, 0, "verified stream must answer everything");
-        assert_eq!(vstats.completed, total as u64);
+        // Each connection also opened its tenants over the wire.
+        let opens = conns * stream.instances.len();
+        assert_eq!(vstats.completed, (total + opens) as u64);
 
         let mut samples = Vec::with_capacity(reps);
         let mut last = None;

@@ -23,7 +23,7 @@
 //!   objective, same stats semantics. The engine owns no thread.
 //! * [`Engine::solve_batch`] answers a slice of queries the same way,
 //!   fanned across scoped threads that live only as long as the call
-//!   ([`parallel_map`]; [`EngineConfig::threads`] sets how many).
+//!   ([`EngineConfig::threads`] sets how many).
 //! * [`Engine::frontier`] exposes the full **λ-frontier** — the
 //!   piecewise-linear lower envelope of optimal cuts over λ ∈ [0, 1] with
 //!   exact rational breakpoints — so a λ-sweep costs one envelope pass
@@ -31,7 +31,10 @@
 //! * [`Service`] is the request-stream front-end: a bounded submission
 //!   queue with backpressure, per-request λ, and a multi-tenant
 //!   [`Session`] registry so delta streams apply concurrently across
-//!   tenants while staying FIFO within each (DESIGN.md §10).
+//!   tenants while staying FIFO within each (DESIGN.md §10). Every
+//!   [`Request`] kind, tenant open and close included, is answered through
+//!   one funnel, and [`net`] carries the same enum over TCP:
+//!   [`net::Client::call`] sends any request.
 //! * [`Session`] holds one **drifting** instance open and re-solves it
 //!   incrementally: [`Session::apply`] absorbs a [`hsa_tree::Delta`]
 //!   (cost drift, capacity changes, sensor churn) and rebuilds only the
@@ -92,7 +95,6 @@ mod session;
 pub use cache::CachedInstance;
 pub use hist::{HistogramSnapshot, LatencyHistogram, LatencyStats, NUM_BUCKETS};
 pub use pad::CachePadded;
-pub use pool::parallel_map;
 pub use portfolio::{AnytimeAnswer, AnytimeOutcome, ArmKind, Portfolio, PortfolioConfig};
 pub use service::{
     Reply, Request, RequestLatency, Service, ServiceConfig, ServiceError, ServiceStats, TenantId,
@@ -392,7 +394,7 @@ impl Engine {
         &self,
         queries: &[(InstanceId, Lambda)],
     ) -> Vec<Result<Solution, EngineError>> {
-        parallel_map(queries.iter().copied(), self.threads, |(id, lambda)| {
+        pool::parallel_map(queries.iter().copied(), self.threads, |(id, lambda)| {
             self.solve(id, lambda)
         })
     }
@@ -456,8 +458,8 @@ fn check_same(
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
-        parallel_map, AnytimeAnswer, AnytimeOutcome, ApplyOutcome, ArmKind, Engine, EngineConfig,
-        EngineError, EngineStats, InstanceId, Portfolio, PortfolioConfig, Reply, Request, Service,
+        AnytimeAnswer, AnytimeOutcome, ApplyOutcome, ArmKind, Engine, EngineConfig, EngineError,
+        EngineStats, InstanceId, Portfolio, PortfolioConfig, Reply, Request, Service,
         ServiceConfig, ServiceError, ServiceStats, Session, SessionConfig, SessionStats, TenantId,
         Ticket,
     };

@@ -1,12 +1,11 @@
-//! The blocking client: typed request methods mirroring the `Request::*`
-//! constructors, plus a pipelined send/recv pair for throughput drivers.
+//! The blocking client: [`Client::call`] sends any [`Request`] and waits
+//! for its answer, and a pipelined send/recv pair serves throughput
+//! drivers.
 
 use super::wire::{self, FrameEncoder, NetReply, WireError};
 use crate::service::{Reply, Request, TenantId};
 use crate::session::SessionStats;
-use crate::InstanceId;
-use hsa_graph::Lambda;
-use hsa_tree::{CostModel, CruTree, Delta};
+use hsa_tree::{CostModel, CruTree};
 use std::fmt;
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -54,9 +53,10 @@ impl From<io::Error> for ClientError {
 
 /// A blocking connection to a [`super::NetServer`].
 ///
-/// The typed methods ([`Client::solve`], [`Client::frontier`],
-/// [`Client::delta`], …) mirror the [`Request`] constructors one-to-one
-/// and wait for their answer. The lower-level [`Client::send`] /
+/// [`Client::call`] sends one [`Request`], built with the same
+/// `Request::*` constructors as in process, and waits for its answer;
+/// [`Client::open_tenant`] and [`Client::close_tenant`] wrap it for the
+/// two tenant kinds. The lower-level [`Client::send`] /
 /// [`Client::recv_any`] pair pipelines: many requests in flight on one
 /// connection, answers matched back by correlation id. [`Client::send`]
 /// only appends to a reused encode buffer — nothing hits the socket
@@ -69,6 +69,10 @@ impl From<io::Error> for ClientError {
 /// ids are structural content hashes, stable across connections as long
 /// as the server process (and its engine cache) lives; persist the raw
 /// id ([`InstanceId::raw`]) and rebuild it with [`InstanceId::from_raw`].
+///
+/// [`InstanceId`]: crate::InstanceId
+/// [`InstanceId::raw`]: crate::InstanceId::raw
+/// [`InstanceId::from_raw`]: crate::InstanceId::from_raw
 pub struct Client {
     reader: TcpStream,
     writer: TcpStream,
@@ -87,9 +91,10 @@ pub struct Client {
 impl Client {
     /// Connects and completes the handshake. The server answers with its
     /// frame cap, which this client then enforces on its own frames:
-    /// [`Client::send`], the typed calls and [`Client::open_tenant`]
-    /// refuse a longer request with [`ClientError::Protocol`] before
-    /// queueing anything, so the connection stays usable. Answers are
+    /// [`Client::send`] and everything built on it ([`Client::call`],
+    /// [`Client::open_tenant`], [`Client::close_tenant`]) refuse a longer
+    /// request with [`ClientError::Protocol`] before queueing anything,
+    /// so the connection stays usable. Answers are
     /// received under this side's own [`wire::DEFAULT_MAX_FRAME_LEN`]. A
     /// server past [`super::NetConfig::max_connections`] refuses here
     /// with [`ClientError::Remote`]`(`[`WireError::ConnLimit`]`)`.
@@ -130,29 +135,6 @@ impl Client {
         corr
     }
 
-    /// Queues the frame `put` appends under the next correlation id,
-    /// unless it is longer than the server's cap: the server would answer
-    /// that frame with a fatal `Oversized` and close the connection, so it
-    /// is refused here and nothing is queued.
-    fn queue(
-        &mut self,
-        put: impl FnOnce(&mut FrameEncoder, &mut Vec<u8>, u64),
-    ) -> Result<u64, ClientError> {
-        let (start, corr) = (self.out.len(), self.next_corr);
-        put(&mut self.enc, &mut self.out, corr);
-        // The length prefix counts the bytes after its own four.
-        let len = self.out.len() - start - 4;
-        if len > self.max_frame_len {
-            self.out.truncate(start);
-            return Err(ClientError::Protocol(format!(
-                "a {len}-byte request frame exceeds the server's cap of {} bytes",
-                self.max_frame_len
-            )));
-        }
-        self.next_corr += 1;
-        Ok(corr)
-    }
-
     /// Writes every queued frame to the socket in one burst. Receiving
     /// flushes implicitly; call this directly to push a pipelined batch
     /// out before doing other work.
@@ -169,11 +151,22 @@ impl Client {
     /// answer will carry. Pair with [`Client::recv_any`] to pipeline.
     /// The frame is queued, not written — see [`Client::flush`]. A frame
     /// longer than the server's cap is refused with
-    /// [`ClientError::Protocol`] and not queued.
+    /// [`ClientError::Protocol`] and not queued: the server would answer
+    /// it with a fatal `Oversized` and close the connection.
     pub fn send(&mut self, request: &Request) -> Result<u64, ClientError> {
-        self.queue(|enc, out, corr| {
-            enc.put_request(out, corr, request);
-        })
+        let (start, corr) = (self.out.len(), self.next_corr);
+        self.enc.put_request(&mut self.out, corr, request);
+        // The length prefix counts the bytes after its own four.
+        let len = self.out.len() - start - 4;
+        if len > self.max_frame_len {
+            self.out.truncate(start);
+            return Err(ClientError::Protocol(format!(
+                "a {len}-byte request frame exceeds the server's cap of {} bytes",
+                self.max_frame_len
+            )));
+        }
+        self.next_corr += 1;
+        Ok(corr)
     }
 
     /// Queues a request whose payload bytes are already encoded (e.g. the
@@ -242,104 +235,45 @@ impl Client {
         }
     }
 
-    /// Receives the next frame, which must answer `corr`. Used by the
-    /// sequential typed methods; strict because they never pipeline, so
-    /// any other correlation id is a protocol error.
-    fn recv_matching(&mut self, corr: u64) -> Result<NetReply, ClientError> {
-        let frame = self.recv_frame()?;
-        if frame.corr != corr {
+    /// Sends `request` and waits for its answer: the remote
+    /// [`crate::Service::submit`]. An error frame comes back as
+    /// [`ClientError::Remote`]; the connection stays usable. A hot client
+    /// keeps the [`Reply::instance_id`] of its first by-value answer and
+    /// sends [`Request::solve_by_id`] from then on.
+    pub fn call(&mut self, request: &Request) -> Result<Reply, ClientError> {
+        let corr = self.send(request)?;
+        let (got, answer) = self.recv_any()?;
+        // A call never pipelines, so an answer to any other correlation id
+        // is a protocol error.
+        if got != corr {
             return Err(ClientError::Protocol(format!(
-                "answer for correlation id {} while waiting on {corr}",
-                frame.corr
+                "answer for correlation id {got} while waiting on {corr}"
             )));
         }
-        wire::decode_server_frame(&frame).map_err(|e| ClientError::Protocol(e.to_string()))
+        answer
     }
 
-    fn call(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        let corr = self.send(request)?;
-        match self.recv_matching(corr)? {
-            NetReply::Reply(reply) => Ok(reply),
-            NetReply::Error(err) => Err(ClientError::Remote(err)),
-            other => Err(ClientError::Protocol(format!(
-                "request answered with control frame {other:?}"
-            ))),
-        }
-    }
-
-    /// Remote [`Request::solve`]. The reply carries the [`InstanceId`] —
-    /// keep it and switch to [`Client::solve_by_id`].
-    pub fn solve(
-        &mut self,
-        tree: &CruTree,
-        costs: &CostModel,
-        lambda: Lambda,
-    ) -> Result<Reply, ClientError> {
-        self.call(&Request::solve(tree, costs, lambda))
-    }
-
-    /// Remote [`Request::solve_by_id`].
-    pub fn solve_by_id(&mut self, id: InstanceId, lambda: Lambda) -> Result<Reply, ClientError> {
-        self.call(&Request::solve_by_id(id, lambda))
-    }
-
-    /// Remote [`Request::solve_anytime`]: races the server's portfolio
-    /// and answers within `budget_ms` of its first feasible answer,
-    /// carrying a certified gap ([`crate::AnytimeAnswer`]).
-    pub fn solve_anytime(
-        &mut self,
-        tree: &CruTree,
-        costs: &CostModel,
-        lambda: Lambda,
-        budget_ms: u64,
-    ) -> Result<Reply, ClientError> {
-        self.call(&Request::solve_anytime(tree, costs, lambda, budget_ms))
-    }
-
-    /// Remote [`Request::frontier`].
-    pub fn frontier(&mut self, tree: &CruTree, costs: &CostModel) -> Result<Reply, ClientError> {
-        self.call(&Request::frontier(tree, costs))
-    }
-
-    /// Remote [`Request::frontier_by_id`].
-    pub fn frontier_by_id(&mut self, id: InstanceId) -> Result<Reply, ClientError> {
-        self.call(&Request::frontier_by_id(id))
-    }
-
-    /// Remote [`Request::delta`] against an open tenant.
-    pub fn delta(
-        &mut self,
-        tenant: TenantId,
-        delta: Delta,
-        lambda: Lambda,
-    ) -> Result<Reply, ClientError> {
-        self.call(&Request::delta(tenant, delta, lambda))
-    }
-
-    /// Remote [`crate::Service::open_tenant`].
+    /// Remote [`crate::Service::open_tenant`]: [`Client::call`] with
+    /// [`Request::open_tenant`].
     pub fn open_tenant(
         &mut self,
         tenant: TenantId,
         tree: &CruTree,
         costs: &CostModel,
     ) -> Result<(), ClientError> {
-        let corr =
-            self.queue(|enc, out, corr| enc.put_open_tenant(out, corr, tenant, tree, costs))?;
-        match self.recv_matching(corr)? {
-            NetReply::TenantOpened => Ok(()),
-            NetReply::Error(err) => Err(ClientError::Remote(err)),
+        match self.call(&Request::open_tenant(tenant, tree, costs))? {
+            Reply::TenantOpened => Ok(()),
             other => Err(ClientError::Protocol(format!(
                 "open-tenant answered {other:?}"
             ))),
         }
     }
 
-    /// Remote [`crate::Service::close_tenant`].
+    /// Remote [`crate::Service::close_tenant`]: [`Client::call`] with
+    /// [`Request::close_tenant`].
     pub fn close_tenant(&mut self, tenant: TenantId) -> Result<SessionStats, ClientError> {
-        let corr = self.queue(|enc, out, corr| enc.put_close_tenant(out, corr, tenant))?;
-        match self.recv_matching(corr)? {
-            NetReply::TenantClosed(stats) => Ok(stats),
-            NetReply::Error(err) => Err(ClientError::Remote(err)),
+        match self.call(&Request::close_tenant(tenant))? {
+            Reply::TenantClosed { stats } => Ok(stats),
             other => Err(ClientError::Protocol(format!(
                 "close-tenant answered {other:?}"
             ))),

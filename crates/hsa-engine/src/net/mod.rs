@@ -4,17 +4,19 @@
 //!
 //! The core engine stays transport-agnostic — this module only maps
 //! frames onto the existing [`Request`] / [`Reply`] / `ServiceError`
-//! surface (the single source of truth for the schema) and adds the
+//! surface (the single source of truth for the schema: every frame but
+//! the handshake is a request, a reply or an error) and adds the
 //! production concerns a wire needs: per-tenant admission quotas on top
 //! of the service's global backpressure gate, explicit error frames for
 //! unknown kinds/versions and malformed payloads, graceful shutdown that
 //! drains every accepted ticket, and reconnect-friendly instance ids
 //! ([`crate::InstanceId::from_raw`]) so a hot client resumes id-addressed
-//! requests on a fresh connection.
+//! requests on a fresh connection. [`Client::call`] sends any
+//! [`Request`], built with the same constructors as in process.
 //!
 //! ```
 //! use hsa_engine::net::{Client, NetConfig, NetServer};
-//! use hsa_engine::{Engine, EngineConfig, Service, ServiceConfig};
+//! use hsa_engine::{Engine, EngineConfig, Request, Service, ServiceConfig};
 //! use hsa_graph::Lambda;
 //! use std::sync::Arc;
 //!
@@ -24,9 +26,9 @@
 //!
 //! let sc = hsa_workloads::paper_scenario();
 //! let mut client = Client::connect(server.local_addr()).unwrap();
-//! let first = client.solve(&sc.tree, &sc.costs, Lambda::HALF).unwrap();
+//! let first = client.call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF)).unwrap();
 //! let id = first.instance_id().expect("first contact returns the id");
-//! let again = client.solve_by_id(id, Lambda::HALF).unwrap();
+//! let again = client.call(&Request::solve_by_id(id, Lambda::HALF)).unwrap();
 //! assert_eq!(
 //!     again.solution().unwrap().objective,
 //!     first.solution().unwrap().objective,

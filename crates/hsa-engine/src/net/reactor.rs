@@ -21,10 +21,12 @@
 //! Completions travel back from the service's worker threads via
 //! [`crate::service::Ticket::on_ready`] callbacks that post into the
 //! owning shard's inbox and poke its wake pipe; a ticket that comes back
-//! already answered (the service answers id-addressed reads on the
-//! submitting thread, which is the shard's own) skips both. Replies are
-//! re-ordered to submission order per connection (the contract the
-//! threaded waiter provided) before encoding. When the service's global
+//! already answered (the service answers id-addressed reads and tenant
+//! open/close on the submitting thread, which is the shard's own) skips
+//! both. Every frame but the handshake is a service request and takes
+//! the same path: quota, `try_submit`, then its answer is re-ordered to
+//! submission order per connection (the contract the threaded waiter
+//! provided) before encoding. When the service's global
 //! gate is full the shard *parks* the one decoded-but-unsubmitted request
 //! and stops reading that connection — the same bounded-memory
 //! backpressure the blocking reader applied, without pinning a thread.
@@ -420,6 +422,7 @@ impl Reactor {
             let cap = self.inner.cfg.max_connections as u64;
             self.enc
                 .put_error(&mut conn.out, 0, 0, &WireError::ConnLimit(cap));
+            self.inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
             conn.read = ReadState::Fatal;
         }
         self.flush(&mut conn);
@@ -610,24 +613,6 @@ impl Reactor {
             NetRequest::Hello => {
                 self.enc
                     .put_hello_ack(&mut conn.out, corr, self.inner.cfg.max_frame_len);
-                self.inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-            }
-            NetRequest::OpenTenant(t, tree, costs) => {
-                match self.inner.service.open_tenant(t, &tree, &costs) {
-                    Ok(()) => self.enc.put_tenant_opened(&mut conn.out, corr, t),
-                    Err(e) => self
-                        .enc
-                        .put_error(&mut conn.out, corr, t.0, &WireError::from(&e)),
-                }
-                self.inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-            }
-            NetRequest::CloseTenant(t) => {
-                match self.inner.service.close_tenant(t) {
-                    Ok(stats) => self.enc.put_tenant_closed(&mut conn.out, corr, t, &stats),
-                    Err(e) => self
-                        .enc
-                        .put_error(&mut conn.out, corr, t.0, &WireError::from(&e)),
-                }
                 self.inner.stats.frames_out.fetch_add(1, Ordering::Relaxed);
             }
             NetRequest::Submit(request) => {

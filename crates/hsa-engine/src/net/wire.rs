@@ -21,9 +21,10 @@
 //!
 //! Payload bodies are derived from the service's own [`Request`] /
 //! [`Reply`] / [`ServiceError`] enums (the single source of truth for the
-//! schema); this module only maps between those enums and frames. Unknown
-//! kind bytes and undecodable payloads answer explicit error frames
-//! ([`WireError`]), never a panic or a silent drop.
+//! schema); this module only maps between those enums and frames. Every
+//! kind but the `HELLO` handshake and its answer is one of their variants
+//! or an error. Unknown kind bytes and undecodable payloads answer
+//! explicit error frames ([`WireError`]), never a panic or a silent drop.
 
 use crate::service::{Reply, Request, ServiceError, TenantId};
 use crate::session::{ApplyOutcome, SessionStats};
@@ -63,9 +64,10 @@ pub mod kind {
     pub const FRONTIER_BY_ID: u8 = 0x05;
     /// [`crate::Request::Delta`] (tenant travels in the header).
     pub const DELTA: u8 = 0x06;
-    /// Open a tenant session (tenant in the header, instance in the body).
+    /// [`crate::Request::OpenTenant`] (tenant in the header, instance in
+    /// the body).
     pub const OPEN_TENANT: u8 = 0x07;
-    /// Close a tenant session (tenant in the header, empty body).
+    /// [`crate::Request::CloseTenant`] (tenant in the header, empty body).
     pub const CLOSE_TENANT: u8 = 0x08;
     /// [`crate::Request::SolveAnytime`].
     pub const SOLVE_ANYTIME: u8 = 0x09;
@@ -77,9 +79,9 @@ pub mod kind {
     pub const FRONTIER_REPLY: u8 = 0x83;
     /// [`crate::Reply::Applied`].
     pub const APPLIED: u8 = 0x84;
-    /// A tenant session opened (empty body).
+    /// [`crate::Reply::TenantOpened`] (empty body).
     pub const TENANT_OPENED: u8 = 0x85;
-    /// A tenant session closed, with its final counters.
+    /// [`crate::Reply::TenantClosed`].
     pub const TENANT_CLOSED: u8 = 0x86;
     /// [`crate::Reply::Anytime`].
     pub const ANYTIME: u8 = 0x87;
@@ -324,18 +326,14 @@ impl From<&ServiceError> for WireError {
     }
 }
 
-/// A client→server frame, decoded: either a request for the service or a
-/// connection-level action the server handles itself.
+/// A client→server frame, decoded: the handshake or a request for the
+/// service.
 #[derive(Debug)]
 pub enum NetRequest {
     /// Handshake.
     Hello,
     /// Submit to [`crate::Service::submit`].
     Submit(Request),
-    /// Open a tenant session on the carried instance.
-    OpenTenant(TenantId, CruTree, CostModel),
-    /// Close a tenant session.
-    CloseTenant(TenantId),
 }
 
 /// A server→client frame, decoded.
@@ -349,10 +347,6 @@ pub enum NetReply {
     HelloAck(u64),
     /// A fulfilled request.
     Reply(Reply),
-    /// A tenant session opened.
-    TenantOpened,
-    /// A tenant session closed, with its final counters.
-    TenantClosed(SessionStats),
     /// An error frame.
     Error(WireError),
 }
@@ -408,7 +402,7 @@ bodies! {
 }
 
 /// Prints a request's body into `json`; returns its kind byte and header
-/// tenant ([`Request::Delta`]'s own, 0 for the other kinds).
+/// tenant (a tenant-scoped kind's own, 0 for the other kinds).
 fn write_request(req: &Request, json: &mut String) -> (u8, u64) {
     match req {
         Request::Solve {
@@ -448,6 +442,15 @@ fn write_request(req: &Request, json: &mut String) -> (u8, u64) {
             AnytimeBody::write(json, tree, costs, lambda, budget_ms);
             (kind::SOLVE_ANYTIME, 0)
         }
+        Request::OpenTenant {
+            tenant,
+            tree,
+            costs,
+        } => {
+            InstanceBody::write(json, tree, costs);
+            (kind::OPEN_TENANT, tenant.0)
+        }
+        Request::CloseTenant { tenant } => (kind::CLOSE_TENANT, tenant.0),
     }
 }
 
@@ -469,6 +472,11 @@ fn write_reply(reply: &Reply, json: &mut String) -> u8 {
         Reply::Anytime { id, answer } => {
             AnytimeReplyBody::write(json, &id.raw(), answer);
             kind::ANYTIME
+        }
+        Reply::TenantOpened => kind::TENANT_OPENED,
+        Reply::TenantClosed { stats } => {
+            TenantClosedBody::write(json, stats);
+            kind::TENANT_CLOSED
         }
     }
 }
@@ -520,8 +528,8 @@ impl FrameEncoder {
 
     /// Appends a request frame, returning its kind and the byte range the
     /// payload occupies inside `out`. The tenant header field is taken
-    /// from the request itself ([`Request::Delta`]); other kinds travel
-    /// with tenant 0.
+    /// from the request itself ([`Request::Delta`], [`Request::OpenTenant`],
+    /// [`Request::CloseTenant`]); other kinds travel with tenant 0.
     pub fn put_request(
         &mut self,
         out: &mut Vec<u8>,
@@ -561,45 +569,6 @@ impl FrameEncoder {
         self.put_with(out, corr, |json| {
             HelloAckBody::write(json, &(max_frame_len as u64));
             (kind::HELLO_ACK, 0)
-        });
-    }
-
-    /// Appends an open-tenant frame.
-    pub fn put_open_tenant(
-        &mut self,
-        out: &mut Vec<u8>,
-        corr: u64,
-        tenant: TenantId,
-        tree: &CruTree,
-        costs: &CostModel,
-    ) {
-        self.put_with(out, corr, |json| {
-            InstanceBody::write(json, tree, costs);
-            (kind::OPEN_TENANT, tenant.0)
-        });
-    }
-
-    /// Appends a close-tenant frame.
-    pub fn put_close_tenant(&mut self, out: &mut Vec<u8>, corr: u64, tenant: TenantId) {
-        put_raw_frame(out, kind::CLOSE_TENANT, tenant.0, corr, &[]);
-    }
-
-    /// Appends the tenant-opened acknowledgement.
-    pub fn put_tenant_opened(&mut self, out: &mut Vec<u8>, corr: u64, tenant: TenantId) {
-        put_raw_frame(out, kind::TENANT_OPENED, tenant.0, corr, &[]);
-    }
-
-    /// Appends the tenant-closed acknowledgement.
-    pub fn put_tenant_closed(
-        &mut self,
-        out: &mut Vec<u8>,
-        corr: u64,
-        tenant: TenantId,
-        stats: &SessionStats,
-    ) {
-        self.put_with(out, corr, |json| {
-            TenantClosedBody::write(json, stats);
-            (kind::TENANT_CLOSED, tenant.0)
         });
     }
 }
@@ -664,18 +633,22 @@ pub fn decode_request_parts(
         }
         kind::SOLVE_ANYTIME => {
             let b: AnytimeBody = decode(payload)?;
-            submit(Request::solve_anytime_arc(
-                Arc::new(b.tree),
-                Arc::new(b.costs),
-                b.lambda,
-                b.budget_ms,
-            ))
+            submit(Request::SolveAnytime {
+                tree: Arc::new(b.tree),
+                costs: Arc::new(b.costs),
+                lambda: b.lambda,
+                budget_ms: b.budget_ms,
+            })
         }
         kind::OPEN_TENANT => {
             let b: InstanceBody = decode(payload)?;
-            NetRequest::OpenTenant(TenantId(tenant), b.tree, b.costs)
+            submit(Request::OpenTenant {
+                tenant: TenantId(tenant),
+                tree: Arc::new(b.tree),
+                costs: Arc::new(b.costs),
+            })
         }
-        kind::CLOSE_TENANT => NetRequest::CloseTenant(TenantId(tenant)),
+        kind::CLOSE_TENANT => submit(Request::close_tenant(TenantId(tenant))),
         k => return Err(WireError::UnknownKind(k)),
     })
 }
@@ -713,8 +686,11 @@ pub fn decode_server_frame(frame: &Frame) -> Result<NetReply, WireError> {
                 answer: b.answer,
             })
         }
-        kind::TENANT_OPENED => NetReply::TenantOpened,
-        kind::TENANT_CLOSED => NetReply::TenantClosed(decode::<TenantClosedBody>(payload)?.stats),
+        kind::TENANT_OPENED => NetReply::Reply(Reply::TenantOpened),
+        kind::TENANT_CLOSED => {
+            let b: TenantClosedBody = decode(payload)?;
+            NetReply::Reply(Reply::TenantClosed { stats: b.stats })
+        }
         kind::ERROR => NetReply::Error(decode(payload)?),
         k => return Err(WireError::UnknownKind(k)),
     })
@@ -736,7 +712,7 @@ mod tests {
         enc.put_request(&mut frames[2], 2, &solve);
         enc.put_request(&mut frames[3], 3, &Request::frontier(&sc.tree, &sc.costs));
         enc.put_error(&mut frames[4], 4, 9, &WireError::Quota(9));
-        enc.put_tenant_opened(&mut frames[5], 5, TenantId(9));
+        enc.put_reply(&mut frames[5], 5, 9, &Reply::TenantOpened);
         frames
     }
 

@@ -158,7 +158,7 @@ impl Drop for WorkerPool {
 /// the caller. If `job` panics, the panic is re-raised here once every
 /// thread has joined. A width of 1, or a batch of at most one item, runs
 /// as a plain in-order loop on the calling thread.
-pub fn parallel_map<I, R, F>(items: I, threads: usize, job: F) -> Vec<R>
+pub(crate) fn parallel_map<I, R, F>(items: I, threads: usize, job: F) -> Vec<R>
 where
     I: IntoIterator,
     I::IntoIter: ExactSizeIterator,

@@ -28,7 +28,11 @@
 //!   ticket waits forever. A tenant whose session a panic interrupted
 //!   fails closed: its later deltas answer `Internal` too.
 //! * **Stateful delta streams stay FIFO per tenant, parallel across
-//!   tenants** — each tenant owns a [`Session`]; deltas enqueue onto the
+//!   tenants** — each tenant owns a [`Session`], opened and closed either
+//!   by a direct call ([`Service::open_tenant`], [`Service::close_tenant`])
+//!   or by a request ([`Request::OpenTenant`], [`Request::CloseTenant`]),
+//!   which is answered on the submitting thread like an id-addressed
+//!   read; deltas enqueue onto the
 //!   tenant's pending list *at submission time* (so per-tenant order is
 //!   submission order, by construction) and a single drainer per tenant
 //!   applies them in that order while other tenants drain on other
@@ -136,9 +140,10 @@ pub enum ServiceError {
     Engine(EngineError),
     /// A tenant's delta failed to apply (the session is unchanged).
     Apply(AssignError),
-    /// A delta request named a tenant that was never opened.
+    /// A delta or a tenant close named a tenant that is not open.
     UnknownTenant(TenantId),
-    /// [`Service::open_tenant`] on an already-open tenant.
+    /// [`Service::open_tenant`] or [`Request::OpenTenant`] on an
+    /// already-open tenant.
     TenantExists(TenantId),
     /// Verification mode caught an answer differing from a from-scratch
     /// solve. This is a bug in the service stack, never a user error.
@@ -254,6 +259,22 @@ pub enum Request {
         /// of its first feasible answer).
         budget_ms: u64,
     },
+    /// Open a tenant session on one instance ([`Service::open_tenant`]),
+    /// answered [`Reply::TenantOpened`].
+    OpenTenant {
+        /// The tenant to open.
+        tenant: TenantId,
+        /// The instance's tree.
+        tree: Arc<CruTree>,
+        /// Its cost model.
+        costs: Arc<CostModel>,
+    },
+    /// Close a tenant session ([`Service::close_tenant`]), answered
+    /// [`Reply::TenantClosed`].
+    CloseTenant {
+        /// The tenant to close.
+        tenant: TenantId,
+    },
 }
 
 impl Request {
@@ -338,19 +359,18 @@ impl Request {
         }
     }
 
-    /// [`Request::solve_anytime`] from pre-shared `Arc`s.
-    pub fn solve_anytime_arc(
-        tree: Arc<CruTree>,
-        costs: Arc<CostModel>,
-        lambda: Lambda,
-        budget_ms: u64,
-    ) -> Request {
-        Request::SolveAnytime {
-            tree,
-            costs,
-            lambda,
-            budget_ms,
+    /// A tenant-open request (see [`Request::OpenTenant`]).
+    pub fn open_tenant(tenant: TenantId, tree: &CruTree, costs: &CostModel) -> Request {
+        Request::OpenTenant {
+            tenant,
+            tree: Arc::new(tree.clone()),
+            costs: Arc::new(costs.clone()),
         }
+    }
+
+    /// A tenant-close request (see [`Request::CloseTenant`]).
+    pub fn close_tenant(tenant: TenantId) -> Request {
+        Request::CloseTenant { tenant }
     }
 }
 
@@ -411,6 +431,14 @@ pub enum Reply {
         id: InstanceId,
         /// The race's answer.
         answer: AnytimeAnswer,
+    },
+    /// A tenant session opened.
+    TenantOpened,
+    /// A tenant session closed, with its counters at that moment (see
+    /// [`Service::close_tenant`]).
+    TenantClosed {
+        /// The session's counters.
+        stats: SessionStats,
     },
 }
 
@@ -619,6 +647,7 @@ enum ReqKind {
     Frontier,
     Delta,
     Anytime,
+    Tenant,
 }
 
 /// Live request counters; snapshot via [`Service::stats`]. Bumped from
@@ -663,6 +692,10 @@ pub struct RequestLatency {
     pub delta: LatencyStats,
     /// Anytime (portfolio race) requests.
     pub anytime: LatencyStats,
+    /// Tenant open and close requests. The in-process
+    /// [`Service::open_tenant`] and [`Service::close_tenant`] calls are
+    /// not requests and are not counted.
+    pub tenant: LatencyStats,
 }
 
 /// One tenant. The submission side (`queue`) and the solving side
@@ -698,7 +731,7 @@ struct Shared {
     gate: Gate,
     counters: ServiceCounters,
     /// Accepted→answered latency, indexed by [`ReqKind`].
-    latency: [LatencyHistogram; 4],
+    latency: [LatencyHistogram; 5],
     verify: bool,
 }
 
@@ -838,6 +871,7 @@ impl Service {
                 frontier: latency(ReqKind::Frontier),
                 delta: latency(ReqKind::Delta),
                 anytime: latency(ReqKind::Anytime),
+                tenant: latency(ReqKind::Tenant),
             },
         }
     }
@@ -865,8 +899,10 @@ impl Service {
     /// released by whoever fulfils the reply). The rule is keyed on the
     /// request kind alone: the id-addressed reads are a cache lookup plus
     /// one sweep, cheaper than the two thread wake-ups of a worker hop, so
-    /// they are answered right here; everything else goes to the pool. A
-    /// by-value solve or frontier is `prepare` plus the by-id handler.
+    /// they are answered right here, and so are tenant open and close, so
+    /// that a delta submitted after its open finds the tenant open;
+    /// everything else goes to the pool. A by-value solve or frontier is
+    /// `prepare` plus the by-id handler.
     fn dispatch(&self, request: Request) -> Ticket {
         match request {
             Request::SolveById { id, lambda } => self.answer_inline(ReqKind::Solve, |shared| {
@@ -899,6 +935,18 @@ impl Service {
                 delta,
                 lambda,
             } => self.enqueue_delta(tenant, delta, lambda),
+            Request::OpenTenant {
+                tenant,
+                tree,
+                costs,
+            } => self.answer_inline(ReqKind::Tenant, |_| {
+                self.open_tenant(tenant, &tree, &costs)
+                    .map(|()| Reply::TenantOpened)
+            }),
+            Request::CloseTenant { tenant } => self.answer_inline(ReqKind::Tenant, |_| {
+                self.close_tenant(tenant)
+                    .map(|stats| Reply::TenantClosed { stats })
+            }),
         }
     }
 
@@ -1348,6 +1396,45 @@ mod tests {
             svc.close_tenant(TenantId(9)),
             Err(ServiceError::UnknownTenant(TenantId(9)))
         );
+    }
+
+    #[test]
+    fn tenant_open_and_close_are_answered_as_requests() {
+        let sc = paper_scenario();
+        let svc = service(ServiceConfig::default());
+        let tenant = TenantId(4);
+        let opened = svc.submit(Request::open_tenant(tenant, &sc.tree, &sc.costs));
+        assert!(
+            matches!(opened.try_take(), Ok(Ok(Reply::TenantOpened))),
+            "an open is answered inside submit"
+        );
+        let stats = svc.stats();
+        assert_eq!(
+            (stats.submitted, stats.completed, stats.latency.tenant.count),
+            (1, 1, 1)
+        );
+        assert!(matches!(
+            svc.submit(Request::open_tenant(tenant, &sc.tree, &sc.costs)).wait(),
+            Err(ServiceError::TenantExists(t)) if t == tenant
+        ));
+        let busier = Delta::new().scale_subtree(sc.tree.root(), 11, 10);
+        let applied = svc.submit(Request::delta(tenant, busier, Lambda::HALF));
+        assert!(matches!(applied.wait(), Ok(Reply::Applied { .. })));
+        match svc.submit(Request::close_tenant(tenant)).wait() {
+            Ok(Reply::TenantClosed { stats }) => assert_eq!(stats.applies, 1),
+            other => panic!("expected the closed tenant's counters, got {other:?}"),
+        }
+        assert!(matches!(
+            svc.submit(Request::close_tenant(tenant)).wait(),
+            Err(ServiceError::UnknownTenant(t)) if t == tenant
+        ));
+        let stats = svc.stats();
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (5, 3, 2));
+        assert_eq!(
+            (stats.latency.tenant.count, stats.latency.delta.count),
+            (4, 1)
+        );
+        assert_eq!(*svc.shared.gate.inflight.lock().unwrap(), 0);
     }
 
     #[test]

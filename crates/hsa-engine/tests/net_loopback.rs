@@ -33,12 +33,16 @@ fn full_round_trip_over_loopback() {
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     // First contact by value; every answer under verify mode.
-    let first = client.solve(&sc.tree, &sc.costs, Lambda::HALF).unwrap();
+    let first = client
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .unwrap();
     let id = first.instance_id().expect("first contact learns the id");
     let sol = first.solution().expect("solve answers a solution").clone();
 
     // Hot path by id: same answer, no tree on the wire.
-    let again = client.solve_by_id(id, Lambda::HALF).unwrap();
+    let again = client
+        .call(&Request::solve_by_id(id, Lambda::HALF))
+        .unwrap();
     assert_eq!(
         wire::reply_json(&again),
         wire::reply_json(&first),
@@ -46,11 +50,13 @@ fn full_round_trip_over_loopback() {
     );
 
     // Frontier, by value then by id.
-    let frontier = client.frontier(&sc.tree, &sc.costs).unwrap();
+    let frontier = client
+        .call(&Request::frontier(&sc.tree, &sc.costs))
+        .unwrap();
     assert_eq!(frontier.instance_id(), Some(id));
     let fr = frontier.frontier().expect("frontier reply");
     assert_eq!(fr.objective_at(Lambda::HALF), sol.objective);
-    let frontier_by_id = client.frontier_by_id(id).unwrap();
+    let frontier_by_id = client.call(&Request::frontier_by_id(id)).unwrap();
     assert_eq!(
         wire::reply_json(&frontier_by_id),
         wire::reply_json(&frontier)
@@ -60,16 +66,20 @@ fn full_round_trip_over_loopback() {
     let tenant = TenantId(42);
     client.open_tenant(tenant, &sc.tree, &sc.costs).unwrap();
     let busier = Delta::new().scale_subtree(sc.tree.root(), 11, 10);
-    let applied = client.delta(tenant, busier, Lambda::HALF).unwrap();
+    let applied = client
+        .call(&Request::delta(tenant, busier, Lambda::HALF))
+        .unwrap();
     let post = applied.solution().expect("delta answers a solution");
     assert!(post.objective >= sol.objective);
     let stats = client.close_tenant(tenant).unwrap();
     assert_eq!(stats.applies, 1);
 
-    // Server-side counters saw exactly the submitted requests.
+    // Server-side counters saw exactly the submitted requests, the
+    // tenant's open and close included.
     let svc = server.service().stats();
-    assert_eq!(svc.completed, 5);
+    assert_eq!(svc.completed, 7);
     assert_eq!(svc.failed, 0);
+    assert_eq!(svc.latency.tenant.count, 2);
     server.shutdown();
 }
 
@@ -84,7 +94,12 @@ fn anytime_over_loopback_matches_in_process_byte_for_byte() {
     // against the in-process service is a fair assertion.
     let budget_ms = 60_000;
     let remote = client
-        .solve_anytime(&sc.tree, &sc.costs, Lambda::HALF, budget_ms)
+        .call(&Request::solve_anytime(
+            &sc.tree,
+            &sc.costs,
+            Lambda::HALF,
+            budget_ms,
+        ))
         .unwrap();
     let answer = remote.anytime().expect("anytime reply");
     assert!(answer.exact_finished, "a generous budget lets exact finish");
@@ -110,7 +125,9 @@ fn anytime_over_loopback_matches_in_process_byte_for_byte() {
 
     // And the anytime solution is the exact solution: the plain solve
     // path answers the identical cut.
-    let solve = client.solve(&sc.tree, &sc.costs, Lambda::HALF).unwrap();
+    let solve = client
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .unwrap();
     let sol = solve.solution().expect("solve answers a solution");
     assert_eq!(sol.cut, answer.solution.cut);
     assert_eq!(sol.objective, answer.solution.objective);
@@ -125,7 +142,9 @@ fn service_errors_travel_as_typed_frames() {
 
     // Unknown instance id.
     let unknown = hsa_engine::InstanceId::from_raw(0xDEAD_BEEF);
-    let err = client.solve_by_id(unknown, Lambda::HALF).unwrap_err();
+    let err = client
+        .call(&Request::solve_by_id(unknown, Lambda::HALF))
+        .unwrap_err();
     match err {
         ClientError::Remote(WireError::Service(code, _)) => {
             assert_eq!(code, "engine.unknown_instance")
@@ -135,7 +154,7 @@ fn service_errors_travel_as_typed_frames() {
 
     // Unknown tenant.
     let err = client
-        .delta(TenantId(7), Delta::new(), Lambda::HALF)
+        .call(&Request::delta(TenantId(7), Delta::new(), Lambda::HALF))
         .unwrap_err();
     match err {
         ClientError::Remote(WireError::Service(code, _)) => assert_eq!(code, "unknown_tenant"),
@@ -144,7 +163,9 @@ fn service_errors_travel_as_typed_frames() {
 
     // The connection survives error frames.
     let sc = hsa_workloads::paper_scenario();
-    assert!(client.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    assert!(client
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .is_ok());
     server.shutdown();
 }
 
@@ -199,7 +220,9 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     ));
 
     // The same connection still answers real requests after all three.
-    assert!(client.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    assert!(client
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .is_ok());
 
     // Oversized length prefix: answered with an explicit error frame,
     // then the connection closes (the stream cannot re-synchronise).
@@ -239,7 +262,9 @@ fn malformed_frames_answer_error_frames_not_hangs() {
     truncated.send_raw(&bytes[..bytes.len() / 2]).unwrap();
     drop(truncated);
     let mut fresh = Client::connect(server.local_addr()).unwrap();
-    assert!(fresh.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    assert!(fresh
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .is_ok());
     server.shutdown();
 }
 
@@ -275,12 +300,12 @@ fn announced_frame_cap_bounds_requests_not_replies() {
     let server = NetServer::bind("127.0.0.1:0", Arc::clone(&service), net).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let frontier = client.frontier_by_id(id).unwrap();
+    let frontier = client.call(&Request::frontier_by_id(id)).unwrap();
     assert!(
         wire::reply_json(&frontier).len() > cap,
         "the reply must outgrow the cap for this test to mean anything"
     );
-    match client.solve(&tree, &costs, Lambda::HALF) {
+    match client.call(&Request::solve(&tree, &costs, Lambda::HALF)) {
         Err(ClientError::Protocol(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
         other => panic!("an over-cap request must be refused locally, got {other:?}"),
     }
@@ -288,7 +313,7 @@ fn announced_frame_cap_bounds_requests_not_replies() {
         Err(ClientError::Protocol(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
         other => panic!("an over-cap open-tenant must be refused locally, got {other:?}"),
     }
-    let again = client.frontier_by_id(id).unwrap();
+    let again = client.call(&Request::frontier_by_id(id)).unwrap();
     assert_eq!(wire::reply_json(&again), wire::reply_json(&frontier));
     assert_eq!(
         server.service().stats().submitted,
@@ -322,7 +347,9 @@ fn deeply_nested_payload_answers_malformed_and_the_connection_survives() {
             other => panic!("expected a malformed-payload error, got {other:?}"),
         }
     }
-    assert!(client.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    assert!(client
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .is_ok());
     server.shutdown();
 }
 
@@ -361,7 +388,7 @@ fn pool_and_inline_answers_share_one_connection_in_submission_order() {
     );
     let mut client = Client::connect(server.local_addr()).unwrap();
     let id = client
-        .solve(&sc.tree, &sc.costs, Lambda::HALF)
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
         .unwrap()
         .instance_id()
         .unwrap();
@@ -420,6 +447,45 @@ fn pool_and_inline_answers_share_one_connection_in_submission_order() {
     server.shutdown();
 }
 
+/// A tenant's close pipelined behind two of its deltas is answered after
+/// them: tenant frames take the same in-order reply path as every other
+/// request. Each delta rescales a 192-CRU tree, long enough that a close
+/// answered on arrival would overtake both.
+#[test]
+fn close_tenant_answers_after_the_deltas_sent_before_it() {
+    let server = server(ServiceConfig::default(), NetConfig::default());
+    let (tree, costs) = random_instance(
+        &RandomTreeParams {
+            n_crus: 192,
+            n_satellites: 8,
+            placement: Placement::Blocked,
+            ..RandomTreeParams::default()
+        },
+        3,
+    );
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let tenant = TenantId(8);
+    client.open_tenant(tenant, &tree, &costs).unwrap();
+    let rescale = Delta::new().scale_subtree(tree.root(), 11, 10);
+    let mut sent = Vec::new();
+    for _ in 0..2 {
+        let delta = Request::delta(tenant, rescale.clone(), Lambda::HALF);
+        sent.push((client.send(&delta).unwrap(), wire::kind::APPLIED));
+    }
+    // An empty CLOSE_TENANT frame, byte for byte what any client sends.
+    let close = client.send_encoded(wire::kind::CLOSE_TENANT, tenant.0, &[]);
+    sent.push((close, wire::kind::TENANT_CLOSED));
+    client.flush().unwrap();
+    let got: Vec<(u64, u8)> = (0..sent.len())
+        .map(|_| {
+            let frame = client.recv_raw().unwrap();
+            (frame.corr, frame.kind)
+        })
+        .collect();
+    assert_eq!(got, sent, "answers leave in submission order");
+    server.shutdown();
+}
+
 #[test]
 fn per_tenant_quota_refuses_with_typed_frames() {
     let server = server(
@@ -469,7 +535,7 @@ fn per_tenant_quota_refuses_with_typed_frames() {
         "a 1-deep quota must refuse part of a {BURST}-burst"
     );
     // Quota slots are released: a fresh request sails through.
-    assert!(client.frontier(&tree, &costs).is_ok());
+    assert!(client.call(&Request::frontier(&tree, &costs)).is_ok());
     server.shutdown();
 }
 
@@ -525,7 +591,9 @@ fn reconnecting_client_resumes_by_raw_id() {
     // First connection: learn the id, persist only its raw u64.
     let raw = {
         let mut client = Client::connect(server.local_addr()).unwrap();
-        let reply = client.solve(&sc.tree, &sc.costs, Lambda::HALF).unwrap();
+        let reply = client
+            .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+            .unwrap();
         reply
             .instance_id()
             .expect("first contact learns the id")
@@ -536,10 +604,12 @@ fn reconnecting_client_resumes_by_raw_id() {
     // sending the tree again.
     let mut client = Client::connect(server.local_addr()).unwrap();
     let id = hsa_engine::InstanceId::from_raw(raw);
-    let reply = client.solve_by_id(id, Lambda::HALF).unwrap();
+    let reply = client
+        .call(&Request::solve_by_id(id, Lambda::HALF))
+        .unwrap();
     let sol = reply.solution().expect("id-addressed solve answers");
     assert!(sol.objective > 0 || sol.report.end_to_end >= Cost::ZERO);
-    let frontier = client.frontier_by_id(id).unwrap();
+    let frontier = client.call(&Request::frontier_by_id(id)).unwrap();
     assert_eq!(
         frontier.frontier().unwrap().objective_at(Lambda::HALF),
         sol.objective

@@ -7,7 +7,7 @@
 
 use hsa_engine::net::wire;
 use hsa_engine::net::{Client, ClientError, NetConfig, NetServer};
-use hsa_engine::{Engine, EngineConfig, Service, ServiceConfig};
+use hsa_engine::{Engine, EngineConfig, Request, Service, ServiceConfig};
 use hsa_graph::Lambda;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -46,6 +46,8 @@ fn connection_cap_refuses_with_typed_frame_then_readmits() {
         Ok(_) => panic!("expected a ConnLimit refusal, got an admitted connection"),
     }
     assert_eq!(server.net_stats().refused, 1);
+    // Two HELLO_ACKs and the refusal: every encoded frame counts.
+    assert_eq!(server.net_stats().frames_out, 3);
 
     // Freeing one slot readmits (the release happens when the reactor
     // reaps the closed connection, so poll briefly).
@@ -62,7 +64,9 @@ fn connection_cap_refuses_with_typed_frame_then_readmits() {
         }
     };
     let sc = hsa_workloads::paper_scenario();
-    assert!(readmitted.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    assert!(readmitted
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .is_ok());
     drop(held2);
     server.shutdown();
 }
@@ -118,7 +122,9 @@ fn refused_peer_that_keeps_writing_does_not_block_accepts() {
         }
     };
     let sc = hsa_workloads::paper_scenario();
-    assert!(client.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    assert!(client
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .is_ok());
     let waited = t0.elapsed();
     assert!(
         waited < Duration::from_secs(1),
@@ -168,7 +174,9 @@ fn truncated_writer_does_not_wedge_the_shard() {
         }
     };
     let sc = hsa_workloads::paper_scenario();
-    let reply = client.solve(&sc.tree, &sc.costs, Lambda::HALF).unwrap();
+    let reply = client
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .unwrap();
     assert!(reply.instance_id().is_some());
     server.shutdown();
 }
@@ -252,7 +260,9 @@ fn silent_peer_after_a_fatal_error_frees_its_slot() {
         }
     };
     let sc = hsa_workloads::paper_scenario();
-    assert!(client.solve(&sc.tree, &sc.costs, Lambda::HALF).is_ok());
+    assert!(client
+        .call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))
+        .is_ok());
     let waited = t0.elapsed();
     assert!(
         waited < Duration::from_secs(1),

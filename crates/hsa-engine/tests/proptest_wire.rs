@@ -110,12 +110,16 @@ proptest! {
         let lambda = Lambda::new(lam, 8).unwrap();
         let id = hsa_engine::InstanceId::from_raw(raw_id);
         let delta = Delta::new().set_host_time(CruId(0), Cost::new(seed % 997 + 1));
+        let tenant = TenantId(seed);
         let requests = [
             Request::solve(&tree, &costs, lambda),
             Request::solve_by_id(id, lambda),
             Request::frontier(&tree, &costs),
             Request::frontier_by_id(id),
-            Request::delta(TenantId(seed), delta, lambda),
+            Request::delta(tenant, delta, lambda),
+            Request::solve_anytime(&tree, &costs, lambda, seed),
+            Request::open_tenant(tenant, &tree, &costs),
+            Request::close_tenant(tenant),
         ];
         for req in &requests {
             roundtrip_request(req, corr)?;
@@ -140,13 +144,18 @@ proptest! {
             ..ServiceConfig::default()
         });
         let tenant = TenantId(seed);
-        service.open_tenant(tenant, &tree, &costs).unwrap();
         let delta = Delta::new().set_host_time(tree.root(), Cost::new(seed % 997 + 1));
+        // A budget no 10-CRU race can exhaust: the exact arm finishes.
+        let anytime = Request::solve_anytime(&tree, &costs, lambda, 60_000);
         let replies = [
             service.submit(Request::solve(&tree, &costs, lambda)).wait().unwrap(),
             service.submit(Request::frontier(&tree, &costs)).wait().unwrap(),
+            service.submit(anytime).wait().unwrap(),
+            service.submit(Request::open_tenant(tenant, &tree, &costs)).wait().unwrap(),
             service.submit(Request::delta(tenant, delta, lambda)).wait().unwrap(),
+            service.submit(Request::close_tenant(tenant)).wait().unwrap(),
         ];
+        prop_assert!(replies[2].anytime().is_some_and(|a| a.exact_finished));
         for reply in &replies {
             roundtrip_reply(reply, corr, tenant.0)?;
         }

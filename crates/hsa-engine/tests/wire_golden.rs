@@ -179,9 +179,9 @@ fn build() -> Vec<Golden> {
         &Request::solve_anytime(&tree, &costs, lambda, 25),
     );
     push("solve_anytime", &mut out);
-    enc.put_open_tenant(&mut out, 1, tenant, &tree, &costs);
+    enc.put_request(&mut out, 1, &Request::open_tenant(tenant, &tree, &costs));
     push("open_tenant", &mut out);
-    enc.put_close_tenant(&mut out, 1, tenant);
+    enc.put_request(&mut out, 1, &Request::close_tenant(tenant));
     push("close_tenant", &mut out);
 
     enc.put_hello_ack(&mut out, 1, wire::DEFAULT_MAX_FRAME_LEN);
@@ -194,9 +194,9 @@ fn build() -> Vec<Golden> {
     push("applied", &mut out);
     enc.put_reply(&mut out, 1, 0, &anytime);
     push("anytime", &mut out);
-    enc.put_tenant_opened(&mut out, 1, tenant);
+    enc.put_reply(&mut out, 1, tenant.0, &Reply::TenantOpened);
     push("tenant_opened", &mut out);
-    enc.put_tenant_closed(&mut out, 1, tenant, &stats);
+    enc.put_reply(&mut out, 1, tenant.0, &Reply::TenantClosed { stats });
     push("tenant_closed", &mut out);
     for (name, err) in [
         ("error_version", WireError::UnsupportedVersion(77, 1)),
@@ -260,10 +260,6 @@ fn reencode(kind: u8, tenant: u64, payload: &[u8]) -> Vec<u8> {
             NetRequest::Submit(req) => {
                 enc.put_request(&mut out, 1, &req);
             }
-            NetRequest::OpenTenant(t, tree, costs) => {
-                enc.put_open_tenant(&mut out, 1, t, &tree, &costs)
-            }
-            NetRequest::CloseTenant(t) => enc.put_close_tenant(&mut out, 1, t),
         }
     } else {
         let frame = wire::Frame {
@@ -277,10 +273,6 @@ fn reencode(kind: u8, tenant: u64, payload: &[u8]) -> Vec<u8> {
             NetReply::HelloAck(cap) => enc.put_hello_ack(&mut out, 1, cap as usize),
             NetReply::Reply(reply) => {
                 enc.put_reply(&mut out, 1, tenant, &reply);
-            }
-            NetReply::TenantOpened => enc.put_tenant_opened(&mut out, 1, TenantId(tenant)),
-            NetReply::TenantClosed(stats) => {
-                enc.put_tenant_closed(&mut out, 1, TenantId(tenant), &stats)
             }
             NetReply::Error(err) => enc.put_error(&mut out, 1, tenant, &err),
         }

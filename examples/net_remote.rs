@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // First contact goes by value; the answer carries the instance id.
     let mut client = Client::connect(server.local_addr())?;
-    let first = client.solve(&sc.tree, &sc.costs, Lambda::HALF)?;
+    let first = client.call(&Request::solve(&sc.tree, &sc.costs, Lambda::HALF))?;
     let id = first.instance_id().expect("first contact learns the id");
     let sol = first.solution().expect("solve answers a solution");
     println!(
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Hot path: id-addressed, a λ sweep without trees on the wire.
     for n in [0u32, 2, 4, 6, 8] {
         let lambda = Lambda::new(n, 8).unwrap();
-        let reply = client.solve_by_id(id, lambda)?;
+        let reply = client.call(&Request::solve_by_id(id, lambda))?;
         let sol = reply.solution().expect("id-addressed solve answers");
         println!("  λ = {n}/8 → objective {}", sol.objective);
     }
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tenant = TenantId(1);
     client.open_tenant(tenant, &sc.tree, &sc.costs)?;
     let busier = Delta::new().scale_subtree(sc.tree.root(), 11, 10);
-    let applied = client.delta(tenant, busier, Lambda::HALF)?;
+    let applied = client.call(&Request::delta(tenant, busier, Lambda::HALF))?;
     let drifted = applied.solution().expect("delta answers a solution");
     println!(
         "after a 10% busier tree: objective {} (was {})",
@@ -55,7 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let raw = id.raw();
     drop(client);
     let mut client = Client::connect(server.local_addr())?;
-    let resumed = client.solve_by_id(hsa::engine::InstanceId::from_raw(raw), Lambda::HALF)?;
+    let resumed = client.call(&Request::solve_by_id(
+        hsa::engine::InstanceId::from_raw(raw),
+        Lambda::HALF,
+    ))?;
     println!(
         "reconnected, resumed by raw id: objective {}",
         resumed.solution().expect("resumed solve answers").objective

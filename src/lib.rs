@@ -58,6 +58,11 @@ pub use hsa_workloads as workloads;
 #[doc = include_str!("../docs/API.md")]
 pub mod api {}
 
+/// The repository README, included so that each of its Rust snippets is a
+/// doctest too and cannot drift from the API it shows.
+#[doc = include_str!("../README.md")]
+pub mod readme {}
+
 /// Commonly used items from every layer.
 pub mod prelude {
     pub use hsa_assign::prelude::*;
