@@ -1,6 +1,6 @@
 //! The blocking client: [`Client::call`] sends any [`Request`] and waits
 //! for its answer, and a pipelined send/recv pair serves throughput
-//! drivers.
+//! drivers. A client holds one socket, which it both writes and reads.
 
 use super::wire::{self, FrameEncoder, NetReply, WireError};
 use crate::service::{Reply, Request, TenantId};
@@ -74,8 +74,8 @@ impl From<io::Error> for ClientError {
 /// [`InstanceId::raw`]: crate::InstanceId::raw
 /// [`InstanceId::from_raw`]: crate::InstanceId::from_raw
 pub struct Client {
-    reader: TcpStream,
-    writer: TcpStream,
+    /// The connection's one socket, which both sends and receives.
+    stream: TcpStream,
     /// The reused encode queue: frames accumulate here between flushes.
     out: Vec<u8>,
     /// The reused decode buffer: one `read(2)` can pull a whole burst of
@@ -101,10 +101,8 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        let reader = stream.try_clone()?;
         let mut client = Client {
-            reader,
-            writer: stream,
+            stream,
             out: Vec::new(),
             dec: wire::FrameDecoder::new(),
             enc: FrameEncoder::new(),
@@ -142,7 +140,7 @@ impl Client {
         if self.out.is_empty() {
             return Ok(());
         }
-        self.writer.write_all(&self.out)?;
+        self.stream.write_all(&self.out)?;
         self.out.clear();
         Ok(())
     }
@@ -224,7 +222,7 @@ impl Client {
                     )))
                 }
                 None => {
-                    if self.dec.fill_from(&mut self.reader, 16 * 1024)? == 0 {
+                    if self.dec.fill_from(&mut &self.stream, 16 * 1024)? == 0 {
                         return Err(ClientError::Io(io::Error::new(
                             io::ErrorKind::UnexpectedEof,
                             "server closed the connection",
@@ -269,8 +267,9 @@ impl Client {
         }
     }
 
-    /// Remote [`crate::Service::close_tenant`]: [`Client::call`] with
-    /// [`Request::close_tenant`].
+    /// Closes a remote tenant: [`Client::call`] with
+    /// [`Request::close_tenant`]. The counters include every delta sent
+    /// to the tenant before the close.
     pub fn close_tenant(&mut self, tenant: TenantId) -> Result<SessionStats, ClientError> {
         match self.call(&Request::close_tenant(tenant))? {
             Reply::TenantClosed { stats } => Ok(stats),
@@ -285,7 +284,7 @@ impl Client {
     /// frames flush first so stream order is preserved.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
         self.flush()?;
-        self.writer.write_all(bytes)?;
+        self.stream.write_all(bytes)?;
         Ok(())
     }
 

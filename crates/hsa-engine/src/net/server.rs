@@ -1,14 +1,15 @@
-//! The TCP front door: accept loop, event-driven reactor shards,
-//! per-tenant admission quotas, connection cap, graceful shutdown.
+//! The TCP front door: event-driven reactor shards, the first of which
+//! also accepts, per-tenant admission quotas, connection cap, graceful
+//! shutdown.
 
 use super::reactor::{Reactor, Shard};
 use super::wire;
 use crate::service::Service;
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Network-layer configuration.
@@ -88,15 +89,15 @@ pub(super) struct Stats {
 pub(super) struct Inner {
     pub(super) service: Arc<Service>,
     pub(super) cfg: NetConfig,
-    pub(super) shutting_down: AtomicBool,
     /// In-flight requests per header tenant id (the admission quota).
     inflight: Mutex<BTreeMap<u64, usize>>,
     /// Currently served connections, for the accept-time cap.
     live: AtomicUsize,
     pub(super) stats: Stats,
-    /// All shard handles — completion wakers poke parked peers through
-    /// this. Set once during bind, before anything is accepted.
-    shards: OnceLock<Vec<Arc<Shard>>>,
+    /// Every shard's handle, complete before any shard thread starts:
+    /// shard 0 deals connections through it and completion wakers poke
+    /// parked shards through it.
+    pub(super) shards: Vec<Shard>,
 }
 
 impl Inner {
@@ -127,8 +128,19 @@ impl Inner {
         }
     }
 
-    pub(super) fn shards(&self) -> &[Arc<Shard>] {
-        self.shards.get().map(Vec::as_slice).unwrap_or(&[])
+    /// Takes a connection slot if the cap allows one, counting the
+    /// connection as accepted, or else as refused; false means refuse.
+    pub(super) fn conn_opened(&self) -> bool {
+        let cap = self.cfg.max_connections;
+        // Only shard 0 opens, so nothing can take a slot in between.
+        let admit = cap == 0 || self.live.load(Ordering::Relaxed) < cap;
+        if admit {
+            self.live.fetch_add(1, Ordering::Relaxed);
+            self.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.stats.refused.fetch_add(1, Ordering::Relaxed);
+        }
+        admit
     }
 
     pub(super) fn conn_closed(&self) {
@@ -138,28 +150,29 @@ impl Inner {
 
 /// A TCP server over a [`Service`], event-driven end to end.
 ///
-/// A fixed crew replaces the old three-threads-per-socket model: one
-/// blocking acceptor plus [`NetConfig::reactor_threads`] reactor shards,
-/// each multiplexing its connections over `poll(2)`/`epoll(7)`
-/// (DESIGN.md §15). Per connection the shard reassembles frames from
-/// partial reads, answers protocol errors with typed frames, checks the
-/// per-tenant quota, and submits admitted requests without blocking —
-/// when the service's global gate is full the one decoded request is
-/// *parked* and the connection stops being read, which propagates
-/// backpressure onto the TCP stream with bounded memory, exactly like
-/// the blocking reader did. Completions route back to the owning shard
-/// via ticket callbacks and a wake pipe; replies are written in
-/// submission order, coalescing everything ready into a single `write`.
+/// A fixed crew replaces the old three-threads-per-socket model:
+/// [`NetConfig::reactor_threads`] reactor shards, each multiplexing its
+/// connections over `poll(2)`/`epoll(7)` (DESIGN.md §15). The first shard
+/// also polls the listener and deals accepted connections round-robin,
+/// so the shards are every thread the server runs. Per connection the
+/// shard reassembles frames from partial reads, answers protocol errors
+/// with typed frames, checks the per-tenant quota, and submits admitted
+/// requests without blocking — when the service's global gate is full
+/// the one decoded request is *parked* and the connection stops being
+/// read, which propagates backpressure onto the TCP stream with bounded
+/// memory, exactly like the blocking reader did. Completions route back
+/// to the owning shard via ticket callbacks and a wake pipe; replies are
+/// written in submission order, coalescing everything ready into a
+/// single `write`.
 ///
-/// [`NetServer::shutdown`] is graceful: stop accepting, stop reading,
-/// drain every accepted ticket, flush, then close. Dropping the server
-/// shuts it down the same way.
+/// [`NetServer::shutdown`] is graceful: stop accepting (the listener
+/// closes, so a later connect is refused), stop reading, drain every
+/// accepted ticket, flush, then close. Dropping the server shuts it down
+/// the same way.
 pub struct NetServer {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
-    accept: Mutex<Option<JoinHandle<()>>>,
     reactors: Mutex<Vec<JoinHandle<()>>>,
-    down: AtomicBool,
 }
 
 impl NetServer {
@@ -171,47 +184,32 @@ impl NetServer {
         cfg: NetConfig,
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             service,
             cfg,
-            shutting_down: AtomicBool::new(false),
             inflight: Mutex::new(BTreeMap::new()),
             live: AtomicUsize::new(0),
             stats: Stats::default(),
-            shards: OnceLock::new(),
+            shards: (0..cfg.shard_count())
+                .map(|_| Shard::new())
+                .collect::<io::Result<_>>()?,
         });
-
-        let mut shards = Vec::new();
-        let mut reactors = Vec::new();
-        for i in 0..cfg.shard_count() {
-            let (shard, wake_rx) = Shard::new()?;
-            let run_inner = Arc::clone(&inner);
-            let run_shard = Arc::clone(&shard);
-            reactors.push(
+        let mut listener = Some(listener);
+        let reactors = (0..inner.shards.len())
+            .map(|index| {
+                let (inner, listener) = (Arc::clone(&inner), listener.take());
                 std::thread::Builder::new()
-                    .name(format!("hsa-net-shard-{i}"))
-                    .spawn(move || Reactor::run(run_inner, run_shard, wake_rx))
-                    .expect("spawning a reactor shard"),
-            );
-            shards.push(shard);
-        }
-        inner
-            .shards
-            .set(shards)
-            .unwrap_or_else(|_| unreachable!("shards are set exactly once"));
-
-        let accept_inner = Arc::clone(&inner);
-        let accept = std::thread::Builder::new()
-            .name("hsa-net-accept".to_string())
-            .spawn(move || accept_loop(listener, accept_inner))
-            .expect("spawning the accept thread");
+                    .name(format!("hsa-net-shard-{index}"))
+                    .spawn(move || Reactor::run(inner, index, listener))
+                    .expect("spawning a reactor shard")
+            })
+            .collect();
         Ok(NetServer {
             inner,
             local_addr,
-            accept: Mutex::new(Some(accept)),
             reactors: Mutex::new(reactors),
-            down: AtomicBool::new(false),
         })
     }
 
@@ -241,21 +239,11 @@ impl NetServer {
     /// drain all accepted tickets through the reactors, flush, close.
     /// Idempotent; returns once everything is joined.
     pub fn shutdown(&self) {
-        if self.down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.inner.shutting_down.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection to ourselves.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(accept) = self.accept.lock().expect("accept handle poisoned").take() {
-            let _ = accept.join();
-        }
-        for shard in self.inner.shards() {
+        let mut reactors = self.reactors.lock().expect("reactor handles poisoned");
+        for shard in &self.inner.shards {
             shard.push_shutdown();
         }
-        let reactors =
-            std::mem::take(&mut *self.reactors.lock().expect("reactor handles poisoned"));
-        for handle in reactors {
+        for handle in reactors.drain(..) {
             let _ = handle.join();
         }
     }
@@ -264,35 +252,5 @@ impl NetServer {
 impl Drop for NetServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    let shards = inner.shards().to_vec();
-    let mut next = 0usize;
-    for stream in listener.incoming() {
-        if inner.shutting_down.load(Ordering::SeqCst) {
-            // The wake-up connection (or a raced client) is dropped
-            // unanswered; accepted work is already owned by its shard.
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
-            continue;
-        }
-        let cap = inner.cfg.max_connections;
-        // Past the cap the shard answers the refusal and drains the peer,
-        // so this thread never waits on a refused peer, and a refused
-        // stream never takes a slot.
-        let admit = cap == 0 || inner.live.load(Ordering::Relaxed) < cap;
-        if admit {
-            inner.live.fetch_add(1, Ordering::Relaxed);
-            inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        } else {
-            inner.stats.refused.fetch_add(1, Ordering::Relaxed);
-        }
-        shards[next % shards.len()].push_conn(stream, admit);
-        next = next.wrapping_add(1);
     }
 }

@@ -28,14 +28,14 @@
 //!   ticket waits forever. A tenant whose session a panic interrupted
 //!   fails closed: its later deltas answer `Internal` too.
 //! * **Stateful delta streams stay FIFO per tenant, parallel across
-//!   tenants** — each tenant owns a [`Session`], opened and closed either
-//!   by a direct call ([`Service::open_tenant`], [`Service::close_tenant`])
-//!   or by a request ([`Request::OpenTenant`], [`Request::CloseTenant`]),
-//!   which is answered on the submitting thread like an id-addressed
-//!   read; deltas enqueue onto the
-//!   tenant's pending list *at submission time* (so per-tenant order is
-//!   submission order, by construction) and a single drainer per tenant
-//!   applies them in that order while other tenants drain on other
+//!   tenants** — each tenant owns a [`Session`], opened by a direct call
+//!   ([`Service::open_tenant`]) or by a [`Request::OpenTenant`], which is
+//!   answered on the submitting thread like an id-addressed read, and
+//!   closed by a [`Request::CloseTenant`]. Deltas and the close enqueue
+//!   onto the tenant's pending list *at submission time* (so per-tenant
+//!   order is submission order, by construction, and a close answers the
+//!   counters of every delta submitted before it) and a single drainer per
+//!   tenant answers them in that order while other tenants drain on other
 //!   workers.
 //! * **Exactness is never relaxed** — with [`ServiceConfig::verify`] on,
 //!   every answer is cross-checked byte-for-byte against a from-scratch
@@ -269,8 +269,9 @@ pub enum Request {
         /// Its cost model.
         costs: Arc<CostModel>,
     },
-    /// Close a tenant session ([`Service::close_tenant`]), answered
-    /// [`Reply::TenantClosed`].
+    /// Close a tenant session, answered [`Reply::TenantClosed`] once every
+    /// delta submitted to it before the close has been answered. Requests
+    /// submitted after it answer [`ServiceError::UnknownTenant`].
     CloseTenant {
         /// The tenant to close.
         tenant: TenantId,
@@ -434,10 +435,11 @@ pub enum Reply {
     },
     /// A tenant session opened.
     TenantOpened,
-    /// A tenant session closed, with its counters at that moment (see
-    /// [`Service::close_tenant`]).
+    /// A tenant session closed, with its counters after every delta
+    /// submitted before the close.
     TenantClosed {
-        /// The session's counters.
+        /// The session's counters. A tenant whose session a panicking
+        /// handler poisoned still closes: its counters stay readable.
         stats: SessionStats,
     },
 }
@@ -693,18 +695,17 @@ pub struct RequestLatency {
     /// Anytime (portfolio race) requests.
     pub anytime: LatencyStats,
     /// Tenant open and close requests. The in-process
-    /// [`Service::open_tenant`] and [`Service::close_tenant`] calls are
-    /// not requests and are not counted.
+    /// [`Service::open_tenant`] call is not a request and is not counted.
     pub tenant: LatencyStats,
 }
 
 /// One tenant. The submission side (`queue`) and the solving side
-/// (`session`) are separate locks on purpose: pushing a delta onto the
+/// (`session`) are separate locks on purpose: pushing a job onto the
 /// pending list must never wait behind an in-flight apply+solve, or
 /// "submission order" would degrade into "solve-completion order" and
 /// open-loop submitters would stall on busy tenants.
 struct Tenant {
-    /// Pending deltas + the single-drainer flag. Held only for queue
+    /// Pending jobs + the single-drainer flag. Held only for queue
     /// pushes/pops — never across a solve.
     queue: Mutex<TenantQueue>,
     /// The session. During a drain only the (single) drainer locks it
@@ -712,10 +713,14 @@ struct Tenant {
     session: Mutex<Session>,
 }
 
+/// One job on a tenant's queue: `(delta and its λ, reply slot, acceptance
+/// time)`, where no delta is the tenant's close. The `Instant` rides along
+/// so a job's latency includes its FIFO wait.
+type TenantJob = (Option<(Arc<Delta>, Lambda)>, Arc<ReplySlot>, Instant);
+
 struct TenantQueue {
-    /// `(delta, λ, reply slot, acceptance time)` in submission order; the
-    /// `Instant` rides along so a delta's latency includes its FIFO wait.
-    pending: VecDeque<(Arc<Delta>, Lambda, Arc<ReplySlot>, Instant)>,
+    /// The tenant's jobs in submission order.
+    pending: VecDeque<TenantJob>,
     /// True while some worker owns the drain loop for this tenant; at
     /// most one drainer exists at a time, which is what serialises a
     /// tenant's deltas without serialising tenants against each other.
@@ -819,28 +824,6 @@ impl Service {
         Ok(())
     }
 
-    /// Closes a tenant, returning its session counters **as of this
-    /// moment**. Deltas already queued still complete and resolve their
-    /// tickets (the drainer holds its own handle) but are not reflected
-    /// in the returned snapshot — wait on their tickets first if the
-    /// counters must include them. Later submissions answer
-    /// [`ServiceError::UnknownTenant`]. A tenant whose session a panicking
-    /// handler poisoned still closes: its counters stay readable.
-    pub fn close_tenant(&self, tenant: TenantId) -> Result<SessionStats, ServiceError> {
-        let removed = self
-            .tenants
-            .write()
-            .expect("tenant registry poisoned")
-            .remove(&tenant)
-            .ok_or(ServiceError::UnknownTenant(tenant))?;
-        let stats = removed
-            .session
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats();
-        Ok(stats)
-    }
-
     /// A snapshot of a tenant's current (drifted) cost model, if it is
     /// open — what a replay asserts its delta stream drifted into. A
     /// tenant whose session a panicking handler poisoned answers `None`:
@@ -899,10 +882,10 @@ impl Service {
     /// released by whoever fulfils the reply). The rule is keyed on the
     /// request kind alone: the id-addressed reads are a cache lookup plus
     /// one sweep, cheaper than the two thread wake-ups of a worker hop, so
-    /// they are answered right here, and so are tenant open and close, so
-    /// that a delta submitted after its open finds the tenant open;
-    /// everything else goes to the pool. A by-value solve or frontier is
-    /// `prepare` plus the by-id handler.
+    /// they are answered right here, and so is a tenant open, so that a
+    /// delta submitted after it finds the tenant open; a delta or a close
+    /// queues on its tenant, and everything else goes to the pool. A
+    /// by-value solve or frontier is `prepare` plus the by-id handler.
     fn dispatch(&self, request: Request) -> Ticket {
         match request {
             Request::SolveById { id, lambda } => self.answer_inline(ReqKind::Solve, |shared| {
@@ -935,6 +918,7 @@ impl Service {
                 delta,
                 lambda,
             } => self.enqueue_delta(tenant, delta, lambda),
+            Request::CloseTenant { tenant } => self.enqueue_close(tenant),
             Request::OpenTenant {
                 tenant,
                 tree,
@@ -942,10 +926,6 @@ impl Service {
             } => self.answer_inline(ReqKind::Tenant, |_| {
                 self.open_tenant(tenant, &tree, &costs)
                     .map(|()| Reply::TenantOpened)
-            }),
-            Request::CloseTenant { tenant } => self.answer_inline(ReqKind::Tenant, |_| {
-                self.close_tenant(tenant)
-                    .map(|stats| Reply::TenantClosed { stats })
             }),
         }
     }
@@ -988,19 +968,38 @@ impl Service {
         ticket
     }
 
-    /// Queues an accepted delta on its tenant, starting a drainer if none
-    /// runs. A delta to an unknown tenant is answered right here.
+    /// Queues an accepted delta on its tenant. A delta to an unknown
+    /// tenant is answered right here.
     fn enqueue_delta(&self, tenant: TenantId, delta: Arc<Delta>, lambda: Lambda) -> Ticket {
-        let Some(slot_tenant) = self
-            .tenants
-            .read()
-            .expect("tenant registry poisoned")
-            .get(&tenant)
-            .cloned()
-        else {
-            return self
-                .answer_inline(ReqKind::Delta, |_| Err(ServiceError::UnknownTenant(tenant)));
-        };
+        let tenants = self.tenants.read().expect("tenant registry poisoned");
+        match tenants.get(&tenant) {
+            Some(target) => self.enqueue(target, Some((delta, lambda))),
+            None => {
+                self.answer_inline(ReqKind::Delta, |_| Err(ServiceError::UnknownTenant(tenant)))
+            }
+        }
+    }
+
+    /// Takes the tenant out of the registry, so later requests answer
+    /// [`ServiceError::UnknownTenant`], and queues its close behind the
+    /// deltas already queued. A close of an unknown tenant is answered
+    /// right here.
+    fn enqueue_close(&self, tenant: TenantId) -> Ticket {
+        let mut tenants = self.tenants.write().expect("tenant registry poisoned");
+        match tenants.remove(&tenant) {
+            Some(target) => self.enqueue(&target, None),
+            None => self.answer_inline(ReqKind::Tenant, |_| {
+                Err(ServiceError::UnknownTenant(tenant))
+            }),
+        }
+    }
+
+    /// Queues an accepted delta, or no delta for the close, on its
+    /// tenant, starting a drainer if none runs. Callers hold the registry
+    /// lock across the push, so a close and the deltas racing it queue in
+    /// the order the registry saw them: a delta either lands ahead of its
+    /// tenant's close or finds the tenant gone.
+    fn enqueue(&self, target: &Arc<Tenant>, delta: Option<(Arc<Delta>, Lambda)>) -> Ticket {
         let (accepted, slot, ticket) = self.accept();
         // Enqueue *here*, on the submitting thread: per-tenant order is
         // submission order by construction, regardless of which workers
@@ -1008,19 +1007,13 @@ impl Service {
         // solve, so this push cannot stall behind a busy tenant's
         // in-flight apply.
         let start_drain = {
-            let mut q = slot_tenant.queue.lock().expect("tenant queue poisoned");
-            q.pending.push_back((delta, lambda, slot, accepted));
-            if q.draining {
-                false
-            } else {
-                q.draining = true;
-                true
-            }
+            let mut q = target.queue.lock().expect("tenant queue poisoned");
+            q.pending.push_back((delta, slot, accepted));
+            !std::mem::replace(&mut q.draining, true)
         };
         if start_drain {
-            let shared = Arc::clone(&self.shared);
-            self.pool
-                .submit(move || drain_tenant(&shared, &slot_tenant));
+            let (shared, target) = (Arc::clone(&self.shared), Arc::clone(target));
+            self.pool.submit(move || drain_tenant(&shared, &target));
         }
         ticket
     }
@@ -1199,13 +1192,15 @@ fn verify_frontier(
     Ok(())
 }
 
-/// The single-drainer loop: pops this tenant's pending deltas in
-/// submission order and answers each through [`answer`] until the queue is
-/// empty, then yields the drainer role. Runs on whatever worker picked the
-/// job up; other tenants drain concurrently on other workers. The queue
-/// lock is released before each apply+solve (the `draining` flag already
-/// guarantees a single drainer), so submitters keep enqueueing at full
-/// speed while this tenant solves.
+/// The single-drainer loop: pops this tenant's pending jobs in submission
+/// order and answers each through [`answer`] until the queue is empty, then
+/// yields the drainer role. The close, always the last job, answers the
+/// session's counters, read through a poisoned lock: a tenant a panic
+/// failed closed can still be closed and reopened. Runs on whatever worker
+/// picked the job up; other tenants drain concurrently on other workers.
+/// The queue lock is released before each apply+solve (the `draining` flag
+/// already guarantees a single drainer), so submitters keep enqueueing at
+/// full speed while this tenant solves.
 fn drain_tenant(shared: &Shared, tenant: &Tenant) {
     loop {
         let next = {
@@ -1223,10 +1218,18 @@ fn drain_tenant(shared: &Shared, tenant: &Tenant) {
                 }
             }
         };
-        let (delta, lambda, slot, accepted) = next;
-        answer(shared, ReqKind::Delta, accepted, &slot, |shared| {
-            handle_delta(shared, tenant, &delta, lambda)
-        });
+        match next {
+            (Some((delta, lambda)), slot, accepted) => {
+                answer(shared, ReqKind::Delta, accepted, &slot, |shared| {
+                    handle_delta(shared, tenant, &delta, lambda)
+                })
+            }
+            (None, slot, accepted) => answer(shared, ReqKind::Tenant, accepted, &slot, |_| {
+                let session = tenant.session.lock();
+                let stats = session.unwrap_or_else(PoisonError::into_inner).stats();
+                Ok(Reply::TenantClosed { stats })
+            }),
+        }
     }
 }
 
@@ -1263,6 +1266,14 @@ mod tests {
 
     fn service(cfg: ServiceConfig) -> Service {
         Service::new(Arc::new(Engine::new(EngineConfig::default())), cfg)
+    }
+
+    /// Submits a tenant's close and waits for its counters.
+    fn close(svc: &Service, tenant: TenantId) -> Result<SessionStats, ServiceError> {
+        match svc.submit(Request::close_tenant(tenant)).wait()? {
+            Reply::TenantClosed { stats } => Ok(stats),
+            other => panic!("a close answered {other:?}"),
+        }
     }
 
     #[test]
@@ -1374,8 +1385,7 @@ mod tests {
             };
         }
         assert_eq!(svc.stats().latency.delta.count, 6);
-        let closed = svc.close_tenant(tenant).unwrap();
-        assert_eq!(closed.applies, 6);
+        assert_eq!(close(&svc, tenant).unwrap().applies, 6);
     }
 
     #[test]
@@ -1393,7 +1403,7 @@ mod tests {
             Err(ServiceError::TenantExists(TenantId(3)))
         );
         assert_eq!(
-            svc.close_tenant(TenantId(9)),
+            close(&svc, TenantId(9)),
             Err(ServiceError::UnknownTenant(TenantId(9)))
         );
     }
@@ -1418,21 +1428,28 @@ mod tests {
             Err(ServiceError::TenantExists(t)) if t == tenant
         ));
         let busier = Delta::new().scale_subtree(sc.tree.root(), 11, 10);
-        let applied = svc.submit(Request::delta(tenant, busier, Lambda::HALF));
+        let applied = svc.submit(Request::delta(tenant, busier.clone(), Lambda::HALF));
+        // The close queues behind the delta, so its counters include it,
+        // and the tenant is gone for everything submitted after it.
+        let closed = svc.submit(Request::close_tenant(tenant));
+        assert!(matches!(
+            svc.submit(Request::delta(tenant, busier, Lambda::HALF)).wait(),
+            Err(ServiceError::UnknownTenant(t)) if t == tenant
+        ));
         assert!(matches!(applied.wait(), Ok(Reply::Applied { .. })));
-        match svc.submit(Request::close_tenant(tenant)).wait() {
+        match closed.wait() {
             Ok(Reply::TenantClosed { stats }) => assert_eq!(stats.applies, 1),
             other => panic!("expected the closed tenant's counters, got {other:?}"),
         }
-        assert!(matches!(
-            svc.submit(Request::close_tenant(tenant)).wait(),
-            Err(ServiceError::UnknownTenant(t)) if t == tenant
-        ));
+        assert_eq!(
+            close(&svc, tenant),
+            Err(ServiceError::UnknownTenant(tenant))
+        );
         let stats = svc.stats();
-        assert_eq!((stats.submitted, stats.completed, stats.failed), (5, 3, 2));
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (6, 3, 3));
         assert_eq!(
             (stats.latency.tenant.count, stats.latency.delta.count),
-            (4, 1)
+            (4, 2)
         );
         assert_eq!(*svc.shared.gate.inflight.lock().unwrap(), 0);
     }
@@ -1640,6 +1657,6 @@ mod tests {
         assert_eq!(stats.submitted, stats.completed + stats.failed);
         assert_eq!((stats.submitted, stats.failed), (4, 3));
         assert!(svc.tenant_costs(a).is_none() && svc.tenant_costs(b).is_some());
-        assert_eq!(svc.close_tenant(a).unwrap().applies, 0);
+        assert_eq!(close(&svc, a).unwrap().applies, 0);
     }
 }

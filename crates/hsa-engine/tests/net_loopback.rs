@@ -5,7 +5,7 @@
 
 use hsa_engine::net::wire::{self, FrameEncoder, WireError};
 use hsa_engine::net::{Client, ClientError, NetConfig, NetServer};
-use hsa_engine::{Engine, EngineConfig, Request, Service, ServiceConfig, TenantId};
+use hsa_engine::{Engine, EngineConfig, Reply, Request, Service, ServiceConfig, TenantId};
 use hsa_graph::{Cost, Lambda};
 use hsa_tree::Delta;
 use hsa_workloads::{random_instance, Placement, RandomTreeParams};
@@ -448,9 +448,10 @@ fn pool_and_inline_answers_share_one_connection_in_submission_order() {
 }
 
 /// A tenant's close pipelined behind two of its deltas is answered after
-/// them: tenant frames take the same in-order reply path as every other
-/// request. Each delta rescales a 192-CRU tree, long enough that a close
-/// answered on arrival would overtake both.
+/// them, with counters that include both: tenant frames take the same
+/// in-order reply path as every other request, and the close queues behind
+/// its tenant's deltas. Each delta rescales a 192-CRU tree, long enough
+/// that a close answered on arrival would overtake both.
 #[test]
 fn close_tenant_answers_after_the_deltas_sent_before_it() {
     let server = server(ServiceConfig::default(), NetConfig::default());
@@ -476,13 +477,20 @@ fn close_tenant_answers_after_the_deltas_sent_before_it() {
     let close = client.send_encoded(wire::kind::CLOSE_TENANT, tenant.0, &[]);
     sent.push((close, wire::kind::TENANT_CLOSED));
     client.flush().unwrap();
-    let got: Vec<(u64, u8)> = (0..sent.len())
-        .map(|_| {
-            let frame = client.recv_raw().unwrap();
-            (frame.corr, frame.kind)
-        })
+    let frames: Vec<wire::Frame> = (0..sent.len())
+        .map(|_| client.recv_raw().unwrap())
         .collect();
+    let got: Vec<(u64, u8)> = frames.iter().map(|f| (f.corr, f.kind)).collect();
     assert_eq!(got, sent, "answers leave in submission order");
+    match wire::decode_server_frame(&frames[2]) {
+        Ok(wire::NetReply::Reply(Reply::TenantClosed { stats })) => {
+            assert_eq!(
+                stats.applies, 2,
+                "the close counts the deltas sent before it"
+            )
+        }
+        other => panic!("expected the closed tenant's counters, got {other:?}"),
+    }
     server.shutdown();
 }
 
@@ -571,6 +579,8 @@ fn graceful_shutdown_drains_every_accepted_ticket() {
 
     // Shut down while the burst is (at least partly) in flight.
     server.shutdown();
+    // Shutdown closed the listener, so a new client is refused.
+    assert!(Client::connect(server.local_addr()).is_err());
 
     // Every accepted ticket was drained and its answer flushed before
     // the connection closed.

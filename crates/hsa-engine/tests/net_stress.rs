@@ -1,14 +1,15 @@
 //! Failure modes of the reactor front door (DESIGN.md §15): the
 //! connection cap refuses with a typed frame and readmits, a refused peer
-//! that keeps writing cannot hold the acceptor, and a peer that dies
-//! mid-frame cannot wedge its shard. The many-connection stress with
-//! its fd and thread leak check lives in `net_stress_leaks.rs`, a binary
-//! of its own.
+//! that keeps writing cannot hold up new connections, a peer that dies
+//! mid-frame cannot wedge its shard, and a parked request does not stop
+//! the shard from accepting. The many-connection stress with its fd and
+//! thread leak check lives in `net_stress_leaks.rs`, a binary of its own.
 
 use hsa_engine::net::wire;
 use hsa_engine::net::{Client, ClientError, NetConfig, NetServer};
 use hsa_engine::{Engine, EngineConfig, Request, Service, ServiceConfig};
 use hsa_graph::Lambda;
+use hsa_workloads::{random_instance, Placement, RandomTreeParams};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -71,8 +72,8 @@ fn connection_cap_refuses_with_typed_frame_then_readmits() {
     server.shutdown();
 }
 
-/// The acceptor hands a refused peer to a reactor shard unread, and the
-/// shard drains it until the peer's EOF or the drain's deadline. A refused
+/// A refused peer is never read: its shard drains it until the peer's EOF
+/// or the drain's deadline. A refused
 /// peer that keeps writing must not hold that drain past the deadline, and
 /// new connections must be accepted while it writes.
 #[test]
@@ -199,9 +200,9 @@ fn capped_server() -> NetServer {
     .unwrap()
 }
 
-/// Refused peers are drained by the reactor shards, never by the accept
-/// thread, so ten silent peers past the cap (each drained until its
-/// bound) do not hold up the refusal of the next one.
+/// Refused peers are drained in the background of the shard loop, so ten
+/// silent peers past the cap (each drained until its bound) do not hold up
+/// the refusal of the next one.
 #[test]
 fn silent_refused_peers_do_not_delay_the_next_refusal() {
     let server = capped_server();
@@ -269,5 +270,71 @@ fn silent_peer_after_a_fatal_error_frees_its_slot() {
         "a new client was served {waited:?} after the error"
     );
     drop(stream);
+    server.shutdown();
+}
+
+/// Shard 0 accepts in the same loop that serves its connections, so a
+/// connection parked on a full service gate must not hold up the next
+/// client's handshake. One shard, one worker and a one-request gate: a
+/// burst of by-value frontiers pipelined behind a 220-CRU one parks at
+/// once, and as each frontier prepares an instance of its own, the burst
+/// stays parked for tens of milliseconds, through the whole handshake.
+#[test]
+fn a_parked_request_does_not_hold_up_accepts() {
+    let svc = service(ServiceConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..ServiceConfig::default()
+    });
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        svc,
+        NetConfig {
+            reactor_threads: 1,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    const BURST: u64 = 64;
+    let burst: Vec<Request> = (0..BURST)
+        .map(|seed| {
+            let params = RandomTreeParams {
+                n_crus: 220,
+                n_satellites: 4,
+                placement: Placement::Random,
+                ..RandomTreeParams::default()
+            };
+            let (tree, costs) = random_instance(&params, 7 + seed);
+            Request::frontier(&tree, &costs)
+        })
+        .collect();
+    let mut busy = Client::connect(server.local_addr()).unwrap();
+    for request in &burst {
+        busy.send(request).unwrap();
+    }
+    busy.flush().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.net_stats().saturation_parks == 0 {
+        assert!(Instant::now() < deadline, "the burst never parked");
+        std::thread::yield_now();
+    }
+
+    let t0 = Instant::now();
+    let second = Client::connect(server.local_addr()).expect("a handshake while parked");
+    let waited = t0.elapsed();
+    let answered = server.service().stats().completed;
+    assert!(
+        waited < Duration::from_secs(1),
+        "the handshake took {waited:?} behind a parked request"
+    );
+    assert!(
+        answered < BURST / 2,
+        "the handshake waited for the burst ({answered} of {BURST} answered)"
+    );
+    drop(second);
+    for _ in 0..BURST {
+        let (_corr, outcome) = busy.recv_any().unwrap();
+        assert!(outcome.is_ok(), "a parked burst is answered in full");
+    }
     server.shutdown();
 }

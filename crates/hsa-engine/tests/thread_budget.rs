@@ -1,6 +1,7 @@
 //! The thread budget of the serving stack: an `Engine` owns no thread, a
-//! `Service` owns its workers plus one portfolio worker per arm, and a
-//! batch call's fan-out threads end with the call.
+//! `Service` owns its workers plus one portfolio worker per arm, a
+//! `NetServer` owns its reactor shards and nothing else, and a batch
+//! call's fan-out threads end with the call.
 //!
 //! The check counts the whole process's threads, so this binary holds
 //! this one test only: a sibling test running in parallel would move the
@@ -8,6 +9,7 @@
 
 #![cfg(target_os = "linux")]
 
+use hsa_engine::net::{Client, NetConfig, NetServer};
 use hsa_engine::{Engine, EngineConfig, Service, ServiceConfig};
 use hsa_graph::Lambda;
 use hsa_workloads::{random_instance, Placement, RandomTreeParams};
@@ -44,13 +46,32 @@ fn engine_owns_no_thread_and_service_owns_a_fixed_set() {
     let engine = Arc::new(Engine::new(EngineConfig::default()));
     assert_eq!(thread_count(), baseline, "Engine::new spawned threads");
 
-    let service = Service::new(Arc::clone(&engine), ServiceConfig::default());
+    let service = Arc::new(Service::new(Arc::clone(&engine), ServiceConfig::default()));
     assert_eq!(
         thread_count(),
         baseline + service.workers() + 4,
         "a default service runs its workers plus one portfolio worker per arm"
     );
     let serving = thread_count();
+
+    // The front door is its reactor shards: the first one also accepts,
+    // so a served connection adds no thread, and shutdown ends them all.
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        NetConfig {
+            reactor_threads: 2,
+            ..NetConfig::default()
+        },
+    )
+    .expect("binding loopback");
+    assert_eq!(thread_count(), serving + 2, "a server runs its 2 shards");
+    let client = Client::connect(server.local_addr()).expect("the first shard accepts");
+    assert_eq!(thread_count(), serving + 2, "a connection adds no thread");
+    drop(client);
+    server.shutdown();
+    settles_at(serving, "after shutting the server down");
+    drop(server);
 
     // A 64-query batch fanned across two threads answers cut-for-cut what
     // the one-query path answers, and its threads end with the call.

@@ -133,7 +133,7 @@ fn build() -> Vec<Golden> {
     assert!(anytime.anytime().expect("anytime reply").exact_finished);
     service.open_tenant(tenant, &tree, &costs).unwrap();
     let applied = answer(&service, Request::delta(tenant, delta.clone(), lambda));
-    let stats = service.close_tenant(tenant).unwrap();
+    let closed = answer(&service, Request::close_tenant(tenant));
     let unknown = service
         .submit(Request::solve_by_id(
             InstanceId::from_raw(0xDEAD_BEEF),
@@ -196,7 +196,7 @@ fn build() -> Vec<Golden> {
     push("anytime", &mut out);
     enc.put_reply(&mut out, 1, tenant.0, &Reply::TenantOpened);
     push("tenant_opened", &mut out);
-    enc.put_reply(&mut out, 1, tenant.0, &Reply::TenantClosed { stats });
+    enc.put_reply(&mut out, 1, tenant.0, &closed);
     push("tenant_closed", &mut out);
     for (name, err) in [
         ("error_version", WireError::UnsupportedVersion(77, 1)),
